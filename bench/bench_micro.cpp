@@ -42,7 +42,6 @@
 #include "obs/roofline.hpp"
 #include "problems/suite.hpp"
 #include "service/json.hpp"
-#include "sim/batched.hpp"
 #include "sim/executor.hpp"
 #include "sim/naive.hpp"
 #include "sim/parallel.hpp"
@@ -469,139 +468,6 @@ BM_QaoaDeepLayersFused(benchmark::State &state)
                         sink);
 }
 BENCHMARK(BM_QaoaDeepLayersFused);
-
-/* ------------------------------------------------------------------ *
- * SoA batched evolution probes.
- *
- * The engine's multi-start path (core::batchSubrunCosts) evolves B
- * start-lanes through one amplitude-major BatchedStateVector so every
- * shared load — the uint16 cost-value index, the per-value phase LUT,
- * the subspace index arithmetic — is amortized across B lanes. These
- * probes sweep the lane count over the widths the racing driver uses
- * (Arg = B in {1, 2, 4, 8}) while holding the total work fixed at
- * kSoAStarts start states, so ns_per_amp is normalized per
- * lane-amplitude and the B=8 vs B=1 ratio reads directly as the SoA
- * speedup.
- *
- * Besides ns_per_amp they report a static traffic/arithmetic model:
- *   bytes_per_amp  - memory bytes moved per lane-amplitude per layer
- *                    (32 B amp read+write per sweep; the shared 2-byte
- *                    value index is divided by the lane count),
- *   flops_per_amp  - arithmetic per lane-amplitude per layer (6-flop
- *                    complex phase multiply + 6-flop pair-rotation mix
- *                    per commute-group sweep),
- *   lanes_per_touch - lane-amplitudes served by each shared-index
- *                    memory touch (= B).
- *
- * These two deliberately keep their hand model instead of the kernel
- * counter sink the scalar benches use: the sink's cost table is flat
- * per amplitude and cannot express the 2/B shared-index amortization
- * that is the whole point of the width sweep. The roofline
- * post-processing treats both sources identically.
- */
-
-/** Start count held fixed across the width sweep (divisible by all
- * swept widths so every chunk is full). */
-constexpr int kSoAStarts = 8;
-
-/** Qubit count for the SoA probes: big enough that the state walks
- * out of L2 at width 8, small enough to keep iterations cheap. */
-constexpr int kSoAQubits = 16;
-
-void
-setSoACounters(benchmark::State &state, std::int64_t amps_per_iter,
-               std::size_t lanes, std::size_t sweeps_per_layer)
-{
-    setAmpCounters(state, amps_per_iter);
-    state.counters["bytes_per_amp"] =
-        32.0 * static_cast<double>(sweeps_per_layer)
-        + 2.0 / static_cast<double>(lanes);
-    state.counters["flops_per_amp"] =
-        6.0 + 6.0 * static_cast<double>(sweeps_per_layer);
-    state.counters["lanes_per_touch"] = static_cast<double>(lanes);
-}
-
-/**
- * Full fused ansatz layers over kSoAStarts starts, chunked by the lane
- * width exactly like batchSubrunCosts, ending in the per-lane
- * compressed expectation (the complete per-evaluation kernel chain of
- * the batched engine path).
- */
-void
-BM_EvolveBatchSoAFusedLayers(benchmark::State &state)
-{
-    const int n = kSoAQubits;
-    const std::size_t width = static_cast<std::size_t>(state.range(0));
-    const auto table = deepLayerTable(n);
-    const auto terms = deepLayerTerms(n);
-    const auto plan = core::buildFusedLayerPlan(table, terms);
-    sim::BatchedStateVector batch;
-    std::vector<Cplx> phase_scratch;
-    std::vector<double> cs_scratch;
-    std::vector<double> gammas(width), betas(width), out(kSoAStarts);
-    for (auto _ : state) {
-        std::size_t done = 0;
-        while (done < kSoAStarts) {
-            const std::size_t lanes =
-                std::min<std::size_t>(width, kSoAStarts - done);
-            batch.resizeScratch(n, lanes);
-            batch.reset(1);
-            for (int l = 0; l < kDeepLayers; ++l) {
-                for (std::size_t b = 0; b < lanes; ++b) {
-                    // Per-start angle spread mirrors racing starts.
-                    gammas[b] = 0.4 + 0.01 * l + 0.002 * (done + b);
-                    betas[b] = 0.7 + 0.01 * l + 0.002 * (done + b);
-                }
-                core::applyFusedLayerBatched(batch, plan, table,
-                                             gammas.data(), betas.data(),
-                                             phase_scratch, cs_scratch);
-            }
-            batch.expectationTableCompressed(plan.distinctValues,
-                                             plan.valueIndex,
-                                             out.data() + done);
-            done += lanes;
-        }
-        benchmark::DoNotOptimize(out.data());
-    }
-    // One phased sweep folds the objective gather into group 0, so a
-    // layer makes plan.groups.size() passes over the state.
-    setSoACounters(state,
-                   (std::int64_t{1} << n) * std::int64_t{kDeepLayers}
-                       * std::int64_t{kSoAStarts},
-                   width, plan.groups.size());
-}
-BENCHMARK(BM_EvolveBatchSoAFusedLayers)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/**
- * Isolated compressed phase-table gather (the most index-bound kernel:
- * one shared uint16 load per amplitude fans out to B lane multiplies).
- */
-void
-BM_EvolveBatchSoAPhaseTable(benchmark::State &state)
-{
-    const int n = kSoAQubits;
-    const std::size_t width = static_cast<std::size_t>(state.range(0));
-    const auto table = deepLayerTable(n);
-    const auto terms = deepLayerTerms(n);
-    const auto plan = core::buildFusedLayerPlan(table, terms);
-    sim::BatchedStateVector batch;
-    std::vector<Cplx> phase_scratch;
-    std::vector<double> gammas(width);
-    batch.resizeScratch(n, width);
-    batch.reset(1);
-    for (std::size_t b = 0; b < width; ++b)
-        gammas[b] = 0.4 + 0.002 * b;
-    for (auto _ : state) {
-        batch.applyPhaseTableCompressed(plan.distinctValues, plan.valueIndex,
-                                        gammas.data(), phase_scratch);
-        benchmark::DoNotOptimize(batch.data());
-    }
-    // Normalized per lane-amplitude; a single phase sweep.
-    setSoACounters(state,
-                   (std::int64_t{1} << n) * static_cast<std::int64_t>(width),
-                   width, 1);
-}
-BENCHMARK(BM_EvolveBatchSoAPhaseTable)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 /** Objective-phase-shaped diagonal gate chain (the circuit-path fusion
  * target): one RZ per qubit plus a CP chain. @p shift varies the angles

@@ -44,9 +44,6 @@ struct Config
     int repeats = 8;
     int iterations = 20;
     std::vector<int> workerCounts = {1, 2, 4};
-    /** SoA lane widths for the cross-width determinism gate (1 = the
-     * scalar per-start loop; 8 = the auto width). */
-    std::vector<int> batchWidths = {1, 2, 8};
     std::string outPath = "BENCH_service.json";
 };
 
@@ -83,7 +80,7 @@ makeSuite(const Config &cfg)
             // execution is not, which is exactly what the cache keys on.
             job.seed = 1000 + 17 * static_cast<std::uint64_t>(r) + s;
             job.maxIterations = cfg.iterations;
-            job.keepStarts = 2; // batched multi-start screening
+            job.keepStarts = 2; // multi-start screening
             jobs.push_back(std::move(job));
         }
     }
@@ -115,12 +112,10 @@ struct RunReport
 };
 
 RunReport
-runSuite(const std::vector<service::SolveJob> &jobs, int workers,
-         int batch_width = 0)
+runSuite(const std::vector<service::SolveJob> &jobs, int workers)
 {
     service::ServiceOptions options;
     options.workers = workers;
-    options.defaultBatchWidth = batch_width;
     service::SolveService svc(options); // fresh service: cold cache
     Timer wall;
     RunReport report;
@@ -572,26 +567,6 @@ main(int argc, char **argv)
               << "x; deterministic across worker counts: "
               << (deterministic ? "yes" : "NO") << "\n";
 
-    // Batch-width sweep: the SoA racing engine promises bitwise-identical
-    // results at every lane width (1 = the scalar per-start loop,
-    // 8 = the auto width). Each run is compared against the worker-sweep
-    // baseline, which solved at the unset default (auto), so auto must
-    // match every explicit width too.
-    const int width_workers = runs.size() >= 2 ? runs[1].workers : 1;
-    bool width_deterministic = true;
-    for (const int bw : cfg.batchWidths) {
-        RunReport wr = runSuite(jobs, width_workers, bw);
-        const bool match = sameResults(runs[0], wr);
-        width_deterministic = width_deterministic && match;
-        std::cout << "batch width " << bw << " (workers=" << width_workers
-                  << "): " << wr.jobsPerSec
-                  << " jobs/s, exec p50 " << wr.execP50Ms
-                  << " ms; bitwise matches baseline: "
-                  << (match ? "yes" : "NO") << "\n";
-    }
-    std::cout << "deterministic across batch widths: "
-              << (width_deterministic ? "yes" : "NO") << "\n";
-
     // The TCP front-end over loopback: same suite, same worker count as
     // the middle in-process run, 4 concurrent connections. The spread
     // vs the in-process jobs/sec is the wire + framing cost.
@@ -649,11 +624,6 @@ main(int argc, char **argv)
             static_cast<double>(std::thread::hardware_concurrency()));
     doc.set("deterministic_across_worker_counts", deterministic);
     doc.set("speedup_max_vs_min_workers", speedup);
-    service::Json width_array = service::Json::array();
-    for (const int bw : cfg.batchWidths)
-        width_array.push(static_cast<double>(bw));
-    doc.set("batch_widths", std::move(width_array));
-    doc.set("deterministic_across_batch_widths", width_deterministic);
     service::Json run_array = service::Json::array();
     for (const auto &r : runs) {
         service::Json entry = service::Json::object();
@@ -711,7 +681,7 @@ main(int argc, char **argv)
     std::ofstream out(cfg.outPath);
     out << doc.pretty() << "\n";
     std::cout << "wrote " << cfg.outPath << "\n";
-    return deterministic && width_deterministic && socket.matchesInProcess
+    return deterministic && socket.matchesInProcess
                    && inline_spec.matchesRegistry && obs_report.reconciled
                    && obs_report.traceMatches
                ? 0

@@ -30,7 +30,7 @@ main()
             job.scale = scale;
             job.seed = seed;
             job.maxIterations = 20;
-            job.keepStarts = 2; // batched multi-start screening
+            job.keepStarts = 2; // multi-start screening
             jobs.push_back(std::move(job));
         }
     }

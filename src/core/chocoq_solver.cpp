@@ -179,10 +179,10 @@ ChocoQSolver::solveCompiled(const model::Problem &p,
                 // Fused layers: value-compressed objective phase folded
                 // into the first commute-group sweep, remaining groups as
                 // grouped rotations — bit-identical to the unfused
-                // closures below (tested property). The scratch buffers
-                // are shared across evaluations of this run (one engine
-                // run is single-threaded over its SubRuns), so the hot
-                // loop stays allocation-free in steady state.
+                // closure below (tested property). The phase scratch
+                // buffer is shared across evaluations of this run (one
+                // engine run is single-threaded over its SubRuns), so the
+                // hot loop stays allocation-free in steady state.
                 auto scratch = std::make_shared<std::vector<sim::Cplx>>();
                 run.evolve = [x0, table, plan,
                               scratch](sim::StateVector &state,
@@ -193,29 +193,6 @@ ChocoQSolver::solveCompiled(const model::Problem &p,
                         applyFusedLayer(state, *plan, *table, theta[2 * l],
                                         theta[2 * l + 1], *scratch);
                 };
-                auto cs_scratch = std::make_shared<std::vector<double>>();
-                auto angle_scratch = std::make_shared<std::vector<double>>();
-                run.evolveBatch =
-                    [x0, table, plan, scratch, cs_scratch, angle_scratch](
-                        sim::BatchedStateVector &batch,
-                        const std::vector<const std::vector<double> *>
-                            &thetas) {
-                        batch.reset(x0);
-                        const std::size_t lanes = batch.lanes();
-                        const std::size_t layers = thetas[0]->size() / 2;
-                        angle_scratch->resize(2 * lanes);
-                        double *gammas = angle_scratch->data();
-                        double *betas = gammas + lanes;
-                        for (std::size_t l = 0; l < layers; ++l) {
-                            for (std::size_t b = 0; b < lanes; ++b) {
-                                gammas[b] = (*thetas[b])[2 * l];
-                                betas[b] = (*thetas[b])[2 * l + 1];
-                            }
-                            applyFusedLayerBatched(batch, *plan, *table,
-                                                   gammas, betas, *scratch,
-                                                   *cs_scratch);
-                        }
-                    };
                 if (plan->compressedPhase) {
                     // Aliasing views into the plan: the compressed cost
                     // table doubles as the expectation observable.
@@ -237,33 +214,6 @@ ChocoQSolver::solveCompiled(const model::Problem &p,
                         applyCommuteLayer(state, *terms, theta[2 * l + 1]);
                     }
                 };
-                // SoA multi-start: per lane this is exactly evolve()'s
-                // per-amplitude arithmetic; the batched kernels pay the
-                // phase-table loads and index enumeration once per lane
-                // group instead of once per start.
-                auto cs_scratch = std::make_shared<std::vector<double>>();
-                auto angle_scratch = std::make_shared<std::vector<double>>();
-                run.evolveBatch =
-                    [x0, table, terms, cs_scratch, angle_scratch](
-                        sim::BatchedStateVector &batch,
-                        const std::vector<const std::vector<double> *>
-                            &thetas) {
-                        batch.reset(x0);
-                        const std::size_t lanes = batch.lanes();
-                        const std::size_t layers = thetas[0]->size() / 2;
-                        angle_scratch->resize(2 * lanes);
-                        double *gammas = angle_scratch->data();
-                        double *betas = gammas + lanes;
-                        for (std::size_t l = 0; l < layers; ++l) {
-                            for (std::size_t b = 0; b < lanes; ++b) {
-                                gammas[b] = (*thetas[b])[2 * l];
-                                betas[b] = (*thetas[b])[2 * l + 1];
-                            }
-                            batch.applyPhaseTable(*table, gammas);
-                            applyCommuteLayerBatched(batch, *terms, betas,
-                                                     *cs_scratch);
-                        }
-                    };
             }
         }
         run.lift = [plan, assignment](Basis x) {

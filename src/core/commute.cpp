@@ -102,26 +102,6 @@ applyCommuteLayer(sim::StateVector &state,
         state.applyPairRotation(term.supportMask, term.vBits, c, s);
 }
 
-void
-applyCommuteLayerBatched(sim::BatchedStateVector &batch,
-                         const std::vector<CommuteTerm> &terms,
-                         const double *betas,
-                         std::vector<double> &cs_scratch)
-{
-    // Per-lane cos/sin computed with the scalar layer's expressions,
-    // paid once for the whole layer.
-    const std::size_t lanes = batch.lanes();
-    cs_scratch.resize(2 * lanes);
-    double *c = cs_scratch.data();
-    double *s = c + lanes;
-    for (std::size_t b = 0; b < lanes; ++b) {
-        c[b] = std::cos(betas[b]);
-        s[b] = std::sin(betas[b]);
-    }
-    for (const auto &term : terms)
-        batch.applyPairRotation(term.supportMask, term.vBits, c, s);
-}
-
 std::size_t
 genericTermSynthesisGates(const CommuteTerm &term, double beta)
 {

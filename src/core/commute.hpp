@@ -17,7 +17,6 @@
 
 #include "common/bitops.hpp"
 #include "linalg/matrix.hpp"
-#include "sim/batched.hpp"
 #include "sim/statevector.hpp"
 
 namespace chocoq::core
@@ -73,16 +72,6 @@ void applyCommuteExact(sim::StateVector &state, const CommuteTerm &term,
  */
 void applyCommuteLayer(sim::StateVector &state,
                        const std::vector<CommuteTerm> &terms, double beta);
-
-/**
- * SoA-batched commute layer: lane b evolves under angle betas[b]. Lane
- * b's cos/sin and per-term rotations match applyCommuteLayer(betas[b])
- * exactly, so each lane is bit-identical to a sequential evolution.
- */
-void applyCommuteLayerBatched(sim::BatchedStateVector &batch,
-                              const std::vector<CommuteTerm> &terms,
-                              const double *betas,
-                              std::vector<double> &cs_scratch);
 
 /**
  * Basic-gate cost of decomposing one local commute unitary with GENERIC

@@ -168,94 +168,4 @@ applyFusedLayer(sim::StateVector &state, const FusedLayerPlan &plan,
     }
 }
 
-void
-applyFusedObjectivePhaseBatched(sim::BatchedStateVector &batch,
-                                const FusedLayerPlan &plan,
-                                const std::vector<double> &cost_table,
-                                const double *gammas,
-                                std::vector<sim::Cplx> &phase_scratch)
-{
-    if (plan.compressedPhase)
-        batch.applyPhaseTableCompressed(plan.distinctValues,
-                                        plan.valueIndex, gammas,
-                                        phase_scratch);
-    else
-        batch.applyPhaseTable(cost_table, gammas);
-}
-
-namespace
-{
-
-/** Per-lane cos/sin for a shared-angle layer (scalar expressions). */
-std::pair<const double *, const double *>
-laneTrig(const double *betas, std::size_t lanes,
-         std::vector<double> &cs_scratch)
-{
-    cs_scratch.resize(2 * lanes);
-    double *c = cs_scratch.data();
-    double *s = c + lanes;
-    for (std::size_t b = 0; b < lanes; ++b) {
-        c[b] = std::cos(betas[b]);
-        s[b] = std::sin(betas[b]);
-    }
-    return {c, s};
-}
-
-} // namespace
-
-void
-applyFusedCommuteLayerBatched(sim::BatchedStateVector &batch,
-                              const FusedLayerPlan &plan,
-                              const double *betas,
-                              std::vector<double> &cs_scratch)
-{
-    const auto [c, s] = laneTrig(betas, batch.lanes(), cs_scratch);
-    for (const auto &g : plan.groups) {
-        if (g.vBits.size() == 1)
-            batch.applyPairRotation(g.supportMask, g.vBits[0], c, s);
-        else
-            batch.applyPairRotationGroup(g.supportMask, g.vBits.data(),
-                                         g.vBits.size(), c, s);
-    }
-}
-
-void
-applyFusedLayerBatched(sim::BatchedStateVector &batch,
-                       const FusedLayerPlan &plan,
-                       const std::vector<double> &cost_table,
-                       const double *gammas, const double *betas,
-                       std::vector<sim::Cplx> &phase_scratch,
-                       std::vector<double> &cs_scratch)
-{
-    if (!plan.compressedPhase || plan.groups.empty()) {
-        applyFusedObjectivePhaseBatched(batch, plan, cost_table, gammas,
-                                        phase_scratch);
-        applyFusedCommuteLayerBatched(batch, plan, betas, cs_scratch);
-        return;
-    }
-    const std::size_t lanes = batch.lanes();
-    // Lane-minor LUT with applyPhaseTableCompressed's phi expression.
-    phase_scratch.resize(plan.distinctValues.size() * lanes);
-    for (std::size_t d = 0; d < plan.distinctValues.size(); ++d)
-        for (std::size_t b = 0; b < lanes; ++b) {
-            const double phi = -gammas[b] * plan.distinctValues[d];
-            phase_scratch[d * lanes + b] =
-                sim::Cplx{std::cos(phi), std::sin(phi)};
-        }
-    const auto [c, s] = laneTrig(betas, lanes, cs_scratch);
-    const CommuteGroup &g0 = plan.groups.front();
-    batch.applyPhasedPairRotationGroup(g0.supportMask, g0.vBits.data(),
-                                       g0.vBits.size(), c, s,
-                                       phase_scratch.data(),
-                                       plan.valueIndex.data());
-    for (std::size_t gi = 1; gi < plan.groups.size(); ++gi) {
-        const CommuteGroup &g = plan.groups[gi];
-        if (g.vBits.size() == 1)
-            batch.applyPairRotation(g.supportMask, g.vBits[0], c, s);
-        else
-            batch.applyPairRotationGroup(g.supportMask, g.vBits.data(),
-                                         g.vBits.size(), c, s);
-    }
-}
-
 } // namespace chocoq::core

@@ -111,28 +111,6 @@ void applyFusedLayer(sim::StateVector &state, const FusedLayerPlan &plan,
                      const std::vector<double> &cost_table, double gamma,
                      double beta, std::vector<sim::Cplx> &phase_scratch);
 
-/** Per-lane applyFusedObjectivePhase: lane b uses angle gammas[b]. */
-void applyFusedObjectivePhaseBatched(sim::BatchedStateVector &batch,
-                                     const FusedLayerPlan &plan,
-                                     const std::vector<double> &cost_table,
-                                     const double *gammas,
-                                     std::vector<sim::Cplx> &phase_scratch);
-
-/** Per-lane applyFusedCommuteLayer: lane b uses angle betas[b].
- * @p cs_scratch backs the per-lane cos/sin (reused across calls). */
-void applyFusedCommuteLayerBatched(sim::BatchedStateVector &batch,
-                                   const FusedLayerPlan &plan,
-                                   const double *betas,
-                                   std::vector<double> &cs_scratch);
-
-/** Per-lane applyFusedLayer (same fusion rule and fallback). */
-void applyFusedLayerBatched(sim::BatchedStateVector &batch,
-                            const FusedLayerPlan &plan,
-                            const std::vector<double> &cost_table,
-                            const double *gammas, const double *betas,
-                            std::vector<sim::Cplx> &phase_scratch,
-                            std::vector<double> &cs_scratch);
-
 } // namespace chocoq::core
 
 #endif // CHOCOQ_CORE_LAYER_FUSION_HPP

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "sim/batched.hpp"
 #include "sim/statevector.hpp"
 
 namespace chocoq::core
@@ -60,84 +59,14 @@ subrunCost(StateVector &scratch, const SubRun &run,
         [&](Basis x) { return cost(run.lift(x)); });
 }
 
-/** Costs of several theta candidates for one subrun. Takes the SoA
- * evolveBatch path when available: up to @p width starts are interleaved
- * amplitude-major in one BatchedStateVector, so each layer's index
- * arithmetic and table loads are paid once per lane group instead of
- * once per start. Per lane the arithmetic is identical to evolveInto,
- * and the per-lane expectation reduce mirrors the scalar partitioning,
- * so every width — including the scalar fallback — returns bit-identical
- * values (tested property). */
-std::vector<double>
-batchSubrunCosts(sim::ScratchPool &pool, const SubRun &run,
-                 const std::function<double(Basis)> &cost,
-                 const std::vector<const std::vector<double> *> &thetas,
-                 bool fuse_gates, std::size_t width)
-{
-    std::vector<double> out(thetas.size());
-    if (run.evolveBatch && thetas.size() > 1 && width > 1) {
-        sim::BatchedStateVector &batch = pool.batch();
-        std::vector<const std::vector<double> *> chunk;
-        std::size_t done = 0;
-        while (done < thetas.size()) {
-            const std::size_t lanes = std::min(width, thetas.size() - done);
-            chunk.assign(thetas.begin() + static_cast<std::ptrdiff_t>(done),
-                         thetas.begin()
-                             + static_cast<std::ptrdiff_t>(done + lanes));
-            batch.resizeScratch(run.numQubits, lanes);
-            run.evolveBatch(batch, chunk);
-            if (run.costDistinct && run.costIndex)
-                batch.expectationTableCompressed(
-                    *run.costDistinct, *run.costIndex, out.data() + done);
-            else if (run.costTable)
-                batch.expectationTable(*run.costTable, out.data() + done);
-            else
-                batch.expectationDiagonal(
-                    [&](Basis x) { return cost(run.lift(x)); },
-                    out.data() + done);
-            done += lanes;
-        }
-    } else {
-        StateVector &scratch = pool.at(0, run.numQubits);
-        for (std::size_t b = 0; b < thetas.size(); ++b)
-            out[b] = subrunCost(scratch, run, cost, *thetas[b], fuse_gates);
-    }
-    return out;
-}
-
-/** Evaluates a batch of theta candidates in one sweep. */
-using BatchEval = std::function<std::vector<double>(
-    const std::vector<const std::vector<double> *> &)>;
-
 /** Multi-start minimization; totals evaluations/iterations, keeps the
- * result of the winning start. With multiStartKeep > 0, one batched
- * sweep screens every start and only the most promising keep receive a
- * full optimizer run.
- *
- * Kept starts run through one of two drivers with bit-identical
- * outcomes:
- *  - sequential (single start, or width 1 with racing off): each start's
- *    step machine is driven to completion one objective evaluation at a
- *    time — the legacy loop, including its per-evaluation checkpoint
- *    cadence through the objective closure.
- *  - lockstep (width > 1, or racing enabled): every round gathers one
- *    pending point per live machine in start order and evaluates them in
- *    one batched sweep. The round structure depends only on the set of
- *    live machines — never on the SoA width, which only chunks inside
- *    batch_eval — and each machine consumes exactly the value sequence
- *    it would see sequentially, so results match the sequential driver
- *    bit for bit across every width (tested property).
- * With raceEliminateEvery > 0, whenever every live machine has completed
- * the next milestone's worth of iterations the worse half (by incumbent
- * best value; ties keep submission order) is halted. Halted machines
- * contribute their partial evaluation/iteration counts and participate
- * in the final best selection (they can never beat a survivor: survivors
- * were at least as good at the milestone and only improve). */
+ * result of the winning start (the earliest start wins ties). With
+ * multiStartKeep > 0, every start is evaluated once and only the most
+ * promising multiStartKeep receive a full optimizer run. */
 optimize::OptResult
 optimizeMultiStart(const optimize::Optimizer &optimizer,
                    const optimize::ObjectiveFn &objective,
-                   const BatchEval &batch_eval, const EngineOptions &opts,
-                   std::size_t width)
+                   const EngineOptions &opts)
 {
     std::vector<std::vector<double>> starts{opts.theta0};
     for (const auto &s : opts.extraStarts)
@@ -147,12 +76,9 @@ optimizeMultiStart(const optimize::Optimizer &optimizer,
     int screen_evals = 0;
     if (opts.multiStartKeep > 0
         && static_cast<std::size_t>(opts.multiStartKeep) < starts.size()) {
-        if (opts.checkpoint)
-            opts.checkpoint();
-        std::vector<const std::vector<double> *> start_ptrs(starts.size());
+        std::vector<double> value(starts.size());
         for (std::size_t i = 0; i < starts.size(); ++i)
-            start_ptrs[i] = &starts[i];
-        const std::vector<double> value = batch_eval(start_ptrs);
+            value[i] = objective(starts[i]);
         screen_evals = static_cast<int>(starts.size());
         std::vector<std::size_t> order(starts.size());
         std::iota(order.begin(), order.end(), std::size_t{0});
@@ -171,93 +97,23 @@ optimizeMultiStart(const optimize::Optimizer &optimizer,
         starts = std::move(kept);
     }
 
-    // One step machine per start. Stochastic optimizers get a distinct,
-    // deterministic stream per restart, derived from the options seed
-    // alone — never from width, worker count, or submission order.
-    std::vector<std::unique_ptr<optimize::OptimizerRun>> runs;
-    runs.reserve(starts.size());
+    optimize::OptResult best;
+    int total_evals = screen_evals;
+    int total_iters = 0;
     for (std::size_t i = 0; i < starts.size(); ++i) {
+        // Stochastic optimizers get a distinct, deterministic stream per
+        // restart, derived from the options seed alone — never from
+        // worker count or submission order.
         optimize::OptOptions start_opts = opts.opt;
         start_opts.seed = opts.opt.seed + 0x9E3779B97F4A7C15ull * i;
         if (opts.checkpoint)
             start_opts.checkpoint = opts.checkpoint;
-        runs.push_back(optimizer.start(starts[i], start_opts));
-    }
-
-    const bool lockstep =
-        runs.size() > 1 && (opts.raceEliminateEvery > 0 || width > 1);
-    if (!lockstep) {
-        for (auto &run : runs)
-            while (!run->finished())
-                run->supply(objective(run->pending()));
-    } else {
-        int next_milestone = opts.raceEliminateEvery;
-        std::vector<std::size_t> live;
-        std::vector<const std::vector<double> *> points;
-        for (;;) {
-            live.clear();
-            points.clear();
-            for (std::size_t i = 0; i < runs.size(); ++i)
-                if (!runs[i]->finished()) {
-                    live.push_back(i);
-                    points.push_back(&runs[i]->pending());
-                }
-            if (live.empty())
-                break;
-            if (opts.checkpoint)
-                opts.checkpoint();
-            const std::vector<double> vals = batch_eval(points);
-            for (std::size_t j = 0; j < live.size(); ++j)
-                runs[live[j]]->supply(vals[j]);
-
-            if (opts.raceEliminateEvery <= 0)
-                continue;
-            // A trace entry lands exactly once per completed iteration,
-            // so trace.size() is the milestone progress measure that is
-            // well-defined mid-iteration.
-            live.erase(std::remove_if(live.begin(), live.end(),
-                                      [&](std::size_t i) {
-                                          return runs[i]->finished();
-                                      }),
-                       live.end());
-            if (live.size() < 2)
-                continue;
-            bool at_milestone = true;
-            for (std::size_t i : live)
-                if (runs[i]->result().trace.size()
-                    < static_cast<std::size_t>(next_milestone)) {
-                    at_milestone = false;
-                    break;
-                }
-            if (!at_milestone)
-                continue;
-            // Keep the better half by incumbent best (the last trace
-            // entry); stable sort keeps submission order on ties.
-            std::vector<std::size_t> ranked = live;
-            std::stable_sort(ranked.begin(), ranked.end(),
-                             [&](std::size_t a, std::size_t b) {
-                                 return runs[a]->result().trace.back().best
-                                        < runs[b]->result().trace.back().best;
-                             });
-            const std::size_t keep = (ranked.size() + 1) / 2;
-            for (std::size_t j = keep; j < ranked.size(); ++j)
-                runs[ranked[j]]->halt();
-            next_milestone += opts.raceEliminateEvery;
-        }
-    }
-
-    optimize::OptResult best;
-    int total_evals = screen_evals;
-    int total_iters = 0;
-    bool first = true;
-    for (const auto &run : runs) {
-        const optimize::OptResult &res = run->result();
+        optimize::OptResult res =
+            optimizer.minimize(objective, starts[i], start_opts);
         total_evals += res.evaluations;
         total_iters += res.iterations;
-        if (first || res.bestValue < best.bestValue) {
-            best = res;
-            first = false;
-        }
+        if (i == 0 || res.bestValue < best.bestValue)
+            best = std::move(res);
     }
     best.evaluations = total_evals;
     best.iterations = total_iters;
@@ -316,43 +172,24 @@ runQaoa(const std::vector<SubRun> &subruns,
     double sim_seconds = 0.0;
     Timer total_timer;
 
-    // Scratch states shared by every objective evaluation below; buffers
-    // are sized once and recycled, so the optimizer's thousands of
+    // Scratch state shared by every objective evaluation below; its
+    // buffer is sized once and recycled, so the optimizer's thousands of
     // evaluations perform zero statevector allocation. A caller-provided
-    // pool (one per service worker) extends the reuse across jobs.
-    int max_qubits = 1;
-    for (const auto &r : subruns)
-        max_qubits = std::max(max_qubits, r.numQubits);
-    sim::ScratchPool local_pool;
-    sim::ScratchPool &pool = opts.scratchPool ? *opts.scratchPool : local_pool;
-    StateVector &scratch = pool.at(0, max_qubits);
+    // state (one per service worker) extends the reuse across jobs.
+    StateVector local_scratch(1);
+    StateVector &scratch = opts.scratch ? *opts.scratch : local_scratch;
 
     // Kernel-mix accounting (zero-cost when opts.kernelCounters is
-    // null): the sink rides the two scratch states every kernel of this
-    // run executes through. Detach on every exit path — the pool is
-    // shared across jobs on a service worker, and a dangling sink would
-    // charge the next job's kernels to this job's books.
-    sim::BatchedStateVector &batch_scratch = pool.batch();
+    // null): the sink rides the scratch state every kernel of this run
+    // executes through. Detach on every exit path — the state is shared
+    // across jobs on a service worker, and a dangling sink would charge
+    // the next job's kernels to this job's books.
     struct SinkGuard
     {
         StateVector &s;
-        sim::BatchedStateVector &b;
-        ~SinkGuard()
-        {
-            s.setCounterSink(nullptr);
-            b.setCounterSink(nullptr);
-        }
-    } sink_guard{scratch, batch_scratch};
+        ~SinkGuard() { s.setCounterSink(nullptr); }
+    } sink_guard{scratch};
     scratch.setCounterSink(opts.kernelCounters);
-    batch_scratch.setCounterSink(opts.kernelCounters);
-
-    // SoA lane count for batched sweeps: 0 resolves to the automatic
-    // width. Purely a performance knob — results are bit-identical
-    // across widths (tested property).
-    constexpr int kAutoBatchWidth = 8;
-    const std::size_t width = static_cast<std::size_t>(std::min<int>(
-        opts.batchWidth > 0 ? opts.batchWidth : kAutoBatchWidth,
-        static_cast<int>(sim::kMaxBatchLanes)));
 
     // One parameter vector per subrun (identical when shared).
     std::vector<std::vector<double>> theta_star(subruns.size());
@@ -373,16 +210,7 @@ runQaoa(const std::vector<SubRun> &subruns,
                 sim_seconds += t.seconds();
                 return v;
             };
-            auto batch_objective =
-                [&](const std::vector<const std::vector<double> *> &thetas) {
-                    Timer t;
-                    auto v = batchSubrunCosts(pool, subruns[i], cost, thetas,
-                                              opts.fusion, width);
-                    sim_seconds += t.seconds();
-                    return v;
-                };
-            const auto res = optimizeMultiStart(*optimizer, objective,
-                                                batch_objective, opts, width);
+            const auto res = optimizeMultiStart(*optimizer, objective, opts);
             theta_star[i] = res.best;
             best_acc += subruns[i].weight / weight_total * res.bestValue;
             iters = std::max(iters, res.iterations);
@@ -419,21 +247,7 @@ runQaoa(const std::vector<SubRun> &subruns,
             sim_seconds += t.seconds();
             return acc;
         };
-        auto batch_objective =
-            [&](const std::vector<const std::vector<double> *> &thetas) {
-                Timer t;
-                std::vector<double> acc(thetas.size(), 0.0);
-                for (const auto &run : subruns) {
-                    const auto v = batchSubrunCosts(pool, run, cost, thetas,
-                                                    opts.fusion, width);
-                    for (std::size_t b = 0; b < v.size(); ++b)
-                        acc[b] += run.weight / weight_total * v[b];
-                }
-                sim_seconds += t.seconds();
-                return acc;
-            };
-        out.opt = optimizeMultiStart(*optimizer, objective, batch_objective,
-                                     opts, width);
+        out.opt = optimizeMultiStart(*optimizer, objective, opts);
         for (auto &theta : theta_star)
             theta = out.opt.best;
     }

@@ -26,7 +26,7 @@
 #include "common/bitops.hpp"
 #include "optimize/optimizer.hpp"
 #include "sim/executor.hpp"
-#include "sim/scratch.hpp"
+#include "sim/statevector.hpp"
 
 namespace chocoq::core
 {
@@ -51,20 +51,6 @@ struct SubRun
      */
     std::function<void(sim::StateVector &, const std::vector<double> &)>
         evolve;
-    /**
-     * Optional SoA batch evolution: lane b of @p batch becomes the output
-     * at *thetas[b]. The caller sizes the batch (resizeScratch) to
-     * thetas.size() lanes; the callee establishes every lane's initial
-     * state (batch.reset(init)). Must perform, per lane, exactly the
-     * per-amplitude arithmetic of evolve() — the SoA kernels interleave
-     * B lanes inside one pass of index arithmetic and table loads, but
-     * each lane's expression tree and enumeration order are identical to
-     * the scalar kernels — making the two paths bit-identical for every
-     * lane count (tested property).
-     */
-    std::function<void(sim::BatchedStateVector &,
-                       const std::vector<const std::vector<double> *> &)>
-        evolveBatch;
     /** Map a measured instance-space state to the full variable space. */
     std::function<Basis(Basis)> lift;
     /**
@@ -101,44 +87,19 @@ struct EngineOptions
      */
     std::vector<std::vector<double>> extraStarts;
     /**
-     * Batched multi-start screening: when > 0, every start is evaluated
-     * once in one batched sweep (SubRun::evolveBatch amortizes the
-     * phase-table loads across starts) and only the most promising
-     * multiStartKeep starts receive a full optimizer run. 0 (default)
-     * optimizes every start, the legacy behavior.
+     * Multi-start screening: when > 0, every start is evaluated once
+     * and only the multiStartKeep starts with the lowest cost (ties
+     * keep submission order) receive a full optimizer run. 0 (default)
+     * optimizes every start.
      */
     int multiStartKeep = 0;
     /**
-     * SoA lane count for batched evaluation (screening sweeps and the
-     * lockstep racing driver). 0 (the default) resolves to an automatic
-     * width (currently 8); 1 forces the scalar path. Results are
-     * bit-identical across every width (tested property) — the width
-     * only decides how many lanes share one pass of index arithmetic —
-     * so this is purely a performance/footprint knob. Compile-relevant
-     * only insofar as the service hashes it into the compile-cache key
-     * (artifact reuse across widths is still sound; the key split is
-     * conservative).
+     * Optional external scratch state (one per worker thread) backing
+     * every objective evaluation and the final distribution; a service
+     * worker reuses it across jobs so steady-state solves allocate no
+     * state vectors. When null, the engine uses a call-local state.
      */
-    int batchWidth = 0;
-    /**
-     * Racing multi-start elimination: when > 0 and several starts are
-     * in flight, every raceEliminateEvery optimizer iterations the
-     * worse half of the surviving starts (by incumbent best value, ties
-     * keep submission order) is halted, and only the survivors keep
-     * evaluating. Elimination decisions depend only on per-start
-     * incumbents at the milestone, never on batch width or evaluation
-     * interleaving, so outcomes are bit-identical across widths (tested
-     * property). 0 (default) runs every kept start to completion.
-     */
-    int raceEliminateEvery = 0;
-    /**
-     * Optional external scratch pool (one per worker thread). Slot 0 is
-     * the objective scratch and the batch() slot backs SoA lockstep
-     * sweeps; a service worker reuses the pool across jobs so
-     * steady-state solves allocate no state vectors. When null, the
-     * engine uses a call-local pool.
-     */
-    sim::ScratchPool *scratchPool = nullptr;
+    sim::StateVector *scratch = nullptr;
     /**
      * Optimize each subrun independently (its own parameters) instead of
      * sharing one parameter vector. This is how variable-eliminated
@@ -168,23 +129,24 @@ struct EngineOptions
     std::uint64_t seed = 7;
     /**
      * Optional kernel-mix sink (see obs/roofline.hpp). When set, the
-     * engine attaches it to its scratch states for the duration of the
+     * engine attaches it to its scratch state for the duration of the
      * run — every simulator kernel the job executes records its
      * invocation and touched-amplitude count — and detaches on exit
-     * (the scratch pool outlives the job). Null (the default) costs
-     * one untaken branch per kernel call and changes no amplitude bits.
+     * (a worker's scratch state outlives the job). Null (the default)
+     * costs one untaken branch per kernel call and changes no amplitude
+     * bits.
      */
     obs::KernelCounterSink *kernelCounters = nullptr;
     /**
      * Cooperative cancellation checkpoint. The engine installs it as
      * OptOptions::checkpoint on every optimizer run it launches (polled
-     * at iteration boundaries), and additionally polls it around its
-     * own batched multi-start sweeps, per-subrun transpilation, and the
-     * final-distribution loop (including each noisy trajectory) — so a
-     * cancel or deadline lands within one iteration/phase boundary. It
-     * may throw to abort runQaoa; when it returns normally it never
-     * perturbs any numeric or random stream, preserving the bitwise
-     * determinism contract (tested property).
+     * at iteration boundaries), and additionally polls it before every
+     * objective evaluation (multi-start screening included), per-subrun
+     * transpilation, and the final-distribution loop (including each
+     * noisy trajectory) — so a cancel or deadline lands within one
+     * iteration/phase boundary. It may throw to abort runQaoa; when it
+     * returns normally it never perturbs any numeric or random stream,
+     * preserving the bitwise determinism contract (tested property).
      */
     std::function<void()> checkpoint;
 };

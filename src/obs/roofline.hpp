@@ -5,21 +5,20 @@
  *
  * Three pieces, layered exactly like the rest of obs/:
  *
- * 1. **Cost model.** Every state-vector kernel (scalar and SoA-batched)
- *    has an analytically derived KernelCost {bytes per amplitude, flops
- *    per amplitude} keyed by KernelId. "Amplitude" means an amplitude
- *    the kernel actually touches (lane-amplitudes for the batched
- *    kernels) — the same normalization bench_micro's ns_per_amp uses
- *    for the subspace kernels' own support-dependent touch counts.
+ * 1. **Cost model.** Every state-vector kernel has an analytically
+ *    derived KernelCost {bytes per amplitude, flops per amplitude} keyed
+ *    by KernelId. "Amplitude" means an amplitude the kernel actually
+ *    touches — the same normalization bench_micro's ns_per_amp uses for
+ *    the subspace kernels' own support-dependent touch counts.
  *    Derivations are documented per-kernel in docs/benchmarks.md; the
  *    differential suite in tests/test_roofline.cpp pins instrumented
  *    totals to this model exactly.
  *
  * 2. **KernelCounterSink.** An optional, zero-cost-when-null sink
- *    threaded through StateVector / BatchedStateVector the same way
- *    Trace* is threaded through the service: a null pointer costs one
- *    predictable branch per kernel *invocation* (never per amplitude),
- *    so uninstrumented runs are bit-identical and measurably unchanged.
+ *    threaded through StateVector the same way Trace* is threaded
+ *    through the service: a null pointer costs one predictable branch
+ *    per kernel *invocation* (never per amplitude), so uninstrumented
+ *    runs are bit-identical and measurably unchanged.
  *    record() is called once per kernel call on the calling thread
  *    before any OpenMP region opens, so the sink needs no atomics: one
  *    sink per job/worker, merged into the MetricsRegistry afterwards.
@@ -46,7 +45,7 @@
 namespace chocoq::obs
 {
 
-/** Every instrumented state-vector kernel, scalar and batched. */
+/** Every instrumented state-vector kernel. */
 enum class KernelId : int
 {
     Apply1q = 0,

@@ -127,24 +127,6 @@ class CobylaRun final : public OptimizerRun
         }
     }
 
-    void
-    halt() override
-    {
-        if (stage_ == Stage::Done)
-            return;
-        // Best over the vertices that hold evaluated (or inherited
-        // rebuild-center) values.
-        std::size_t limit = vals_.size();
-        if (stage_ == Stage::InitVertex)
-            limit = std::max<std::size_t>(idx_, 1);
-        const std::size_t bi = static_cast<std::size_t>(
-            std::min_element(vals_.begin(), vals_.begin() + limit)
-            - vals_.begin());
-        out_.best = verts_[bi];
-        out_.bestValue = vals_[bi];
-        stage_ = Stage::Done;
-    }
-
     const OptResult &result() const override { return out_; }
 
   private:

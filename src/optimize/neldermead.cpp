@@ -111,22 +111,6 @@ class NelderMeadRun final : public OptimizerRun
         }
     }
 
-    void
-    halt() override
-    {
-        if (stage_ == Stage::Done)
-            return;
-        std::size_t limit = vals_.size();
-        if (stage_ == Stage::InitVertex)
-            limit = std::max<std::size_t>(idx_, 1);
-        const std::size_t bi = static_cast<std::size_t>(
-            std::min_element(vals_.begin(), vals_.begin() + limit)
-            - vals_.begin());
-        out_.best = verts_[bi];
-        out_.bestValue = vals_[bi];
-        stage_ = Stage::Done;
-    }
-
     const OptResult &result() const override { return out_; }
 
   private:

@@ -57,11 +57,11 @@ struct OptOptions
      * Optional cooperative-cancellation hook, invoked at the top of
      * every optimizer iteration (before that iteration's evaluations).
      * It may throw to abort the run; the exception propagates out of
-     * minimize() with the incumbent state discarded. When it returns
-     * normally it must be side-effect-free with respect to the
-     * optimization: calling it never changes iterates or random
-     * streams, so results are bit-identical with or without a hook
-     * installed (tested property).
+     * OptimizerRun::supply() and minimize() with the incumbent state
+     * discarded. When it returns normally it must be side-effect-free
+     * with respect to the optimization: calling it never changes
+     * iterates or random streams, so results are bit-identical with or
+     * without a hook installed (tested property).
      */
     std::function<void()> checkpoint;
 };
@@ -69,19 +69,17 @@ struct OptOptions
 /**
  * Resumable optimizer execution (step machine). A run exposes the next
  * parameter point it needs evaluated; the driver computes f(pending())
- * however it likes — sequentially, or batched across several racing
- * runs — and feeds the value back through supply(), which advances the
+ * and feeds the value back through supply(), which advances the
  * internal state machine to the next point or to completion.
+ * Optimizer::minimize is that driver, with one synchronous evaluation
+ * per pending point.
  *
  * The machine performs exactly the computation of the corresponding
  * sequential algorithm in exactly the same order (iterate updates,
  * random draws, trace pushes, checkpoint invocations at iteration
- * tops), so driving a run one value at a time is bit-identical to the
- * pre-machine minimize() loops — and a lockstep driver interleaving
- * several runs leaves each run's arithmetic untouched (tested
- * property). OptOptions::checkpoint fires inside supply() at iteration
+ * tops). OptOptions::checkpoint fires inside supply() at iteration
  * boundaries and may throw; the run is then unusable except for
- * result()/halt().
+ * result().
  */
 class OptimizerRun
 {
@@ -97,14 +95,6 @@ class OptimizerRun
 
     /** Feed back f(pending()); advances to the next point or finishes. */
     virtual void supply(double value) = 0;
-
-    /**
-     * Stop early (racing-start elimination): finalizes result() from
-     * the incumbent state — best point seen so far, partial
-     * evaluation/iteration totals — and marks the run finished.
-     * Meaningful once at least one iteration completed.
-     */
-    virtual void halt() = 0;
 
     /** Accumulated result; final once finished(). */
     virtual const OptResult &result() const = 0;

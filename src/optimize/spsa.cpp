@@ -105,16 +105,6 @@ class SpsaRun final : public OptimizerRun
         }
     }
 
-    void
-    halt() override
-    {
-        if (stage_ == Stage::Done)
-            return;
-        out_.best = best_;
-        out_.bestValue = best_val_;
-        stage_ = Stage::Done;
-    }
-
     const OptResult &result() const override { return out_; }
 
   private:

@@ -81,14 +81,8 @@ compileKey(const model::Problem &p, const core::ChocoQOptions &opts)
     appendUint(key, opts.moveSetFactor);
     key += opts.genericSynthesisPadding ? "|pad" : "|nopad";
     // Fusion is the engine option that shapes the artifacts (they
-    // carry the FusedLayerPlan), so it is part of the key. The batch
-    // width is keyed conservatively alongside it: artifacts are in fact
-    // width-agnostic (results are bit-identical across widths), but the
-    // split keeps "same key => same engine configuration" a simple
-    // invariant for cache-hit accounting.
+    // carry the FusedLayerPlan), so it is part of the key.
     key += opts.engine.fusion ? "|fz" : "|nofz";
-    key += "|bw:";
-    appendInt(key, opts.engine.batchWidth);
     return key;
 }
 

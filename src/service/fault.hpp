@@ -9,7 +9,7 @@
  * atomic flag, and the engine polls it at iteration boundaries through
  * the checkpoint hooks (optimize::OptOptions::checkpoint /
  * core::EngineOptions::checkpoint). Polling is cooperative by design —
- * no thread is ever killed, so worker scratch pools and cache state
+ * no thread is ever killed, so worker scratch states and cache state
  * stay valid and the worker is immediately reusable after a
  * cancellation.
  *

@@ -104,8 +104,9 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
         static_cast<int>(checkedInt(v, "iters", 0, 1 << 30, 0));
     job.keepStarts =
         static_cast<int>(checkedInt(v, "keep_starts", 0, 1 << 20, 0));
-    job.batchWidth =
-        static_cast<int>(checkedInt(v, "batch_width", 0, 1 << 12, 0));
+    // Retired: accepted and ignored for one release. Out-of-range values
+    // are still a per-line rejection.
+    (void)checkedInt(v, "batch_width", 0, 1 << 12, 0);
     if (const Json *fusion = v.find("fusion")) {
         if (fusion->kind() != Json::Kind::Bool)
             CHOCOQ_FATAL("field 'fusion' must be a boolean");
@@ -165,7 +166,6 @@ jobToJsonRequest(const SolveJob &job)
     out.set("layers", job.layers);
     out.set("iters", job.maxIterations);
     out.set("keep_starts", job.keepStarts);
-    out.set("batch_width", job.batchWidth);
     out.set("fusion", job.fusion);
     out.set("deadline_ms", job.deadlineMs);
     out.set("trace", job.trace);

@@ -67,17 +67,11 @@ struct SolveJob
     /** Optimizer iteration budget; 0 keeps the solver default. */
     int maxIterations = 0;
     /**
-     * Batched multi-start: number of starts that survive the screening
-     * sweep and receive a full optimizer run. 0 optimizes every start.
+     * Multi-start screening (EngineOptions::multiStartKeep): number of
+     * starts that survive one evaluation each and receive a full
+     * optimizer run. 0 optimizes every start.
      */
     int keepStarts = 0;
-    /**
-     * SoA batch width (EngineOptions::batchWidth): lanes per batched
-     * evaluation sweep. 0 defers to the service default (auto). Results
-     * are bit-identical across widths (tested property); the value is
-     * hashed into the compile-cache key conservatively.
-     */
-    int batchWidth = 0;
     /**
      * Gate fusion (EngineOptions::fusion): fused layer application in
      * the variational loop. On by default; the off switch keeps the
@@ -173,7 +167,8 @@ struct SolveResult
 /**
  * Parse one JSONL request line. Recognized keys: id, solver, scale,
  * case, problem, problem_ref, seed, shots, device, layers, iters,
- * keep_starts, batch_width, fusion, deadline_ms.
+ * keep_starts, fusion, deadline_ms. The retired key batch_width is
+ * still range-checked (0..4096) and then ignored.
  * Missing keys take the SolveJob defaults. Throws FatalError on
  * malformed JSON, an unknown scale/solver name, a problem spec that
  * fails validation or a resource guard in @p limits, or a request

@@ -3,7 +3,7 @@
  * Work-stealing thread-pool scheduler for solve jobs.
  *
  * Each worker owns a deque and a WorkerContext holding its private
- * scratch-state pool: submissions are spread round-robin across the
+ * scratch state: submissions are spread round-robin across the
  * deques, a worker pops from the front of its own deque (FIFO for
  * fairness/latency), and an idle worker steals from the back of a
  * victim's deque. Job granularity is milliseconds-to-seconds, so one
@@ -31,7 +31,7 @@
 #include <thread>
 #include <vector>
 
-#include "sim/scratch.hpp"
+#include "sim/statevector.hpp"
 
 namespace chocoq::service
 {
@@ -41,8 +41,9 @@ struct WorkerContext
 {
     /** Worker index in [0, workers). */
     int id = 0;
-    /** The worker's private scratch pool (reused across its jobs). */
-    sim::ScratchPool scratch;
+    /** The worker's private scratch state (reused across its jobs; the
+     * engine re-dimensions it per run). */
+    sim::StateVector scratch{1};
 };
 
 /** Fixed-size work-stealing thread pool. */

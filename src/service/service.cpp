@@ -35,8 +35,8 @@ millisSince(Clock::time_point t0)
  */
 void
 configureEngine(core::EngineOptions &engine, const SolveJob &job,
-                int default_iterations, int default_batch_width,
-                WorkerContext &ctx, CancelToken *token, obs::Trace *trace,
+                int default_iterations, WorkerContext &ctx,
+                CancelToken *token, obs::Trace *trace,
                 obs::KernelCounterSink *kernels)
 {
     engine.kernelCounters = kernels;
@@ -50,16 +50,15 @@ configureEngine(core::EngineOptions &engine, const SolveJob &job,
     if (!job.device.empty())
         engine.noise = device::noiseOf(device::deviceByName(job.device));
     engine.multiStartKeep = job.keepStarts;
-    engine.batchWidth =
-        job.batchWidth > 0 ? job.batchWidth : default_batch_width;
     engine.fusion = job.fusion;
-    engine.scratchPool = &ctx.scratch;
+    engine.scratch = &ctx.scratch;
     // The cooperative-cancellation hook: the engine polls it at
-    // iteration boundaries (optimizer loops, batch sweeps, the final
-    // distribution). Calling it never perturbs results — a job that is
-    // never cancelled is bit-identical with or without a token, and a
-    // traced job only timestamps the checkpoint (folded into one
-    // "optimize" span), so outputs stay bit-identical with trace on.
+    // iteration boundaries (optimizer loops, every objective evaluation,
+    // the final distribution). Calling it never perturbs results — a
+    // job that is never cancelled is bit-identical with or without a
+    // token, and a traced job only timestamps the checkpoint (folded
+    // into one "optimize" span), so outputs stay bit-identical with
+    // trace on.
     if (token || trace)
         engine.checkpoint = [token, trace] {
             if (token)
@@ -296,9 +295,8 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
             core::ChocoQOptions o;
             if (job.layers > 0)
                 o.layers = job.layers;
-            configureEngine(o.engine, job, opts_.defaultIterations,
-                            opts_.defaultBatchWidth, ctx, token, trace,
-                            sinkPtr);
+            configureEngine(o.engine, job, opts_.defaultIterations, ctx,
+                            token, trace, sinkPtr);
             const core::ChocoQSolver solver(o);
             if (trace)
                 openSpan = trace->begin("compile");
@@ -319,9 +317,8 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
             solvers::PenaltyOptions o;
             if (job.layers > 0)
                 o.layers = job.layers;
-            configureEngine(o.engine, job, opts_.defaultIterations,
-                            opts_.defaultBatchWidth, ctx, token, trace,
-                            sinkPtr);
+            configureEngine(o.engine, job, opts_.defaultIterations, ctx,
+                            token, trace, sinkPtr);
             if (trace)
                 openSpan = trace->begin("solve");
             outcome = solvers::PenaltyQaoaSolver(o).solve(p);
@@ -332,9 +329,8 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
             solvers::CyclicOptions o;
             if (job.layers > 0)
                 o.layers = job.layers;
-            configureEngine(o.engine, job, opts_.defaultIterations,
-                            opts_.defaultBatchWidth, ctx, token, trace,
-                            sinkPtr);
+            configureEngine(o.engine, job, opts_.defaultIterations, ctx,
+                            token, trace, sinkPtr);
             if (trace)
                 openSpan = trace->begin("solve");
             outcome = solvers::CyclicQaoaSolver(o).solve(p);
@@ -344,9 +340,8 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
             if (job.layers > 0)
                 o.layers = job.layers;
             o.seed = deriveSeed(job.seed, 2);
-            configureEngine(o.engine, job, opts_.defaultIterations,
-                            opts_.defaultBatchWidth, ctx, token, trace,
-                            sinkPtr);
+            configureEngine(o.engine, job, opts_.defaultIterations, ctx,
+                            token, trace, sinkPtr);
             if (trace)
                 openSpan = trace->begin("solve");
             outcome = solvers::HeaSolver(o).solve(p);

@@ -9,7 +9,7 @@
  * registry, or, for inline specs and problem_refs, the canonical
  * instance shared through the ProblemRegistry — then pulls compilation
  * artifacts from the shared CompileCache (compile once, solve many),
- * and runs the variational loop on its private scratch pool with every
+ * and runs the variational loop on its private scratch state with every
  * stochastic stream derived from the job seed — so a (job, seed) pair
  * is bit-identical at any worker count and any submission order, while
  * throughput scales with workers.
@@ -58,11 +58,6 @@ struct ServiceOptions
     /** Optimizer iteration budget for jobs that don't set their own;
      * 0 keeps each solver's default. */
     int defaultIterations = 0;
-    /** SoA batch width for jobs that don't set their own
-     * (EngineOptions::batchWidth); 0 keeps the engine's automatic
-     * width. Purely a performance knob: results are bit-identical
-     * across widths (tested property). */
-    int defaultBatchWidth = 0;
     /**
      * Watchdog threshold: a worker busy on one job for longer than
      * this is flagged as stalled (counted once per stuck task, surfaced

@@ -16,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "core/commute.hpp"
-#include "sim/batched.hpp"
 #include "sim/naive.hpp"
 #include "sim/parallel.hpp"
 #include "sim/statevector.hpp"
@@ -122,11 +121,15 @@ TEST_P(Kernels, SubspaceExpandMatchesEnumerationOrder)
 
 TEST_P(Kernels, PairRotationMatchesNaive)
 {
+    // Support weights up to n: at k = n the free mask is empty and every
+    // subspace holds a single amplitude.
     Rng rng(17);
+    int full_support = 0;
     for (int trial = 0; trial < 40; ++trial) {
         const int n = rng.intIn(2, 10);
-        const auto [support, v] =
-            randomSupport(rng, n, rng.intIn(1, std::min(n, 4)));
+        const int k = rng.intIn(1, n);
+        full_support += k == n;
+        const auto [support, v] = randomSupport(rng, n, k);
         const double beta = rng.uniform(-3.2, 3.2);
 
         StateVector sv(n);
@@ -136,6 +139,7 @@ TEST_P(Kernels, PairRotationMatchesNaive)
         sim::naive::pairRotation(ref, support, v, beta);
         expectSameState(sv.amplitudes(), ref);
     }
+    EXPECT_GT(full_support, 0);
 }
 
 TEST_P(Kernels, PairRotationLargeStateParallelPath)
@@ -188,11 +192,15 @@ TEST_P(Kernels, PhaseMaskHighMaskFewLongRuns)
 
 TEST_P(Kernels, PhaseMaskMatchesNaive)
 {
+    // Mask weights 0..n: the empty mask phases the whole space as one
+    // subspace.
     Rng rng(23);
+    int empty_mask = 0;
     for (int trial = 0; trial < 40; ++trial) {
         const int n = rng.intIn(2, 10);
-        const auto [mask, v] = randomSupport(rng, n, rng.intIn(1, n));
+        const auto [mask, v] = randomSupport(rng, n, rng.intIn(0, n));
         (void)v;
+        empty_mask += mask == 0;
         const double phi = rng.uniform(-3.2, 3.2);
         StateVector sv(n);
         CVec ref = randomState(rng, n);
@@ -201,6 +209,7 @@ TEST_P(Kernels, PhaseMaskMatchesNaive)
         sim::naive::phaseMask(ref, mask, phi);
         expectSameState(sv.amplitudes(), ref);
     }
+    EXPECT_GT(empty_mask, 0);
 }
 
 TEST_P(Kernels, Controlled1qMatchesNaive)
@@ -342,129 +351,6 @@ TEST_P(Kernels, ExpectationAndPhaseTableMatchScalarLoop)
     expectSameState(sv.amplitudes(), psi);
 }
 
-// ------------------------------------------------ SoA batched kernels
-
-/** Load the same random lane states into a batch and a per-lane scalar
- * reference, then compare every lane byte for byte after @p apply runs
- * the batched kernel and @p scalar the scalar one. */
-template <class BatchOp, class ScalarOp>
-void
-expectBatchedBitwise(Rng &rng, int n, std::size_t width, BatchOp &&apply,
-                     ScalarOp &&scalar)
-{
-    sim::BatchedStateVector batch;
-    batch.resizeScratch(n, width);
-    std::vector<CVec> lanes(width);
-    for (std::size_t b = 0; b < width; ++b) {
-        lanes[b] = randomState(rng, n);
-        batch.loadLane(b, lanes[b]);
-    }
-    apply(batch);
-    StateVector sv(n);
-    CVec got;
-    for (std::size_t b = 0; b < width; ++b) {
-        loadState(sv, lanes[b]);
-        scalar(sv, b);
-        batch.copyLane(b, got);
-        ASSERT_EQ(0, std::memcmp(got.data(), sv.amplitudes().data(),
-                                 got.size() * sizeof(Cplx)))
-            << "lane " << b << " width " << width;
-    }
-}
-
-TEST_P(Kernels, BatchedKernelsOddWidthsMatchScalarBitwise)
-{
-    // Widths that divide neither the dimension nor any cache line keep
-    // the lane-stride index arithmetic honest.
-    Rng rng(61);
-    const int n = 6;
-    for (const std::size_t width : {std::size_t{3}, std::size_t{5}}) {
-        const auto [support, v] = randomSupport(rng, n, rng.intIn(1, n));
-        std::vector<double> beta(width), phi(width), gamma(width);
-        for (std::size_t b = 0; b < width; ++b) {
-            beta[b] = rng.uniform(-3.0, 3.0);
-            phi[b] = rng.uniform(-3.0, 3.0);
-            gamma[b] = rng.uniform(-3.0, 3.0);
-        }
-        std::vector<double> c(width), s(width);
-        for (std::size_t b = 0; b < width; ++b) {
-            c[b] = std::cos(beta[b]);
-            s[b] = std::sin(beta[b]);
-        }
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPairRotation(support, v, c.data(), s.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPairRotation(support, v, c[b], s[b]);
-            });
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPhaseMask(support, phi.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPhaseMask(support, phi[b]);
-            });
-        std::vector<double> table(std::size_t{1} << n);
-        for (auto &t : table)
-            t = rng.uniform(-2.0, 2.0);
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPhaseTable(table, gamma.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPhaseTable(table, gamma[b]);
-            });
-    }
-}
-
-TEST_P(Kernels, BatchedSupportWeightExtremesMatchScalarBitwise)
-{
-    // k = 0 (empty mask: the whole space is one subspace) and k = n
-    // (full mask: every subspace holds a single amplitude).
-    Rng rng(67);
-    const int n = 5;
-    const Basis full = (Basis{1} << n) - 1;
-    for (const std::size_t width : {std::size_t{3}, std::size_t{4}}) {
-        std::vector<double> phi(width), c(width), s(width);
-        for (std::size_t b = 0; b < width; ++b) {
-            phi[b] = rng.uniform(-3.0, 3.0);
-            c[b] = std::cos(phi[b]);
-            s[b] = std::sin(phi[b]);
-        }
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPhaseMask(0, phi.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPhaseMask(0, phi[b]);
-            });
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPhaseMask(full, phi.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPhaseMask(full, phi[b]);
-            });
-        // Full-support pair rotation: free mask 0, single-amplitude
-        // subspaces, one pair per enumerated run.
-        const Basis v = rng.intIn(0, static_cast<int>(full));
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPairRotation(full, v, c.data(), s.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPairRotation(full, v, c[b], s[b]);
-            });
-    }
-}
-
 TEST_P(Kernels, CompressedExpectationBitwiseMatchesExpanded)
 {
     Rng rng(71);
@@ -483,23 +369,6 @@ TEST_P(Kernels, CompressedExpectationBitwiseMatchesExpanded)
     const double expanded = sv.expectationTable(table);
     const double compressed = sv.expectationTableCompressed(distinct, index);
     EXPECT_EQ(0, std::memcmp(&expanded, &compressed, sizeof(double)));
-
-    // Batched, width 3: every lane must reproduce the scalar bits.
-    const std::size_t width = 3;
-    sim::BatchedStateVector batch;
-    batch.resizeScratch(n, width);
-    std::vector<CVec> lanes(width);
-    for (std::size_t b = 0; b < width; ++b) {
-        lanes[b] = randomState(rng, n);
-        batch.loadLane(b, lanes[b]);
-    }
-    std::vector<double> got(width);
-    batch.expectationTableCompressed(distinct, index, got.data());
-    for (std::size_t b = 0; b < width; ++b) {
-        loadState(sv, lanes[b]);
-        const double want = sv.expectationTable(table);
-        ASSERT_EQ(0, std::memcmp(&got[b], &want, sizeof(double)));
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, Kernels, ::testing::Values(1, 2, 4),

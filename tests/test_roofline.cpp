@@ -1,15 +1,14 @@
 /**
  * @file
  * Differential accounting tests for the kernel roofline telemetry
- * (obs/roofline.hpp): every instrumented kernel — scalar and batched —
- * must record exactly the analytically expected call and amplitude
- * counts, the sink's byte/flop totals must equal the static cost model
- * applied to those counts, and attaching a sink must not perturb the
- * simulation by a single bit. The counts are hand-derived from the
- * kernels' documented touch sets (full sweeps touch 2^n amplitudes,
- * masked sweeps 2^(n-popcount), pair sweeps 2^(n-k+1), batched sweeps
- * the scalar count times the lane width), so a kernel that silently
- * changes its traffic shape fails here before it skews a roofline.
+ * (obs/roofline.hpp): every instrumented kernel must record exactly the
+ * analytically expected call and amplitude counts, the sink's byte/flop
+ * totals must equal the static cost model applied to those counts, and
+ * attaching a sink must not perturb the simulation by a single bit. The
+ * counts are hand-derived from the kernels' documented touch sets (full
+ * sweeps touch 2^n amplitudes, masked sweeps 2^(n-popcount), pair
+ * sweeps 2^(n-k+1)), so a kernel that silently changes its traffic
+ * shape fails here before it skews a roofline.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "obs/roofline.hpp"
-#include "sim/batched.hpp"
 #include "sim/parallel.hpp"
 #include "sim/statevector.hpp"
 
@@ -168,91 +166,6 @@ TEST(RooflineAccounting, ScalarKernelsMatchAnalyticModel)
         checkScalarAccounting(sink);
     }
     sim::setSimThreads(0);
-}
-
-TEST(RooflineAccounting, BatchedKernelsScaleByLaneCount)
-{
-    const Tables t = makeTables();
-    for (std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-        sim::BatchedStateVector batch;
-        batch.resizeScratch(kQubits, lanes);
-        batch.reset(1);
-        obs::KernelCounterSink sink;
-        batch.setCounterSink(&sink);
-
-        const Basis vbits[2] = {kVBitsA, kVBitsB};
-        const Basis masks[2] = {kMask2, kSupport};
-        std::vector<double> gammas(lanes), phis(lanes), cc(lanes), ss(lanes);
-        std::vector<Cplx> d0(lanes), d1(lanes), mphases(2 * lanes),
-            global(lanes), scratch;
-        std::vector<double> out(lanes);
-        for (std::size_t b = 0; b < lanes; ++b) {
-            const double a = 0.3 + 0.01 * static_cast<double>(b);
-            gammas[b] = a;
-            phis[b] = a + 0.1;
-            cc[b] = std::cos(a);
-            ss[b] = std::sin(a);
-            d0[b] = Cplx{std::cos(a), std::sin(a)};
-            d1[b] = std::conj(d0[b]);
-            mphases[0 * lanes + b] = d0[b];
-            mphases[1 * lanes + b] = d1[b];
-            global[b] = Cplx{1.0, 0.0};
-        }
-
-        batch.applyPhaseTable(t.table, gammas.data());
-        batch.applyPhaseTableCompressed(t.distinct, t.index, gammas.data(),
-                                        scratch);
-        batch.applyPhaseMask(kMask2, phis.data());
-        batch.applyDiagonal1q(1, d0.data(), d1.data());
-        batch.applyParityPhase(kMask2, d0.data(), d1.data());
-        batch.applyPairRotation(kSupport, kVBitsA, cc.data(), ss.data());
-        batch.applyPairRotationGroup(kSupport, vbits, 2, cc.data(),
-                                     ss.data());
-        batch.applyPhasedPairRotationGroup(kSupport, vbits, 2, cc.data(),
-                                           ss.data(), d0.data(),
-                                           t.index.data());
-        batch.applyMaskPhaseProduct(masks, mphases.data(), 2, global.data());
-        batch.expectationTable(t.table, out.data());
-        batch.expectationTableCompressed(t.distinct, t.index, out.data());
-        batch.expectationDiagonal(
-            [](Basis i) { return static_cast<double>(i & 3); }, out.data());
-
-        using K = obs::KernelId;
-        const std::uint64_t L = lanes;
-        const struct
-        {
-            K id;
-            std::uint64_t amps;
-        } expected[] = {
-            {K::PhaseTable, kDim * L},
-            {K::PhaseTableCompressed, kDim * L},
-            {K::PhaseMask, (kDim >> 2) * L},
-            {K::Diagonal1q, kDim * L},
-            {K::ParityPhase, kDim * L},
-            {K::PairRotation, (kDim >> 1) * L},
-            {K::PairRotationGroup, 2 * (kDim >> 1) * L},
-            {K::PhasedPairRotationGroup, (kDim + 2 * (kDim >> 1)) * L},
-            {K::MaskPhaseProduct, kDim * L},
-            {K::ExpectationTable, kDim * L},
-            {K::ExpectationTableCompressed, kDim * L},
-            {K::ExpectationDiagonal, kDim * L},
-        };
-        double bytes = 0.0;
-        double flops = 0.0;
-        for (const auto &e : expected) {
-            const auto &tally = sink.tally(e.id);
-            EXPECT_EQ(tally.calls, 1u)
-                << obs::kernelName(e.id) << " lanes=" << lanes;
-            EXPECT_EQ(tally.amps, e.amps)
-                << obs::kernelName(e.id) << " lanes=" << lanes;
-            const auto &cost = obs::kernelCost(e.id);
-            bytes += static_cast<double>(e.amps) * cost.bytesPerAmp;
-            flops += static_cast<double>(e.amps) * cost.flopsPerAmp;
-        }
-        EXPECT_EQ(sink.totalCalls(), std::size(expected));
-        EXPECT_DOUBLE_EQ(sink.totalBytes(), bytes);
-        EXPECT_DOUBLE_EQ(sink.totalFlops(), flops);
-    }
 }
 
 TEST(RooflineAccounting, AttachedSinkIsBitIdenticalToNullSink)

@@ -3,8 +3,7 @@
  * Solve-service tests: the JSON codec, the compilation-cache key and
  * hit/miss behavior, scheduler determinism (identical (job, seed) pairs
  * must be bit-identical at any worker count and submission order), and
- * the batched multi-start screening's bitwise equivalence with the
- * sequential path.
+ * multi-start screening.
  */
 
 #include <gtest/gtest.h>
@@ -31,9 +30,6 @@
 #include "common/error.hpp"
 #include "core/chocoq_solver.hpp"
 #include "obs/roofline.hpp"
-#include "core/circuits.hpp"
-#include "core/commute.hpp"
-#include "core/qaoa.hpp"
 #include "problems/suite.hpp"
 #include "service/compile_cache.hpp"
 #include "service/fault.hpp"
@@ -153,6 +149,10 @@ TEST(JobModel, RejectsOutOfRangeNumericFields)
         FatalError);
     EXPECT_THROW(
         service::jobFromJsonLine(R"({"scale":"F1","deadline_ms":-1})"),
+        FatalError);
+    // Retired but still range-checked.
+    EXPECT_THROW(
+        service::jobFromJsonLine(R"({"scale":"F1","batch_width":4097})"),
         FatalError);
 }
 
@@ -446,6 +446,27 @@ TEST(SolveService, CacheDoesNotChangeResults)
     EXPECT_EQ(cached.cacheStats().hits, 9u);
 }
 
+TEST(SolveService, RetiredBatchWidthIsIgnored)
+{
+    // batch_width is accepted and ignored: it changes neither the
+    // result nor the compile-cache key.
+    service::SolveService svc{service::ServiceOptions{}};
+    service::WorkerContext ctx;
+    const auto r0 = svc.execute(
+        service::jobFromJsonLine(
+            R"({"id":"w0","scale":"F1","iters":8,"batch_width":0})"),
+        ctx);
+    const auto r8 = svc.execute(
+        service::jobFromJsonLine(
+            R"({"id":"w8","scale":"F1","iters":8,"batch_width":8})"),
+        ctx);
+    ASSERT_EQ(r0.status, "ok");
+    ASSERT_EQ(r8.status, "ok");
+    EXPECT_EQ(r0.distHash, r8.distHash);
+    EXPECT_FALSE(r0.cacheHit);
+    EXPECT_TRUE(r8.cacheHit);
+}
+
 TEST(SolveService, ErrorAndExpiredJobs)
 {
     service::SolveService svc{service::ServiceOptions{}};
@@ -491,88 +512,9 @@ TEST(SolveService, ResultJsonRoundTrip)
     EXPECT_EQ(v.getString("dist_hash", "").size(), 16u);
 }
 
-// -------------------------------------------- batched multi-start path
+// ------------------------------------------------- multi-start path
 
-TEST(BatchedMultiStart, LockstepScreeningMatchesSequentialBitwise)
-{
-    // A subrun shaped like the Choco-Q fast path: phase table + commute
-    // layer per ansatz layer. `batched` also provides the lockstep batch
-    // evolution; `sequential` forces the screening sweep through the
-    // one-state fallback. Both must pick the same starts and produce
-    // bit-identical results.
-    const int n = 3;
-    auto table = std::make_shared<std::vector<double>>(
-        std::vector<double>{0.3, -1.2, 0.7, 2.1, -0.4, 1.9, -2.2, 0.05});
-    auto terms = std::make_shared<std::vector<core::CommuteTerm>>(
-        std::vector<core::CommuteTerm>{
-            core::makeCommuteTerm({1, -1, 0}),
-            core::makeCommuteTerm({0, 1, 1}),
-        });
-    const Basis x0 = 0b001;
-
-    core::SubRun sequential;
-    sequential.numQubits = n;
-    sequential.init = x0;
-    sequential.costTable = table;
-    sequential.build = [n, x0](const std::vector<double> &) {
-        circuit::Circuit c(n); // build path unused in this test
-        core::appendBasisPreparation(c, x0);
-        return c;
-    };
-    sequential.evolve = [x0, table, terms](sim::StateVector &state,
-                                           const std::vector<double> &theta) {
-        state.reset(x0);
-        for (std::size_t l = 0; l < theta.size() / 2; ++l) {
-            state.applyPhaseTable(*table, theta[2 * l]);
-            core::applyCommuteLayer(state, *terms, theta[2 * l + 1]);
-        }
-    };
-    sequential.lift = [](Basis x) { return x; };
-
-    core::SubRun batched = sequential;
-    batched.evolveBatch =
-        [x0, table, terms](
-            sim::BatchedStateVector &batch,
-            const std::vector<const std::vector<double> *> &thetas) {
-            batch.reset(x0);
-            const std::size_t lanes = batch.lanes();
-            std::vector<double> gammas(lanes), betas(lanes);
-            std::vector<double> cs_scratch;
-            for (std::size_t l = 0; l < thetas[0]->size() / 2; ++l) {
-                for (std::size_t b = 0; b < lanes; ++b) {
-                    gammas[b] = (*thetas[b])[2 * l];
-                    betas[b] = (*thetas[b])[2 * l + 1];
-                }
-                batch.applyPhaseTable(*table, gammas.data());
-                core::applyCommuteLayerBatched(batch, *terms, betas.data(),
-                                               cs_scratch);
-            }
-        };
-
-    core::EngineOptions opts;
-    opts.theta0 = {0.4, 0.7};
-    opts.extraStarts = {{0.8, 2.2}, {2.4, 1.2}, {1.2, 3.0}};
-    opts.multiStartKeep = 2;
-    opts.opt.maxIterations = 12;
-    const auto cost = [table](Basis x) { return (*table)[x]; };
-
-    const auto res_seq = core::runQaoa({sequential}, cost, opts);
-    const auto res_batch = core::runQaoa({batched}, cost, opts);
-
-    EXPECT_EQ(0, std::memcmp(&res_seq.opt.bestValue,
-                             &res_batch.opt.bestValue, sizeof(double)));
-    EXPECT_EQ(res_seq.opt.evaluations, res_batch.opt.evaluations);
-    ASSERT_EQ(res_seq.distribution.size(), res_batch.distribution.size());
-    for (auto it_s = res_seq.distribution.begin(),
-              it_b = res_batch.distribution.begin();
-         it_s != res_seq.distribution.end(); ++it_s, ++it_b) {
-        EXPECT_EQ(it_s->first, it_b->first);
-        EXPECT_EQ(0, std::memcmp(&it_s->second, &it_b->second,
-                                 sizeof(double)));
-    }
-}
-
-TEST(BatchedMultiStart, ScreeningPrunesOptimizerWork)
+TEST(MultiStart, ScreeningPrunesOptimizerWork)
 {
     // keepStarts = 1 must spend fewer objective evaluations than
     // optimizing all four default starts, and stay a valid solve.

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <stdexcept>
 
 #include "common/error.hpp"
 #include "core/chocoq_solver.hpp"
@@ -349,6 +352,125 @@ TEST(QaoaEngine, IndependentSubrunsOptimizeSeparately)
     // Both subruns can push all their mass onto full-space |1>.
     EXPECT_GT(res.distribution.at(1), 0.9);
 }
+
+namespace
+{
+
+/** A Choco-Q-shaped subrun: phase table then commute layer per ansatz
+ * layer, on the functional fast path. */
+core::SubRun
+commuteLayerSubRun()
+{
+    const int n = 3;
+    const auto table = std::make_shared<const std::vector<double>>(
+        std::vector<double>{0.3, -1.2, 0.7, 2.1, -0.4, 1.9, -2.2, 0.05});
+    const auto terms = std::make_shared<const std::vector<core::CommuteTerm>>(
+        std::vector<core::CommuteTerm>{core::makeCommuteTerm({1, -1, 0}),
+                                       core::makeCommuteTerm({0, 1, 1})});
+    const Basis x0 = 0b001;
+    core::SubRun run;
+    run.numQubits = n;
+    run.init = x0;
+    run.costTable = table;
+    run.build = [n, x0](const std::vector<double> &) {
+        circuit::Circuit c(n); // only the transpiled artifacts use it
+        core::appendBasisPreparation(c, x0);
+        return c;
+    };
+    run.evolve = [x0, table, terms](sim::StateVector &state,
+                                    const std::vector<double> &theta) {
+        state.reset(x0);
+        for (std::size_t l = 0; l < theta.size() / 2; ++l) {
+            state.applyPhaseTable(*table, theta[2 * l]);
+            core::applyCommuteLayer(state, *terms, theta[2 * l + 1]);
+        }
+    };
+    run.lift = [](Basis x) { return x; };
+    return run;
+}
+
+/** Four two-layer starts, two kept after screening. */
+core::EngineOptions
+screenedMultiStart(const char *optimizer)
+{
+    core::EngineOptions opts;
+    opts.optimizer = optimizer;
+    opts.theta0 = {0.4, 0.7, 1.1, 0.3};
+    opts.extraStarts = {{0.8, 2.2, 0.2, 1.4},
+                        {2.4, 1.2, 2.8, 0.6},
+                        {1.2, 3.0, 0.9, 2.1}};
+    opts.multiStartKeep = 2;
+    opts.opt.maxIterations = 15;
+    opts.seed = 99;
+    return opts;
+}
+
+void
+expectBitwiseSameResult(const core::EngineResult &a,
+                        const core::EngineResult &b)
+{
+    ASSERT_EQ(a.opt.best.size(), b.opt.best.size());
+    EXPECT_EQ(0, std::memcmp(a.opt.best.data(), b.opt.best.data(),
+                             a.opt.best.size() * sizeof(double)));
+    EXPECT_EQ(0, std::memcmp(&a.opt.bestValue, &b.opt.bestValue,
+                             sizeof(double)));
+    EXPECT_EQ(a.opt.evaluations, b.opt.evaluations);
+    EXPECT_EQ(a.opt.iterations, b.opt.iterations);
+    ASSERT_EQ(a.distribution.size(), b.distribution.size());
+    for (auto it_a = a.distribution.begin(), it_b = b.distribution.begin();
+         it_a != a.distribution.end(); ++it_a, ++it_b) {
+        EXPECT_EQ(it_a->first, it_b->first);
+        EXPECT_EQ(0, std::memcmp(&it_a->second, &it_b->second,
+                                 sizeof(double)));
+    }
+}
+
+class QaoaEngineMultiStart : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(QaoaEngineMultiStart, CheckpointThatNeverFiresIsBitwiseNoOp)
+{
+    const core::SubRun run = commuteLayerSubRun();
+    const auto cost = [&run](Basis x) { return (*run.costTable)[x]; };
+    const core::EngineOptions plain = screenedMultiStart(GetParam());
+    const auto reference = core::runQaoa({run}, cost, plain);
+
+    core::EngineOptions hooked = plain;
+    int calls = 0;
+    hooked.checkpoint = [&calls] { ++calls; };
+    expectBitwiseSameResult(reference, core::runQaoa({run}, cost, hooked));
+    EXPECT_GT(calls, 0);
+}
+
+TEST_P(QaoaEngineMultiStart, ThrowingCheckpointPropagates)
+{
+    const core::SubRun run = commuteLayerSubRun();
+    const auto cost = [&run](Basis x) { return (*run.costTable)[x]; };
+
+    // Count the checkpoints of a whole run, then throw halfway through.
+    core::EngineOptions probe = screenedMultiStart(GetParam());
+    int total = 0;
+    probe.checkpoint = [&total] { ++total; };
+    (void)core::runQaoa({run}, cost, probe);
+    ASSERT_GT(total, 2);
+
+    core::EngineOptions cancel = probe;
+    int calls = 0;
+    const int limit = total / 2;
+    cancel.checkpoint = [&calls, limit] {
+        if (++calls >= limit)
+            throw std::runtime_error("cancelled");
+    };
+    EXPECT_THROW((void)core::runQaoa({run}, cost, cancel),
+                 std::runtime_error);
+    EXPECT_EQ(calls, limit);
+}
+
+INSTANTIATE_TEST_SUITE_P(Optimizers, QaoaEngineMultiStart,
+                         ::testing::Values("cobyla", "nelder-mead", "spsa"));
+
+} // namespace
 
 TEST(Ablation, GenericSynthesisPaddingDeepensWithoutChangingResult)
 {

@@ -5,18 +5,11 @@ Validates BENCH_service.json and BENCH_load.json against the key sets
 documented in docs/benchmarks.md, so a rename (like the old
 conn_setup_ms_avg -> accept_ms_avg / first_byte_ms_avg split) can never
 silently ship half-applied: the moment a producer and this contract
-disagree, CI fails. BENCH_kernels.json (google-benchmark format) is
-checked for the SoA batching probes: at least one BM_EvolveBatchSoA*
-entry must carry the per-amplitude counters.
+disagree, CI fails.
 
-Usage:
-    check_bench_schema.py [--service BENCH_service.json]
-                          [--load BENCH_load.json]
-                          [--kernels BENCH_kernels.json]
-
-BENCH_kernels.json additionally carries the roofline contract: a
-"machine" block (hardware fingerprint + calibrated peaks from
-bench_micro's post-run annotation) and, on every kernel entry that
+BENCH_kernels.json (google-benchmark format) carries the roofline
+contract: a "machine" block (hardware fingerprint + calibrated peaks
+from bench_micro's post-run annotation) and, on every kernel entry that
 reports ns_per_amp, the full roofline key set. Committed perf baselines
 under bench/baselines/ are the same document shape and are validated
 with the same checks.
@@ -51,20 +44,10 @@ SERVICE_TOP = {
     "hardware_concurrency",
     "deterministic_across_worker_counts",
     "speedup_max_vs_min_workers",
-    "batch_widths",
-    "deterministic_across_batch_widths",
     "runs",
     "socket",
     "inline_spec",
     "observability",
-}
-
-# Counters every SoA batching probe must attach (see bench_micro.cpp).
-KERNELS_SOA_COUNTERS = {
-    "ns_per_amp",
-    "bytes_per_amp",
-    "flops_per_amp",
-    "lanes_per_touch",
 }
 
 # The roofline key set every kernel entry with ns_per_amp must carry
@@ -171,12 +154,9 @@ def check_service(path, errors):
         runs = doc.get("runs")
         if not isinstance(runs, list) or not runs:
             fail(errors, path, "runs must be a non-empty array")
-        widths = doc.get("batch_widths")
-        if not isinstance(widths, list) or not widths:
-            fail(errors, path, "batch_widths must be a non-empty array")
 
 
-def check_kernels(path, errors, require_soa=True):
+def check_kernels(path, errors):
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "benchmarks" not in doc:
@@ -199,26 +179,13 @@ def check_kernels(path, errors, require_soa=True):
                  f"roofline_bound must be 'memory' or 'compute', got {bound!r}")
     if not rooflined:
         fail(errors, path, "no kernel entries with ns_per_amp present")
-    soa = [b for b in doc["benchmarks"]
-           if isinstance(b, dict)
-           and str(b.get("name", "")).startswith("BM_EvolveBatchSoA")]
-    if not soa:
-        if require_soa:
-            fail(errors, path, "no BM_EvolveBatchSoA* entries present")
-        return
-    for bench in soa:
-        where = f"{path}:{bench.get('name')}"
-        missing = sorted(KERNELS_SOA_COUNTERS - bench.keys())
-        if missing:
-            fail(errors, where, f"missing counters: {', '.join(missing)}")
 
 
 def check_baseline(path, errors):
     # A committed baseline is an annotated BENCH_kernels.json captured on
-    # one machine; it may be a filtered run, so SoA entries are optional,
-    # but its filename must match the embedded fingerprint so
+    # one machine; its filename must match the embedded fingerprint so
     # check_perf_regression.py looks it up correctly.
-    check_kernels(path, errors, require_soa=False)
+    check_kernels(path, errors)
     try:
         with open(path) as fh:
             doc = json.load(fh)

@@ -65,11 +65,6 @@ usage(const char *argv0)
            "that\n"
         << "                 don't set \"iters\" (default: solver "
            "defaults)\n"
-        << "  --batch-width N  SoA lanes per batched evaluation sweep "
-           "for jobs\n"
-        << "                 that don't set \"batch_width\" (default: 0 "
-           "= auto;\n"
-        << "                 results are bit-identical across widths)\n"
         << "  --no-cache     disable the compilation cache\n"
         << "  --cache-mb N   compilation-cache byte budget in MiB "
            "(default: 256,\n"
@@ -368,9 +363,6 @@ main(int argc, char **argv)
             options.workers = std::atoi(next());
         } else if (arg == "--iters") {
             options.defaultIterations = std::atoi(next());
-        } else if (arg == "--batch-width") {
-            options.defaultBatchWidth = static_cast<int>(
-                parsedNonNegative(next(), "--batch-width", 1 << 12));
         } else if (arg == "--no-cache") {
             options.useCache = false;
         } else if (arg == "--cache-mb") {
