@@ -20,8 +20,7 @@
  * docs/benchmarks.md; checked by tools/check_bench_schema.py).
  *
  * Modes:
- *  - in-process (default): a fresh SolveService + Server per stage,
- *    event-loop front-end unless --front-end thread is given.
+ *  - in-process (default): a fresh SolveService + Server per stage.
  *  - --port P: drive an external chocoq_serve --listen (the soak test
  *    and the CI load-smoke job use this). Counter assertions use
  *    before/after deltas so prior traffic on the server is fine.
@@ -74,8 +73,6 @@ struct Config
     double durationSeconds = 3.0;
     std::uint64_t seed = 42;
     int workers = 2;
-    bool eventLoop = true;
-    int shards = 2;
     /** External server port; 0 = in-process per stage. */
     int port = 0;
     bool check = false;
@@ -471,8 +468,6 @@ runStage(const Config &cfg, int conns)
         so.workers = cfg.workers;
         svc = std::make_unique<service::SolveService>(so);
         service::ServerOptions opts;
-        opts.eventLoop = cfg.eventLoop;
-        opts.eventLoopShards = cfg.shards;
         opts.maxConnections = 0;
         opts.maxInflight = 4096; // overload shows up as rejected lines
         server = std::make_unique<service::Server>(*svc, opts);
@@ -599,18 +594,6 @@ main(int argc, char **argv)
             intArg(cfg.workers);
         } else if (arg == "--port") {
             intArg(cfg.port);
-        } else if (arg == "--shards") {
-            intArg(cfg.shards);
-        } else if (arg == "--front-end" && i + 1 < argc) {
-            const std::string mode = argv[++i];
-            if (mode == "event")
-                cfg.eventLoop = true;
-            else if (mode == "thread")
-                cfg.eventLoop = false;
-            else {
-                std::cerr << "--front-end takes event|thread\n";
-                return 2;
-            }
         } else if (arg == "--check") {
             cfg.check = true;
         } else if (arg == "--out" && i + 1 < argc) {
@@ -620,7 +603,6 @@ main(int argc, char **argv)
                 << "usage: " << argv[0]
                 << " [--connections N,N,...] [--rates R,R,...]\n"
                    "       [--duration-s S] [--seed S] [--workers N]\n"
-                   "       [--front-end event|thread] [--shards N]\n"
                    "       [--port P] [--check] [--out FILE]\n";
             return 0;
         } else {
@@ -680,7 +662,6 @@ main(int argc, char **argv)
     doc.set("seed", static_cast<double>(cfg.seed));
     doc.set("duration_s_per_rung", cfg.durationSeconds);
     doc.set("workers", cfg.workers);
-    doc.set("event_loop", cfg.eventLoop);
     doc.set("external_server", cfg.port != 0);
     doc.set("hardware_concurrency",
             static_cast<double>(std::thread::hardware_concurrency()));

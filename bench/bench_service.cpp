@@ -162,7 +162,7 @@ struct SocketReport
 {
     int workers = 0;
     int connections = 0;
-    /** Mean accept -> handler-start latency, from the server's own
+    /** Mean accept -> shard-pickup latency, from the server's own
      * server.accept_ms histogram: the server-controlled half of
      * connection setup (emitted as accept_ms_avg). */
     double acceptMsAvg = 0.0;
@@ -258,7 +258,7 @@ runSocketSuite(const std::vector<service::SolveJob> &jobs, int workers,
     server.drain();
 
     // The setup split, read from the server's own span timestamps:
-    // accept -> handler start, accept -> first request byte (client
+    // accept -> shard pickup, accept -> first request byte (client
     // idle), and first request byte -> first response byte.
     report.acceptMsAvg =
         svc.metrics().histogram("server.accept_ms").snapshot().avgMs();

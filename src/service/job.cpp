@@ -104,9 +104,6 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
         static_cast<int>(checkedInt(v, "iters", 0, 1 << 30, 0));
     job.keepStarts =
         static_cast<int>(checkedInt(v, "keep_starts", 0, 1 << 20, 0));
-    // Retired: accepted and ignored for one release. Out-of-range values
-    // are still a per-line rejection.
-    (void)checkedInt(v, "batch_width", 0, 1 << 12, 0);
     if (const Json *fusion = v.find("fusion")) {
         if (fusion->kind() != Json::Kind::Bool)
             CHOCOQ_FATAL("field 'fusion' must be a boolean");

@@ -167,10 +167,9 @@ struct SolveResult
 /**
  * Parse one JSONL request line. Recognized keys: id, solver, scale,
  * case, problem, problem_ref, seed, shots, device, layers, iters,
- * keep_starts, fusion, deadline_ms. The retired key batch_width is
- * still range-checked (0..4096) and then ignored.
- * Missing keys take the SolveJob defaults. Throws FatalError on
- * malformed JSON, an unknown scale/solver name, a problem spec that
+ * keep_starts, fusion, deadline_ms, trace. Missing keys take the
+ * SolveJob defaults; unrecognized keys are ignored. Throws FatalError
+ * on malformed JSON, an unknown scale/solver name, a problem spec that
  * fails validation or a resource guard in @p limits, or a request
  * mixing problem/problem_ref/scale.
  */

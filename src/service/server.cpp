@@ -10,7 +10,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include "common/error.hpp"
@@ -67,46 +66,17 @@ sendAll(int fd, const char *data, std::size_t len)
     return true;
 }
 
-/**
- * Graceful close: half-close the write side, then discard inbound
- * bytes until the peer closes (bounded by @p max_wait_ms). close(2) on
- * a socket with unread receive-queue data sends an RST, and an RST
- * makes the peer's stack discard delivered-but-unread data — i.e. the
- * very result/rejection lines just flushed. Reading to EOF first makes
- * the close clean; a stale peer costs at most the bound.
- */
-void
-drainAndClose(int fd, int max_wait_ms)
-{
-    ::shutdown(fd, SHUT_WR);
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(max_wait_ms);
-    char sink[4096];
-    while (true) {
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - Clock::now())
-                .count();
-        if (left <= 0)
-            break;
-        pollfd p{fd, POLLIN, 0};
-        const int pr = ::poll(&p, 1, static_cast<int>(left));
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (pr == 0)
-            break;
-        if (::recv(fd, sink, sizeof sink, 0) <= 0)
-            break; // EOF or error: the peer is done
-    }
-    ::close(fd);
-}
-
-/** Bound on waiting for a peer to acknowledge a close (see
- * drainAndClose). */
+/** Bound on waiting for a peer to acknowledge a close: after the last
+ * result flushes the connection half-closes and reads to the peer's EOF
+ * before close(2), because close(2) on a socket with unread
+ * receive-queue data sends an RST, and an RST makes the peer's stack
+ * discard delivered-but-unread data — the very result lines just
+ * flushed. A stale peer costs at most this bound. */
 constexpr int kCloseLingerMs = 1000;
+
+/** Event-loop shard threads; connections are dealt round-robin at
+ * accept. */
+constexpr int kEventShards = 2;
 
 } // namespace
 
@@ -426,25 +396,23 @@ runJsonlStream(std::istream &in, std::ostream &out, SolveService &service,
 
 // --------------------------------------------------------------- Server
 
-/** Per-connection state shared between the read loop (a dedicated
- * thread or an event-loop shard) and the result callbacks still in
- * flight on worker threads. */
+/** Per-connection state shared between its owning event-loop shard and
+ * the result callbacks still in flight on worker threads. */
 struct Server::Connection
 {
     int fd = -1;
     /** When accept() returned this connection, anchoring accept_ms and
      * idle_before_first_request_ms. */
     Clock::time_point acceptedAt;
-    /** Idle-before-first-request recorded yet? Only the reader (thread
-     * or shard) touches it. */
+    /** Idle-before-first-request recorded yet? Only the owning shard
+     * touches it. */
     bool sawFirstByte = false;
-    /** Serializes result lines (callbacks fire on worker threads). In
-     * event mode it also guards fd teardown, outBuf/outOff, and
-     * lastWriteProgress. */
+    /** Serializes result lines (callbacks fire on worker threads) and
+     * guards fd teardown, outBuf/outOff, and lastWriteProgress. */
     std::mutex writeMu;
     /** When the first request byte arrived, anchoring first_byte_ms
      * (first request byte -> first response byte). Stamped once by the
-     * reader, read by the response path; writeMu guards the handoff
+     * shard, read by the response path; writeMu guards the handoff
      * because responses are written from worker threads. */
     Clock::time_point firstByteAt;
     bool firstByteStamped = false; // writeMu
@@ -458,9 +426,9 @@ struct Server::Connection
      * stat is exactly-once per connection. */
     std::atomic<bool> disconnectCounted{false};
 
-    // ---- Event-loop state (unused in thread-per-connection mode).
-    // Owned by the shard thread except where a comment says otherwise.
-    /** Owning shard; non-null exactly in event mode. */
+    // ---- Event-loop state, owned by the shard thread except where a
+    // comment says otherwise.
+    /** Owning shard, set at accept. */
     EventShard *shard = nullptr;
     LineFramer framer;
     /** Jobs accepted from this connection (per-connection limit). */
@@ -471,17 +439,15 @@ struct Server::Connection
     /** No more requests will be read (EOF, idle close, limit close, or
      * drain); the connection finishes once in-flight results flush. */
     bool readClosed = false;
-    /** SHUT_WR sent; waiting (bounded) for the peer's close so the
-     * flushed results are not RST-discarded — the event-loop
-     * equivalent of drainAndClose. */
+    /** SHUT_WR sent; waiting (bounded by kCloseLingerMs) for the
+     * peer's close so the flushed results are not RST-discarded. */
     bool wrShutdown = false;
     Clock::time_point closeDeadline;
     /** Idle-timeout clock. */
     Clock::time_point lastActivity;
     /** Parked over-capacity request (--queue-wait): reading pauses so
      * at most one request per connection waits and TCP backpressure
-     * reaches the sender — the non-blocking twin of holding the
-     * reader thread. */
+     * reaches the sender. */
     bool parked = false;
     SolveJob parkedJob;
     double parkedBudgetMs = 0.0;
@@ -609,29 +575,26 @@ Server::start()
     ::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr), &len);
     port_ = ntohs(addr.sin_port);
 
-    if (opts_.eventLoop) {
-        const int n = std::max(1, opts_.eventLoopShards);
-        for (int i = 0; i < n; ++i) {
-            auto sh = std::make_unique<EventShard>();
-            int pipefd[2];
-            if (::pipe(pipefd) != 0) {
-                ::close(listenFd_);
-                listenFd_ = -1;
-                shards_.clear();
-                CHOCOQ_FATAL("pipe(): " << std::strerror(errno));
-            }
-            ::fcntl(pipefd[0], F_SETFL,
-                    ::fcntl(pipefd[0], F_GETFL, 0) | O_NONBLOCK);
-            ::fcntl(pipefd[1], F_SETFL,
-                    ::fcntl(pipefd[1], F_GETFL, 0) | O_NONBLOCK);
-            sh->wakeRd = pipefd[0];
-            sh->wakeWr = pipefd[1];
-            shards_.push_back(std::move(sh));
+    for (int i = 0; i < kEventShards; ++i) {
+        auto sh = std::make_unique<EventShard>();
+        int pipefd[2];
+        if (::pipe(pipefd) != 0) {
+            ::close(listenFd_);
+            listenFd_ = -1;
+            shards_.clear();
+            CHOCOQ_FATAL("pipe(): " << std::strerror(errno));
         }
-        for (auto &sh : shards_) {
-            EventShard *raw = sh.get();
-            raw->thread = std::thread([this, raw] { eventShardLoop(*raw); });
-        }
+        ::fcntl(pipefd[0], F_SETFL,
+                ::fcntl(pipefd[0], F_GETFL, 0) | O_NONBLOCK);
+        ::fcntl(pipefd[1], F_SETFL,
+                ::fcntl(pipefd[1], F_GETFL, 0) | O_NONBLOCK);
+        sh->wakeRd = pipefd[0];
+        sh->wakeWr = pipefd[1];
+        shards_.push_back(std::move(sh));
+    }
+    for (auto &sh : shards_) {
+        EventShard *raw = sh.get();
+        raw->thread = std::thread([this, raw] { eventShardLoop(*raw); });
     }
 
     started_ = true;
@@ -639,28 +602,9 @@ Server::start()
 }
 
 void
-Server::reapFinishedConnections()
-{
-    std::vector<std::list<std::thread>::iterator> done;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        done.swap(finishedConns_);
-    }
-    for (const auto it : done) {
-        it->join();
-        std::lock_guard<std::mutex> lock(mu_);
-        connThreads_.erase(it);
-    }
-}
-
-void
 Server::acceptLoop()
 {
     while (!stop_.load(std::memory_order_relaxed)) {
-        // Reap completed connection threads so a long-lived server does
-        // not hold one exited-but-unjoined thread per connection served.
-        reapFinishedConnections();
-
         pollfd p{listenFd_, POLLIN, 0};
         const int pr = ::poll(&p, 1, opts_.pollTickMs);
         if (pr < 0) {
@@ -699,17 +643,8 @@ Server::acceptLoop()
         if (opts_.sendBufferBytes > 0)
             ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.sendBufferBytes,
                          sizeof opts_.sendBufferBytes);
-        // Bound result writes: a client that stops reading must cost a
-        // broken connection, not a solver worker blocked in send().
-        if (opts_.sendTimeoutMs > 0) {
-            timeval tv{};
-            tv.tv_sec = opts_.sendTimeoutMs / 1000;
-            tv.tv_usec = (opts_.sendTimeoutMs % 1000) * 1000;
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-        }
 
-        // Thread-per-connection means the connection bound is also the
-        // thread bound; past it, answer with one rejection and close.
+        // Past the connection bound, answer with one rejection and close.
         if (opts_.maxConnections > 0
             && connectionsOpen_.load(std::memory_order_relaxed)
                    >= static_cast<long>(opts_.maxConnections)) {
@@ -739,53 +674,19 @@ Server::acceptLoop()
         connectionsOpen_.fetch_add(1, std::memory_order_relaxed);
         connOpenGauge_.add(1.0);
 
-        if (!shards_.empty()) {
-            // Event mode: non-blocking fd, round-robin shard handoff.
-            // No thread spawn, no shared connection table — the shard
-            // owns it from here.
-            ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-            conn->framer = LineFramer(opts_.maxLineBytes);
-            conn->lastActivity = Clock::now();
-            EventShard &sh = *shards_[static_cast<std::size_t>(accepted)
-                                      % shards_.size()];
-            conn->shard = &sh;
-            {
-                std::lock_guard<std::mutex> lock(sh.mu);
-                sh.incoming.push_back(std::move(conn));
-            }
-            wakeShard(sh);
-            continue;
+        // Non-blocking fd, round-robin shard handoff: the shard owns the
+        // connection from here (no shared connection table).
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+        conn->framer = LineFramer(opts_.maxLineBytes);
+        conn->lastActivity = Clock::now();
+        EventShard &sh =
+            *shards_[static_cast<std::size_t>(accepted) % shards_.size()];
+        conn->shard = &sh;
+        {
+            std::lock_guard<std::mutex> lock(sh.mu);
+            sh.incoming.push_back(std::move(conn));
         }
-
-        std::lock_guard<std::mutex> lock(mu_);
-        connThreads_.emplace_back();
-        const auto self = std::prev(connThreads_.end());
-        try {
-            *self = std::thread([this, conn, self] {
-                serveConnection(conn);
-                // Hand the thread object back for reaping (last action:
-                // the reaper's join() still waits for this function to
-                // return).
-                std::lock_guard<std::mutex> lock(mu_);
-                finishedConns_.push_back(self);
-            });
-        } catch (const std::system_error &) {
-            // Thread exhaustion is transient like EMFILE: answer like
-            // the connection cap (no silent drop), undo the accept
-            // accounting, keep the server alive.
-            connThreads_.erase(self);
-            SolveResult r;
-            r.status = "rejected";
-            r.error = "server cannot spawn a connection handler; "
-                      "retry later";
-            const std::string line = resultToJson(r).dump() + "\n";
-            sendAll(fd, line.data(), line.size());
-            ::close(fd);
-            connectionsAccepted_.fetch_sub(1, std::memory_order_relaxed);
-            connectionsOpen_.fetch_sub(1, std::memory_order_relaxed);
-            connOpenGauge_.add(-1.0);
-            connectionsRejected_.fetch_add(1, std::memory_order_relaxed);
-        }
+        wakeShard(sh);
     }
 }
 
@@ -805,8 +706,7 @@ Server::markBrokenLocked(const std::shared_ptr<Connection> &conn)
     // The peer is provably gone: nobody will read this connection's
     // remaining results, so stop computing them.
     cancelConnectionJobs(conn);
-    if (conn->shard != nullptr)
-        wakeShard(*conn->shard); // let the shard close and unregister
+    wakeShard(*conn->shard); // let the shard close and unregister
 }
 
 bool
@@ -842,28 +742,10 @@ Server::writeLine(const std::shared_ptr<Connection> &conn,
         return;
     std::lock_guard<std::mutex> lock(conn->writeMu);
 
-    if (conn->shard == nullptr) {
-        // Thread-per-connection: a plain blocking send, bounded by the
-        // socket's SO_SNDTIMEO.
-        std::string framed = line;
-        framed.push_back('\n');
-        if (!sendAll(conn->fd, framed.data(), framed.size())) {
-            conn->broken.store(true, std::memory_order_relaxed);
-            cancelConnectionJobs(conn);
-            return;
-        }
-        resultsWritten_.fetch_add(1, std::memory_order_relaxed);
-        if (!conn->sawFirstWrite && conn->firstByteStamped) {
-            conn->sawFirstWrite = true;
-            firstByteMs_.record(millisSince(conn->firstByteAt));
-        }
-        return;
-    }
-
-    // Event mode: append, then flush opportunistically — the common
-    // case completes right here and the loop never sees POLLOUT. A
-    // partial send leaves the remainder buffered; the shard resumes it
-    // when the socket drains (never blocking this worker thread).
+    // Append, then flush opportunistically — the common case completes
+    // right here and the loop never sees POLLOUT. A partial send leaves
+    // the remainder buffered; the shard resumes it when the socket
+    // drains (never blocking this worker thread).
     if (conn->fd < 0)
         return; // already finalized
     const bool hadPending = conn->outOff < conn->outBuf.size();
@@ -888,9 +770,9 @@ Server::writeLine(const std::shared_ptr<Connection> &conn,
 bool
 Server::tryReserveInflight()
 {
-    // Reserve the slot first (fetch_add, not load-then-add): concurrent
-    // readers racing a plain check could all pass it and overshoot the
-    // bound by readers-1 jobs.
+    // Reserve the slot first (fetch_add, not load-then-add): shards
+    // racing a plain check could all pass it and overshoot the bound by
+    // shards-1 jobs.
     const long reserved = inflight_.fetch_add(1, std::memory_order_relaxed);
     if (opts_.maxInflight > 0
         && reserved >= static_cast<long>(opts_.maxInflight)) {
@@ -898,47 +780,6 @@ Server::tryReserveInflight()
         return false;
     }
     return true;
-}
-
-bool
-Server::reserveInflightSlot(SolveJob &job)
-{
-    if (tryReserveInflight())
-        return true;
-    if (opts_.queueWaitMs <= 0)
-        return false;
-
-    // Bounded wait-queue: hold this request on its reader thread until
-    // a slot frees, its deadline_ms would expire in queue, or the
-    // configured wait cap runs out. Drain (stop_) also ends the wait —
-    // a shutdown must not hang on a full queue.
-    double budget_ms = opts_.queueWaitMs;
-    if (job.deadlineMs > 0.0)
-        budget_ms = std::min(budget_ms, job.deadlineMs);
-    const auto start = Clock::now();
-    while (!stop_.load(std::memory_order_relaxed)) {
-        const double waited = millisSince(start);
-        if (waited >= budget_ms)
-            break;
-        const double left = budget_ms - waited;
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min<long long>(opts_.pollTickMs,
-                                static_cast<long long>(left) + 1)));
-        if (!tryReserveInflight())
-            continue;
-        if (job.deadlineMs > 0.0) {
-            // Queue time counts against the deadline; a slot that
-            // frees exactly as the deadline passes is still a timeout.
-            job.deadlineMs -= millisSince(start);
-            if (job.deadlineMs <= 0.0) {
-                inflight_.fetch_sub(1, std::memory_order_relaxed);
-                return false;
-            }
-        }
-        queueWaited_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-    }
-    return false;
 }
 
 void
@@ -994,7 +835,6 @@ Server::handleControl(const std::shared_ptr<Connection> &conn,
                    static_cast<double>(ss.faultConnResets));
         server.set("partial_writes",
                    static_cast<double>(ss.partialWrites));
-        server.set("event_loop", opts_.eventLoop);
         server.set("inflight",
                    static_cast<double>(
                        inflight_.load(std::memory_order_relaxed)));
@@ -1095,189 +935,17 @@ Server::submitAccepted(const std::shared_ptr<Connection> &conn,
                         inflight_.fetch_sub(1, std::memory_order_relaxed);
                         // Completion changes the finish/park calculus;
                         // don't leave it to the next tick.
-                        if (conn->shard != nullptr)
-                            wakeShard(*conn->shard);
+                        wakeShard(*conn->shard);
                     },
                     token);
 }
 
-bool
-Server::handleLine(const std::shared_ptr<Connection> &conn,
-                   const std::string &line, long lineno)
-{
-    ParsedLine parsed =
-        parseRequestLine(line, lineno, false, opts_.specLimits);
-    if (parsed.skip)
-        return false;
-    if (!parsed.ok) {
-        lineErrors_.fetch_add(1, std::memory_order_relaxed);
-        writeLine(conn, resultToJson(parsed.error).dump());
-        return false;
-    }
-    if (parsed.control != ControlKind::None) {
-        // Control requests never consume an in-flight slot or the
-        // per-connection budget: they must work on a loaded server.
-        handleControl(conn, parsed);
-        return false;
-    }
-    // Backpressure: a request over the server-wide in-flight bound is
-    // answered with "rejected" instead of queueing without bound —
-    // immediately by default, after the bounded wait queue when
-    // --queue-wait is configured.
-    if (!reserveInflightSlot(parsed.job)) {
-        rejectCapacity(conn, parsed.job.id);
-        return false;
-    }
-    submitAccepted(conn, std::move(parsed.job));
-    return true;
-}
-
-void
-Server::serveConnection(const std::shared_ptr<Connection> &conn)
-{
-    // accept -> handler-thread start: thread-spawn plus scheduling
-    // latency, the server-controlled half of connection setup
-    // (server.accept_ms / accept_ms_avg). The remainder to the first
-    // received byte (server.idle_before_first_request_ms) is the
-    // client's connect-to-send turnaround plus the network — open-loop
-    // harnesses stretch it arbitrarily, which is why it is split out of
-    // server.first_byte_ms (first request byte -> first response byte).
-    acceptMs_.record(millisSince(conn->acceptedAt));
-    // The bounded framing state machine is shared with the event loop
-    // (and with batch mode's istream reader in spirit): oversized
-    // lines fail per-line without unbounded buffering, and a truncated
-    // final line is still a request.
-    LineFramer framer(opts_.maxLineBytes);
-    long served = 0;
-    /** A buffered partial line must still be answered when the read
-     * loop ends without its newline (EOF half-close or idle close) —
-     * never silence for received bytes. */
-    bool answer_tail = false;
-    auto last_activity = Clock::now();
-
-    const auto atConnLimit = [&] {
-        return opts_.maxRequestsPerConn > 0
-               && served >= opts_.maxRequestsPerConn;
-    };
-
-    while (!stop_.load(std::memory_order_relaxed)) {
-        pollfd p{conn->fd, POLLIN, 0};
-        const int pr = ::poll(&p, 1, opts_.pollTickMs);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (pr == 0) {
-            // A running job counts as activity: the idle window starts
-            // from (at most one tick before) its last result, so a
-            // long job's client keeps the full grace period to follow
-            // up, not zero.
-            if (conn->inflight.load(std::memory_order_acquire) > 0) {
-                last_activity = Clock::now();
-            } else if (opts_.idleTimeoutMs > 0
-                       && millisSince(last_activity)
-                              > opts_.idleTimeoutMs) {
-                idleCloses_.fetch_add(1, std::memory_order_relaxed);
-                answer_tail = true;
-                break;
-            }
-            continue;
-        }
-        char chunk[65536];
-        const ssize_t n = ::recv(conn->fd, chunk, sizeof chunk, 0);
-        if (n == 0) {
-            // EOF is a half-close, not a drop: the client is done
-            // sending but still reading (socket_client works exactly
-            // this way), so in-flight jobs run to completion and flush.
-            answer_tail = true;
-            break;
-        }
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            // A read error (ECONNRESET and kin) means the client is
-            // gone; nobody will read this connection's results, so
-            // cancel its in-flight jobs instead of finishing them.
-            cancelConnectionJobs(conn);
-            break;
-        }
-        // Fault site read_delay: a pause between the socket read and
-        // request processing, modeling a saturated or lossy link.
-        if (opts_.fault
-            && opts_.fault->fire(FaultInjector::Site::ReadDelay))
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                opts_.fault->durationMs(FaultInjector::Site::ReadDelay)));
-        last_activity = Clock::now();
-        if (!conn->sawFirstByte) {
-            conn->sawFirstByte = true;
-            idleBeforeFirstRequestMs_.record(
-                millisSince(conn->acceptedAt));
-            std::lock_guard<std::mutex> lock(conn->writeMu);
-            conn->firstByteAt = Clock::now();
-            conn->firstByteStamped = true;
-        }
-        framer.feed(chunk, static_cast<std::size_t>(n));
-
-        bool close_now = false;
-        LineFramer::Line ln;
-        while (framer.next(ln)) {
-            if (ln.oversized) {
-                lineErrors_.fetch_add(1, std::memory_order_relaxed);
-                writeLine(conn,
-                          resultToJson(parseRequestLine("", ln.lineno,
-                                                        /*oversized=*/true)
-                                           .error)
-                              .dump());
-                continue;
-            }
-            if (isSkippableLine(ln.text))
-                continue;
-            if (close_now || atConnLimit()) {
-                // Never silence: every pipelined request at or behind
-                // the limit gets its own rejection before the close (a
-                // partial tail died unreceived — the close itself is
-                // its answer).
-                rejectAtLimit(conn, ln.text, ln.lineno);
-                close_now = true;
-                continue;
-            }
-            // Only accepted jobs consume the per-connection budget
-            // (malformed and capacity-rejected lines do not).
-            if (handleLine(conn, ln.text, ln.lineno))
-                ++served;
-        }
-        if (close_now)
-            break;
-    }
-
-    // Truncated final line (EOF or idle close without a newline) is
-    // still a request: a half-written job must produce a response — an
-    // error, or the limit rejection — never silence.
-    LineFramer::Line tail;
-    if (answer_tail && framer.tail(tail) && !isSkippableLine(tail.text)) {
-        if (atConnLimit())
-            rejectAtLimit(conn, tail.text, tail.lineno);
-        else
-            handleLine(conn, tail.text, tail.lineno);
-    }
-
-    // Flush before close: every accepted job's result reaches the wire
-    // (drain and idle-close both wait here).
-    while (conn->inflight.load(std::memory_order_acquire) > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    drainAndClose(conn->fd, kCloseLingerMs);
-    conn->fd = -1;
-    connectionsOpen_.fetch_sub(1, std::memory_order_relaxed);
-    connOpenGauge_.add(-1.0);
-}
-
-// ------------------------------------------------- event-loop front-end
+// ----------------------------------------------------------- event loop
 //
 // Connection state machine (one instance per connection, advanced only
-// by its owning shard thread; docs/service.md#event-loop-front-end has
-// the operator-facing version):
+// by its owning shard thread;
+// docs/service.md#event-loop-connection-state-machine has the
+// operator-facing version):
 //
 //   OPEN --(EOF / idle / limit / drain)--> READ_CLOSED
 //   OPEN --(full server + --queue-wait)--> PARKED --> OPEN
@@ -1290,10 +958,8 @@ Server::serveConnection(const std::shared_ptr<Connection> &conn)
 // rides in outBuf until the shard sees POLLOUT.
 
 void
-Server::eventHandleReadable(EventShard &sh,
-                            const std::shared_ptr<Connection> &conn)
+Server::eventHandleReadable(const std::shared_ptr<Connection> &conn)
 {
-    (void)sh;
     if (conn->fd < 0 || conn->broken.load(std::memory_order_relaxed))
         return;
     char chunk[65536];
@@ -1311,7 +977,7 @@ Server::eventHandleReadable(EventShard &sh,
     if (conn->wrShutdown) {
         if (n == 0)
             eventFinalize(conn); // clean close handshake complete
-        return; // discard late bytes, like drainAndClose's sink
+        return; // discard late bytes until the peer's close
     }
     if (n == 0) {
         // EOF is a half-close, not a drop: answer the truncated tail,
@@ -1404,10 +1070,9 @@ Server::eventDispatchLine(const std::shared_ptr<Connection> &conn,
         return;
     }
     if (opts_.queueWaitMs > 0 && !stop_.load(std::memory_order_relaxed)) {
-        // Park instead of blocking a reader thread: reading pauses so
-        // at most one request per connection is in limbo (TCP
-        // backpressure reaches the sender, exactly like the threaded
-        // mode holding its reader), and the shard retries every tick.
+        // Park: reading pauses so at most one request per connection is
+        // in limbo (TCP backpressure reaches the sender), and the shard
+        // retries every tick.
         conn->parked = true;
         conn->parkedBudgetMs = opts_.queueWaitMs;
         if (parsed.job.deadlineMs > 0.0)
@@ -1466,8 +1131,7 @@ Server::eventResolveParked(const std::shared_ptr<Connection> &conn,
         eventProcessBuffer(conn); // resume lines queued behind the park
         return;
     }
-    // Budget exhausted (or drain): the bounded wait ends in rejection,
-    // like the threaded mode's reserveInflightSlot giving up.
+    // Budget exhausted (or drain): the bounded wait ends in rejection.
     SolveJob job = std::move(conn->parkedJob);
     conn->parked = false;
     conn->parkedJob = SolveJob{};
@@ -1476,11 +1140,9 @@ Server::eventResolveParked(const std::shared_ptr<Connection> &conn,
 }
 
 void
-Server::eventHousekeep(EventShard &sh,
-                       const std::shared_ptr<Connection> &conn,
+Server::eventHousekeep(const std::shared_ptr<Connection> &conn,
                        bool draining)
 {
-    (void)sh;
     if (conn->fd < 0)
         return;
     if (conn->broken.load(std::memory_order_relaxed)) {
@@ -1489,8 +1151,8 @@ Server::eventHousekeep(EventShard &sh,
     }
     const auto now = Clock::now();
 
-    // Drain: stop reading new requests (the threaded loop's stop_
-    // break); in-flight jobs still finish and flush below.
+    // Drain: stop reading new requests; in-flight jobs still finish and
+    // flush below.
     if (draining && !conn->readClosed)
         conn->readClosed = true;
 
@@ -1498,8 +1160,8 @@ Server::eventHousekeep(EventShard &sh,
         eventResolveParked(conn, draining);
 
     // Write-stall detection: pending output making no progress for the
-    // send timeout means the client stopped reading — the event-mode
-    // SO_SNDTIMEO (kernel timeouts don't apply to non-blocking sends).
+    // send timeout means the client stopped reading (kernel send
+    // timeouts don't apply to non-blocking sends).
     if (opts_.sendTimeoutMs > 0) {
         std::lock_guard<std::mutex> lock(conn->writeMu);
         if (conn->pendingOutLocked() > 0
@@ -1535,8 +1197,7 @@ Server::eventHousekeep(EventShard &sh,
 
     // Finished: nothing more will be read and everything accepted has
     // flushed. Half-close and wait (bounded) for the peer's close so
-    // the flushed results are not RST-discarded — drainAndClose, event
-    // style.
+    // the flushed results are not RST-discarded (see kCloseLingerMs).
     bool pending_out;
     {
         std::lock_guard<std::mutex> lock(conn->writeMu);
@@ -1587,9 +1248,8 @@ Server::eventShardLoop(EventShard &sh)
                 fresh.swap(sh.incoming);
             }
             for (auto &c : fresh) {
-                // accept -> shard pickup: the event-mode analogue of
-                // the thread-spawn latency this histogram was built to
-                // expose.
+                // accept -> shard pickup: the server-controlled half of
+                // connection setup.
                 acceptMs_.record(millisSince(c->acceptedAt));
                 sh.conns.push_back(std::move(c));
             }
@@ -1603,7 +1263,7 @@ Server::eventShardLoop(EventShard &sh)
         pfds.push_back(pollfd{sh.wakeRd, POLLIN, 0});
         for (std::size_t i = 0; i < sh.conns.size();) {
             const auto conn = sh.conns[i]; // keep alive across erase
-            eventHousekeep(sh, conn, draining);
+            eventHousekeep(conn, draining);
             if (conn->fd < 0) {
                 sh.conns[i] = std::move(sh.conns.back());
                 sh.conns.pop_back();
@@ -1623,7 +1283,7 @@ Server::eventShardLoop(EventShard &sh)
             const bool paused = opts_.maxWriteBufferBytes > 0
                                 && pending >= opts_.maxWriteBufferBytes;
             if (conn->wrShutdown) {
-                ev |= POLLIN; // drainAndClose sink: read to peer EOF
+                ev |= POLLIN; // close handshake: read to peer EOF
             } else if (!conn->readClosed && !conn->parked && !paused) {
                 ev |= POLLIN;
             }
@@ -1674,7 +1334,7 @@ Server::eventShardLoop(EventShard &sh)
             // POLLERR/POLLHUP is left to whichever direction is active.
             if ((pfds[k + 1].events & POLLIN) != 0
                 && (re & (POLLIN | POLLERR | POLLHUP)) != 0)
-                eventHandleReadable(sh, conn);
+                eventHandleReadable(conn);
         }
     }
 }
@@ -1693,52 +1353,28 @@ Server::drain()
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    // Event mode: wake the shards so they notice the drain, then join
-    // them — each keeps flushing until every connection has finished
-    // and closed.
-    if (!shards_.empty()) {
-        for (auto &sh : shards_)
-            wakeShard(*sh);
-        for (auto &sh : shards_)
-            if (sh->thread.joinable())
-                sh->thread.join();
-        for (auto &sh : shards_) {
-            // A connection accepted in the stop window can land in the
-            // incoming queue after its shard exited: close it here
-            // (the client sees a FIN with no response, the same as
-            // connecting a moment later and being refused).
-            std::lock_guard<std::mutex> lock(sh->mu);
-            for (auto &conn : sh->incoming) {
-                ::close(conn->fd);
-                conn->fd = -1;
-                connectionsOpen_.fetch_sub(1, std::memory_order_relaxed);
-                connOpenGauge_.add(-1.0);
-            }
-            sh->incoming.clear();
+    // Wake the shards so they notice the drain, then join them — each
+    // keeps flushing until every connection has finished and closed.
+    for (auto &sh : shards_)
+        wakeShard(*sh);
+    for (auto &sh : shards_)
+        if (sh->thread.joinable())
+            sh->thread.join();
+    for (auto &sh : shards_) {
+        // A connection accepted in the stop window can land in the
+        // incoming queue after its shard exited: close it here (the
+        // client sees a FIN with no response, the same as connecting a
+        // moment later and being refused).
+        std::lock_guard<std::mutex> lock(sh->mu);
+        for (auto &conn : sh->incoming) {
+            ::close(conn->fd);
+            conn->fd = -1;
+            connectionsOpen_.fetch_sub(1, std::memory_order_relaxed);
+            connOpenGauge_.add(-1.0);
         }
-        shards_.clear();
+        sh->incoming.clear();
     }
-    // No new connections past this point; join the readers (each waits
-    // for its own in-flight results to flush). Joining everything left
-    // in the list covers reaped-pending and live threads alike, so the
-    // finished-iterator queue is simply dropped.
-    std::list<std::thread> readers;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        readers.swap(connThreads_);
-        finishedConns_.clear();
-    }
-    for (auto &t : readers)
-        if (t.joinable())
-            t.join();
-    {
-        // A reader that finished mid-drain pushed its (now stale)
-        // iterator after the clear above; drop those too. Nothing
-        // dereferences them — the accept loop is gone — this just
-        // leaves no dangling state behind.
-        std::lock_guard<std::mutex> lock(mu_);
-        finishedConns_.clear();
-    }
+    shards_.clear();
     service_.drain();
     drained_ = true;
 }

@@ -4,31 +4,23 @@
  * speaking the JSONL protocol (docs/protocol.md) per connection, plus
  * the shared request-stream plumbing the stdin batch mode is built on.
  *
- * Design: two front-end modes over one worker pool and one wire
- * contract (results are bit-identical between them — the tests enforce
- * it).
- *
- * - Thread-per-connection (the default, ServerOptions::eventLoop =
- *   false): one lightweight reader thread per connection. Trivial to
- *   reason about and fine for tens of connections; connection setup
- *   serializes with the workers (thread spawn) and each idle
- *   connection costs a thread.
- * - Event loop (eventLoop = true): non-blocking sockets multiplexed by
- *   a small fixed set of poll(2) shard threads, each owning a private
- *   connection table (no cross-shard lock on the hot path). Reads are
- *   level-triggered into a per-connection LineFramer; writes that
- *   cannot complete in one send(2) are buffered and resumed when the
- *   loop reports POLLOUT, so a slow reader costs buffered bytes, never
- *   a blocked thread. This is the mode for hundreds-to-thousands of
- *   concurrent connections (docs/service.md#event-loop-front-end).
+ * Design: one poll(2) event loop. Non-blocking sockets are multiplexed
+ * by a small fixed set of shard threads, each owning a private
+ * connection table (no cross-shard lock on the hot path). Reads are
+ * level-triggered into a per-connection LineFramer; writes that cannot
+ * complete in one send(2) are buffered and resumed when the loop
+ * reports POLLOUT, so a slow reader costs buffered bytes, never a
+ * blocked thread, and an idle connection costs no thread at all
+ * (docs/service.md#socket-front-end).
  *
  * Requests are parsed off the socket and fed into the shared
  * SolveService scheduler; each result is serialized back on the
  * connection that submitted it, in completion order, under a
  * per-connection write lock. Overload protection is explicit: when the
- * server-wide in-flight bound is reached, a request is answered
- * immediately with a "rejected" line instead of queueing without bound
- * (the client owns the retry policy; see docs/protocol.md).
+ * server-wide in-flight bound is reached, a request is answered with a
+ * "rejected" line instead of queueing without bound — immediately, or
+ * after the bounded --queue-wait park (the client owns the retry
+ * policy; see docs/protocol.md).
  *
  * Shutdown contract (graceful drain): requestStop() — or the SIGINT /
  * SIGTERM handler in chocoq_serve that calls it — closes the listener,
@@ -43,7 +35,6 @@
 #include <atomic>
 #include <cstddef>
 #include <istream>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -143,8 +134,8 @@ Json healthToJson(const SolveService::Health &h);
 Json statsToJson(const SolveService &service);
 
 /**
- * Bounded line-framing state machine shared by the socket front-ends:
- * the runJsonlStream framing rules — oversized lines fail per-line and
+ * Bounded line-framing state machine of the socket front-end: the
+ * runJsonlStream framing rules — oversized lines fail per-line and
  * are discarded through their newline without ever buffering more than
  * the bound, and a truncated final "tail" line is still a request —
  * applied to an incrementally fed byte buffer instead of an istream.
@@ -224,15 +215,14 @@ struct ServerOptions
     int maxInflight = 256;
     /**
      * Bounded wait-queue for over-capacity requests (--queue-wait): a
-     * request arriving at the maxInflight bound is held on its reader
-     * thread for up to this long — or until its own deadline_ms would
-     * expire in queue, whichever is sooner — before the "rejected"
-     * answer. Holding on the reader thread is deliberate: the
-     * connection stops reading further requests while one waits, so
-     * TCP backpressure propagates to the sender and at most one
-     * request per connection is in limbo. Time spent waiting counts
-     * against the job's deadline_ms. 0 = reject immediately (the
-     * pre-existing behavior).
+     * request arriving at the maxInflight bound is parked for up to
+     * this long — or until its own deadline_ms would expire in queue,
+     * whichever is sooner — before the "rejected" answer. Parking is
+     * per connection: the connection stops reading further requests
+     * while one waits, so TCP backpressure propagates to the sender and
+     * at most one request per connection is in limbo. Time spent
+     * waiting counts against the job's deadline_ms. Drain ends every
+     * wait with the rejection. 0 = reject immediately.
      */
     int queueWaitMs = 0;
     /** Resource guards for inline problem specs on this server. */
@@ -250,45 +240,35 @@ struct ServerOptions
      */
     int maxRequestsPerConn = 0;
     /**
-     * Concurrently open connections (one reader thread each). A
-     * connection accepted past the bound is answered with a single
-     * "rejected" line and closed immediately. 0 = unbounded.
+     * Concurrently open connections. A connection accepted past the
+     * bound is answered with a single "rejected" line and closed
+     * immediately. 0 = unbounded.
      */
-    int maxConnections = 64;
+    int maxConnections = 1024;
     /** Longest accepted request line on a connection, in bytes
      * (0 falls back to the 1 MiB default — the socket path always
      * enforces a bound). */
     std::size_t maxLineBytes = 1 << 20;
     /**
-     * Kernel send timeout per result write. A client that stops
-     * reading fills its socket buffer; without a bound the blocked
-     * write would pin a solver worker (and wedge drain) forever.
-     * After the timeout the connection is marked broken and its
-     * remaining results are dropped. 0 = block forever.
+     * Write-stall bound. A client that stops reading fills its socket
+     * buffer and then the connection's output buffer; once pending
+     * output has made no progress for this long, the connection is
+     * marked broken, its in-flight jobs are cancelled and its remaining
+     * results dropped, so a stalled reader can never wedge drain.
+     * 0 = never declare a stall.
      */
     int sendTimeoutMs = 10000;
-    /** Poll granularity of the accept/read loops; bounds how stale the
-     * stop flag and idle clocks can get. */
+    /** Poll granularity of the accept and shard loops; bounds how stale
+     * the stop flag and idle clocks can get. */
     int pollTickMs = 20;
     /**
-     * Front-end mode: false = one reader thread per connection (the
-     * original design, simplest to debug), true = the poll(2) event
-     * loop (sharded connection tables, non-blocking reads/writes) for
-     * large connection counts. Identical wire behavior either way.
-     */
-    bool eventLoop = false;
-    /** Event-loop shard threads (connections are distributed
-     * round-robin at accept). Clamped to >= 1. Only read when
-     * eventLoop is set. */
-    int eventLoopShards = 2;
-    /**
-     * Event-loop write backpressure: once a connection's buffered
-     * unsent output exceeds this many bytes, the loop stops reading
-     * its requests until the buffer drains below the bound (TCP
-     * backpressure then reaches the sender). Results of already
-     * accepted jobs still append past the bound — the true cap is
-     * this plus maxInflight result lines — so a slow reader can never
-     * deadlock its own completions. 0 = never pause reads.
+     * Write backpressure: once a connection's buffered unsent output
+     * exceeds this many bytes, the loop stops reading its requests
+     * until the buffer drains below the bound (TCP backpressure then
+     * reaches the sender). Results of already accepted jobs still
+     * append past the bound — the true cap is this plus maxInflight
+     * result lines — so a slow reader can never deadlock its own
+     * completions. 0 = never pause reads.
      */
     std::size_t maxWriteBufferBytes = std::size_t{4} << 20;
     /**
@@ -341,8 +321,8 @@ struct ServerStats
      * Counted at most once per connection, whichever of the read-error
      * or failed-write paths observes the drop first. */
     long disconnectCancels = 0;
-    /** Event loop only: result writes send(2) could not complete in
-     * one call — the remainder was buffered and resumed via POLLOUT. */
+    /** Result writes send(2) could not complete in one call — the
+     * remainder was buffered and resumed via POLLOUT. */
     long partialWrites = 0;
     /** Accepted connections reset by fault injection (conn_reset). */
     long faultConnResets = 0;
@@ -350,9 +330,8 @@ struct ServerStats
 
 /**
  * The TCP front-end. Owns the listening socket, the accept thread, and
- * either one thread per live connection or the event-loop shard
- * threads (ServerOptions::eventLoop); jobs run on the SolveService
- * passed in (shared compile cache and worker pool across connections).
+ * the event-loop shard threads; jobs run on the SolveService passed in
+ * (shared compile cache and worker pool across connections).
  */
 class Server
 {
@@ -392,14 +371,6 @@ class Server
     struct EventShard;
 
     void acceptLoop();
-    void serveConnection(const std::shared_ptr<Connection> &conn);
-    /** Parse one complete request line and either submit it, answer
-     * with a per-line error, or answer with a backpressure rejection
-     * (waiting out the bounded queue first when --queue-wait is set).
-     * Returns true only when a job was accepted into the scheduler
-     * (the per-connection request budget counts exactly those). */
-    bool handleLine(const std::shared_ptr<Connection> &conn,
-                    const std::string &line, long lineno);
     /** Answer a cancel/health control request on this connection. */
     void handleControl(const std::shared_ptr<Connection> &conn,
                        const ParsedLine &parsed);
@@ -409,14 +380,8 @@ class Server
     void cancelConnectionJobs(const std::shared_ptr<Connection> &conn);
     /** One non-blocking attempt at an in-flight slot. */
     bool tryReserveInflight();
-    /** Reserve an in-flight slot, waiting up to the queue-wait budget
-     * (bounded by @p job's remaining deadline, which is decremented by
-     * the time spent waiting). Thread-per-connection mode only — the
-     * event loop parks instead of blocking. False = caller must
-     * reject. */
-    bool reserveInflightSlot(SolveJob &job);
     /** Counters + cancellation token + scheduler submit for a job that
-     * already holds an in-flight slot (both front-ends). */
+     * already holds an in-flight slot. */
     void submitAccepted(const std::shared_ptr<Connection> &conn,
                         SolveJob &&job);
     /** Answer a status "rejected" over-capacity line for @p id. */
@@ -430,9 +395,9 @@ class Server
     void writeLine(const std::shared_ptr<Connection> &conn,
                    const std::string &line);
 
-    // Event-loop front-end (all run on the owning shard's thread
-    // unless noted; see the connection state machine in
-    // docs/service.md#event-loop-front-end).
+    // Event loop (all run on the owning shard's thread unless noted;
+    // see the connection state machine in
+    // docs/service.md#event-loop-connection-state-machine).
     void eventShardLoop(EventShard &sh);
     /** Frame and dispatch every complete buffered line; stops early
      * when the connection parks on a full server. */
@@ -444,12 +409,10 @@ class Server
     /** Answer the truncated final line at EOF / idle close. */
     void eventAnswerTail(const std::shared_ptr<Connection> &conn);
     /** One recv(2) worth of progress on a readable connection. */
-    void eventHandleReadable(EventShard &sh,
-                             const std::shared_ptr<Connection> &conn);
+    void eventHandleReadable(const std::shared_ptr<Connection> &conn);
     /** Timers + state transitions: parked-job retry, idle timeout,
      * write-stall detection, finish (half-close) and close deadlines. */
-    void eventHousekeep(EventShard &sh,
-                        const std::shared_ptr<Connection> &conn,
+    void eventHousekeep(const std::shared_ptr<Connection> &conn,
                         bool draining);
     /** Retry / expire a parked over-capacity request. */
     void eventResolveParked(const std::shared_ptr<Connection> &conn,
@@ -469,7 +432,7 @@ class Server
     /** Connection-setup and first-response latency, recorded into the
      * service's metrics registry so the stats probe and bench_service's
      * socket suite read one source of truth. accept_ms is accept() to
-     * handler start (server-controlled); idle_before_first_request_ms
+     * shard pickup (server-controlled); idle_before_first_request_ms
      * is accept() to the connection's first received byte — the
      * client's connect-to-send turnaround, which open-loop harnesses
      * stretch arbitrarily by holding idle connections; first_byte_ms is
@@ -490,19 +453,9 @@ class Server
     std::atomic<long> inflight_{0};
 
     std::thread acceptThread_;
-    /** Event-loop shard threads (empty in thread-per-connection mode;
-     * sized and started by start(), joined by drain()). */
+    /** Event-loop shard threads (sized and started by start(), joined
+     * by drain()). */
     std::vector<std::unique_ptr<EventShard>> shards_;
-    std::mutex mu_; // guards connThreads_ and finishedConns_
-    /** Live + not-yet-reaped connection reader threads (std::list:
-     * stable iterators let a thread mark itself finished). */
-    std::list<std::thread> connThreads_;
-    /** Threads that have run to completion, ready to join: the accept
-     * loop reaps these every tick so a long-lived server does not
-     * accumulate one zombie thread per connection ever served. */
-    std::vector<std::list<std::thread>::iterator> finishedConns_;
-
-    void reapFinishedConnections();
 
     // Stats counters (relaxed: observability only).
     std::atomic<long> connectionsAccepted_{0};

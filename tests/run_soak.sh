@@ -35,7 +35,7 @@ cleanup() {
 trap cleanup EXIT
 
 # Ephemeral port; the server writes the bound port to a file.
-"$SERVE" --listen 0 --event-loop --workers 2 --quiet \
+"$SERVE" --listen 0 --workers 2 --quiet \
   --port-file "$workdir/port.txt" &
 server_pid=$!
 

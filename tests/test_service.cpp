@@ -150,10 +150,6 @@ TEST(JobModel, RejectsOutOfRangeNumericFields)
     EXPECT_THROW(
         service::jobFromJsonLine(R"({"scale":"F1","deadline_ms":-1})"),
         FatalError);
-    // Retired but still range-checked.
-    EXPECT_THROW(
-        service::jobFromJsonLine(R"({"scale":"F1","batch_width":4097})"),
-        FatalError);
 }
 
 TEST(Suite, ScaleByName)
@@ -448,8 +444,11 @@ TEST(SolveService, CacheDoesNotChangeResults)
 
 TEST(SolveService, RetiredBatchWidthIsIgnored)
 {
-    // batch_width is accepted and ignored: it changes neither the
-    // result nor the compile-cache key.
+    // The retired batch_width key is an unknown key now, ignored like
+    // any other: no range check, and it changes neither the result nor
+    // the compile-cache key.
+    EXPECT_NO_THROW(service::jobFromJsonLine(
+        R"({"scale":"F1","batch_width":4097})"));
     service::SolveService svc{service::ServiceOptions{}};
     service::WorkerContext ctx;
     const auto r0 = svc.execute(
@@ -847,31 +846,7 @@ rawReadLines(int fd, int nlines, int timeout_ms, int slowPrefixBytes = 0,
 
 } // namespace
 
-/**
- * Both front-ends must behave identically on the wire: every socket
- * test runs against thread-per-connection (false) and the poll(2)
- * event loop (true). The bit-identity and reconciliation assertions
- * inside are the regression oracles for the event-loop rewrite.
- */
-class SocketFrontEnd : public ::testing::TestWithParam<bool>
-{
-  protected:
-    /** Server options with the front-end mode under test applied. */
-    service::ServerOptions baseOpts() const
-    {
-        service::ServerOptions opts;
-        opts.eventLoop = GetParam();
-        return opts;
-    }
-};
-
-INSTANTIATE_TEST_SUITE_P(FrontEnds, SocketFrontEnd, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool> &info) {
-                             return info.param ? "EventLoop"
-                                               : "ThreadPerConn";
-                         });
-
-TEST_P(SocketFrontEnd, BitIdenticalToBatchUnderConcurrentConnections)
+TEST(SocketFrontEnd, BitIdenticalToBatchUnderConcurrentConnections)
 {
     const auto jobs = determinismSuite(); // 12 jobs, 3 structures
 
@@ -883,7 +858,7 @@ TEST_P(SocketFrontEnd, BitIdenticalToBatchUnderConcurrentConnections)
     // Socket mode: a fresh service behind the TCP front-end, the same
     // jobs spread over 4 concurrent client connections.
     service::SolveService svc(so);
-    service::Server server(svc, baseOpts());
+    service::Server server(svc, service::ServerOptions{});
     server.start();
 
     constexpr int kConns = 4;
@@ -928,10 +903,10 @@ TEST_P(SocketFrontEnd, BitIdenticalToBatchUnderConcurrentConnections)
     EXPECT_EQ(stats.rejected, 0);
 }
 
-TEST_P(SocketFrontEnd, HostileInputFailsPerLineAndKeepsTheConnection)
+TEST(SocketFrontEnd, HostileInputFailsPerLineAndKeepsTheConnection)
 {
     service::SolveService svc{service::ServiceOptions{}};
-    auto opts = baseOpts();
+    service::ServerOptions opts;
     opts.maxLineBytes = 4096;
     service::Server server(svc, opts);
     server.start();
@@ -967,7 +942,7 @@ TEST_P(SocketFrontEnd, HostileInputFailsPerLineAndKeepsTheConnection)
     EXPECT_EQ(server.stats().requestsAccepted, 1);
 }
 
-TEST_P(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
+TEST(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
 {
     // One worker, in-flight bound 1: while the slow job occupies the
     // worker, every further request on the burst must be answered with
@@ -975,7 +950,7 @@ TEST_P(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
     service::ServiceOptions so;
     so.workers = 1;
     service::SolveService svc(so);
-    auto opts = baseOpts();
+    service::ServerOptions opts;
     opts.maxInflight = 1;
     service::Server server(svc, opts);
     server.start();
@@ -1009,10 +984,10 @@ TEST_P(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
     EXPECT_EQ(server.stats().rejected, 2);
 }
 
-TEST_P(SocketFrontEnd, PerConnectionRequestLimit)
+TEST(SocketFrontEnd, PerConnectionRequestLimit)
 {
     service::SolveService svc{service::ServiceOptions{}};
-    auto opts = baseOpts();
+    service::ServerOptions opts;
     opts.maxRequestsPerConn = 2;
     service::Server server(svc, opts);
     server.start();
@@ -1069,10 +1044,10 @@ TEST_P(SocketFrontEnd, PerConnectionRequestLimit)
     server.drain();
 }
 
-TEST_P(SocketFrontEnd, ConnectionCapRefusesWithARejectedLine)
+TEST(SocketFrontEnd, ConnectionCapRefusesWithARejectedLine)
 {
     service::SolveService svc{service::ServiceOptions{}};
-    auto opts = baseOpts();
+    service::ServerOptions opts;
     opts.maxConnections = 1;
     service::Server server(svc, opts);
     server.start();
@@ -1103,10 +1078,10 @@ TEST_P(SocketFrontEnd, ConnectionCapRefusesWithARejectedLine)
     EXPECT_EQ(server.stats().connectionsRejected, 1);
 }
 
-TEST_P(SocketFrontEnd, IdleTimeoutClosesQuietConnections)
+TEST(SocketFrontEnd, IdleTimeoutClosesQuietConnections)
 {
     service::SolveService svc{service::ServiceOptions{}};
-    auto opts = baseOpts();
+    service::ServerOptions opts;
     opts.idleTimeoutMs = 150;
     service::Server server(svc, opts);
     server.start();
@@ -1125,12 +1100,12 @@ TEST_P(SocketFrontEnd, IdleTimeoutClosesQuietConnections)
     EXPECT_EQ(server.stats().connectionsOpen, 0);
 }
 
-TEST_P(SocketFrontEnd, GracefulDrainCompletesAcceptedJobs)
+TEST(SocketFrontEnd, GracefulDrainCompletesAcceptedJobs)
 {
     service::ServiceOptions so;
     so.workers = 2;
     service::SolveService svc(so);
-    service::Server server(svc, baseOpts());
+    service::Server server(svc, service::ServerOptions{});
     server.start();
 
     service::JsonlClient client(server.port());
@@ -1476,12 +1451,12 @@ TEST(RequestLine, ClassifiesControlRequests)
               std::string::npos);
 }
 
-TEST_P(SocketFrontEnd, CancelAndHealthControlRequests)
+TEST(SocketFrontEnd, CancelAndHealthControlRequests)
 {
     service::ServiceOptions so;
     so.workers = 1;
     service::SolveService svc(so);
-    service::Server server(svc, baseOpts());
+    service::Server server(svc, service::ServerOptions{});
     server.start();
 
     service::JsonlClient submitter(server.port());
@@ -1521,12 +1496,12 @@ TEST_P(SocketFrontEnd, CancelAndHealthControlRequests)
     EXPECT_EQ(stats.jobsCancelled, 1);
 }
 
-TEST_P(SocketFrontEnd, ClientDisconnectCancelsItsJobsAndFreesTheWorker)
+TEST(SocketFrontEnd, ClientDisconnectCancelsItsJobsAndFreesTheWorker)
 {
     service::ServiceOptions so;
     so.workers = 1;
     service::SolveService svc(so);
-    service::Server server(svc, baseOpts());
+    service::Server server(svc, service::ServerOptions{});
     server.start();
 
     {
@@ -1553,6 +1528,60 @@ TEST_P(SocketFrontEnd, ClientDisconnectCancelsItsJobsAndFreesTheWorker)
     EXPECT_GE(server.stats().disconnectCancels, 1);
     EXPECT_EQ(server.stats().jobsCancelled, 1);
     EXPECT_EQ(svc.health().cancelledJobs, 1u);
+}
+
+TEST(SocketFrontEnd, DrainRejectsAParkedRequestWithoutWaitingOutItsBudget)
+{
+    // One worker, in-flight bound 1, a 60 s wait queue: while a ~1 s
+    // job holds the only slot, the request behind it parks. Drain must
+    // answer the parked request at once instead of waiting out its
+    // budget, and the slot-holder's result must still flush.
+    service::ServiceOptions so;
+    so.workers = 1;
+    service::SolveService svc(so);
+    service::ServerOptions opts;
+    opts.maxInflight = 1;
+    opts.queueWaitMs = 60000;
+    service::Server server(svc, opts);
+    server.start();
+
+    service::JsonlClient client(server.port());
+    std::string burst;
+    burst += R"({"id":"slow","scale":"K3","iters":200})" "\n";
+    burst += R"({"id":"parked","scale":"F1","iters":5})" "\n";
+    client.sendRaw(burst);
+    ASSERT_TRUE(waitFor([&] { return svc.health().running >= 1; }));
+    std::string line;
+    ASSERT_FALSE(client.readLine(line, 100))
+        << "the over-capacity request must park, not be answered: "
+        << line;
+
+    const auto t0 = std::chrono::steady_clock::now();
+    server.requestStop();
+    server.drain();
+    const double drain_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    EXPECT_LT(drain_s, 20.0)
+        << "drain must not wait out the 60 s queue budget";
+
+    std::map<std::string, service::Json> by_id;
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(client.readLine(line, 10000)) << "response " << i;
+        auto v = service::Json::parse(line);
+        by_id.emplace(v.getString("id", ""), std::move(v));
+    }
+    ASSERT_EQ(by_id.count("slow"), 1u);
+    ASSERT_EQ(by_id.count("parked"), 1u);
+    EXPECT_EQ(by_id.at("slow").getString("status", ""), "ok");
+    EXPECT_EQ(by_id.at("parked").getString("status", ""), "rejected");
+    EXPECT_NE(by_id.at("parked").getString("error", "").find(
+                  "wait queue timed out"),
+              std::string::npos);
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.requestsAccepted, 1);
+    EXPECT_EQ(stats.queueWaited, 0);
+    EXPECT_EQ(stats.rejected, 1);
 }
 
 TEST(BatchStream, AnswersControlRequestsInline)
@@ -1594,12 +1623,12 @@ TEST(RequestLine, ClassifiesStatsControlRequest)
     EXPECT_EQ(stats.control, service::ControlKind::Stats);
 }
 
-TEST_P(SocketFrontEnd, StatsProbeJsonShapeOverSocket)
+TEST(SocketFrontEnd, StatsProbeJsonShapeOverSocket)
 {
     service::ServiceOptions so;
     so.workers = 2;
     service::SolveService svc(so);
-    service::Server server(svc, baseOpts());
+    service::Server server(svc, service::ServerOptions{});
     server.start();
 
     // Two jobs through the wire, then the probe reads the registry.
@@ -1643,7 +1672,7 @@ TEST_P(SocketFrontEnd, StatsProbeJsonShapeOverSocket)
     EXPECT_EQ(server.stats().statsProbes, 1);
 }
 
-TEST_P(SocketFrontEnd, StatsProbeNeverConsumesAnInflightSlot)
+TEST(SocketFrontEnd, StatsProbeNeverConsumesAnInflightSlot)
 {
     // One worker, in-flight bound 1, the worker pinned by a slow job:
     // a stats probe must still answer "ok" (like health, it bypasses
@@ -1651,7 +1680,7 @@ TEST_P(SocketFrontEnd, StatsProbeNeverConsumesAnInflightSlot)
     service::ServiceOptions so;
     so.workers = 1;
     service::SolveService svc(so);
-    auto server_options = baseOpts();
+    service::ServerOptions server_options;
     server_options.maxInflight = 1;
     service::Server server(svc, server_options);
     server.start();
@@ -1879,16 +1908,16 @@ TEST(BatchStream, AnswersStatsInline)
 
 // ------------------------------------------------ wire torture tests
 
-TEST_P(SocketFrontEnd, WireTortureBytewiseSplitsSlowReadsAndHalfCloses)
+TEST(SocketFrontEnd, WireTortureBytewiseSplitsSlowReadsAndHalfCloses)
 {
     // Three hostile clients at once, each violating a different framing
     // assumption. Every line must be answered on the connection that
     // sent it — per-line errors for garbage, results for jobs, no
-    // cross-connection corruption, both front-ends.
+    // cross-connection corruption.
     service::ServiceOptions so;
     so.workers = 2;
     service::SolveService svc(so);
-    service::Server server(svc, baseOpts());
+    service::Server server(svc, service::ServerOptions{});
     server.start();
     const int port = server.port();
 
@@ -1976,7 +2005,7 @@ TEST_P(SocketFrontEnd, WireTortureBytewiseSplitsSlowReadsAndHalfCloses)
         << "half-closes are patient clients, never disconnects";
 }
 
-TEST_P(SocketFrontEnd, MassDisconnectCancelsExactlyOncePerConnection)
+TEST(SocketFrontEnd, MassDisconnectCancelsExactlyOncePerConnection)
 {
     // 200 connections submit one job each behind a pinned worker, then
     // 100 of them RST mid-flight. The disconnect-cancellation path must
@@ -1989,7 +2018,7 @@ TEST_P(SocketFrontEnd, MassDisconnectCancelsExactlyOncePerConnection)
     service::ServiceOptions so;
     so.workers = 1;
     service::SolveService svc(so);
-    auto opts = baseOpts();
+    service::ServerOptions opts;
     opts.maxConnections = 0; // the test IS the thousand-client shape
     opts.maxInflight = 0;
     service::Server server(svc, opts);
@@ -2067,9 +2096,9 @@ TEST_P(SocketFrontEnd, MassDisconnectCancelsExactlyOncePerConnection)
               m.counter("jobs.completed").value());
 }
 
-// -------------------------- event-loop-only write-backpressure tests
+// ------------------------------------------- write-backpressure tests
 
-TEST(SocketServerEventLoop, SlowReaderBuffersWritesAndEventuallyDrains)
+TEST(SocketFrontEnd, SlowReaderBuffersWritesAndEventuallyDrains)
 {
     // A 4 KiB send buffer against a 4 KiB receive window: kilobytes of
     // traced results cannot leave in one send(2). Workers must never
@@ -2079,7 +2108,6 @@ TEST(SocketServerEventLoop, SlowReaderBuffersWritesAndEventuallyDrains)
     so.workers = 2;
     service::SolveService svc(so);
     service::ServerOptions opts;
-    opts.eventLoop = true;
     opts.sendBufferBytes = 4096;
     opts.maxInflight = 0;
     opts.sendTimeoutMs = 120000; // a slow CI box must not trip the stall
@@ -2119,18 +2147,15 @@ TEST(SocketServerEventLoop, SlowReaderBuffersWritesAndEventuallyDrains)
         << "kilobytes into a 4 KiB window must need POLLOUT resumption";
 }
 
-TEST(SocketServerEventLoop, WriteStallBreaksTheConnectionInsteadOfWedging)
+TEST(SocketFrontEnd, WriteStallBreaksTheConnectionInsteadOfWedging)
 {
     // A client that stops reading entirely: once no byte has left for
     // sendTimeoutMs the loop must declare the connection broken and
-    // close it — a stalled reader costs a buffer, never a wedged server
-    // (the event-loop analogue of the SO_SNDTIMEO kill in the threaded
-    // front-end).
+    // close it — a stalled reader costs a buffer, never a wedged server.
     service::ServiceOptions so;
     so.workers = 1;
     service::SolveService svc(so);
     service::ServerOptions opts;
-    opts.eventLoop = true;
     opts.sendBufferBytes = 4096;
     opts.sendTimeoutMs = 300;
     opts.maxInflight = 0;
@@ -2147,9 +2172,15 @@ TEST(SocketServerEventLoop, WriteStallBreaksTheConnectionInsteadOfWedging)
     }
     rawSendAll(fd, burst);
 
+    // Wait for the accept first: before it, connectionsOpen is 0
+    // trivially. The client then neither reads nor closes, so only the
+    // write-stall bound can close the connection.
+    ASSERT_TRUE(waitFor(
+        [&] { return server.stats().connectionsAccepted == 1; }, 60000));
     ASSERT_TRUE(waitFor(
         [&] { return server.stats().connectionsOpen == 0; }, 120000))
         << "the stalled connection must be torn down";
+    EXPECT_GT(server.stats().partialWrites, 0);
     ::close(fd);
     server.drain();
 }

@@ -757,9 +757,10 @@ TEST(SocketServerSpec, QueueWaitHoldsOverCapacityJobsUntilDeadline)
     service::JsonlClient client(server.port());
     std::string burst;
     // patient shares slow's structure (cached compile) and runs long
-    // enough that it cannot finish before the reader thread reaches
-    // hasty — otherwise hasty would race into the freed slot and
-    // expire mid-admission instead of in the wait queue.
+    // enough that it cannot finish before the server reads hasty (the
+    // connection stops reading while patient is parked) — otherwise
+    // hasty would race into the freed slot and expire mid-admission
+    // instead of in the wait queue.
     burst += R"({"id":"slow","scale":"K3","iters":200})" "\n";
     burst += R"({"id":"patient","scale":"K3","iters":1000})" "\n";
     burst += R"({"id":"hasty","scale":"F1","iters":5,"deadline_ms":0.01})"

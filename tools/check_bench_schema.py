@@ -94,7 +94,6 @@ LOAD_TOP = {
     "seed",
     "duration_s_per_rung",
     "workers",
-    "event_loop",
     "external_server",
     "hardware_concurrency",
     "stages",

@@ -112,22 +112,10 @@ usage(const char *argv0)
            "the bound a\n"
         << "                      connection gets one rejected line and "
            "closes\n"
-        << "                      (default: 64 threaded, 1024 with "
-           "--event-loop;\n"
-        << "                      0 = unbounded). --max-connections is "
-           "an alias\n"
-        << "  --event-loop        poll(2) event-multiplexed front-end "
-           "(sharded\n"
-        << "                      connection tables, non-blocking I/O) "
-           "instead of\n"
-        << "                      one reader thread per connection; use "
-           "for\n"
-        << "                      hundreds+ of concurrent connections "
-           "(see\n"
-        << "                      docs/service.md#event-loop-front-end)\n"
-        << "  --event-shards N    event-loop poll shard threads "
-           "(default: 2)\n"
-        << "  --queue-wait MS     hold an over-capacity request up to MS "
+        << "                      (default: 1024, 0 = unbounded). "
+           "--max-connections\n"
+        << "                      is an alias\n"
+        << "  --queue-wait MS     park an over-capacity request up to MS "
            "ms (or\n"
         << "                      until its deadline_ms would expire in "
            "queue)\n"
@@ -336,7 +324,6 @@ main(int argc, char **argv)
     chocoq::service::ServerOptions server_options;
     bool quiet = false;
     bool listen = false;
-    bool max_conns_set = false;
     chocoq::service::StreamLimits stream_limits;
     std::string fault_spec_text;
     // Server-only flags are meaningless in batch mode; accepting them
@@ -389,21 +376,8 @@ main(int argc, char **argv)
                 parsedNonNegative(next(), "--max-conn-requests", 1 << 30));
         } else if (arg == "--max-conns" || arg == "--max-connections") {
             server_only_flag = arg;
-            max_conns_set = true;
             server_options.maxConnections = static_cast<int>(
                 parsedNonNegative(next(), arg.c_str(), 1 << 30));
-        } else if (arg == "--event-loop") {
-            server_only_flag = arg;
-            server_options.eventLoop = true;
-        } else if (arg == "--event-shards") {
-            server_only_flag = arg;
-            const int shards = static_cast<int>(
-                parsedNonNegative(next(), "--event-shards", 1 << 10));
-            if (shards < 1) {
-                std::cerr << "--event-shards expects a positive integer\n";
-                return 2;
-            }
-            server_options.eventLoopShards = shards;
         } else if (arg == "--max-line-bytes") {
             // Applies to both modes (0 = unbounded batch; the socket
             // path clamps 0 to its 1 MiB default).
@@ -499,11 +473,6 @@ main(int argc, char **argv)
         std::cerr << "--listen and --input are mutually exclusive\n";
         return 2;
     }
-    // The 64-connection default exists to bound reader threads; the
-    // event loop has no per-connection thread, so unless the operator
-    // chose a bound, give it headroom for what it was built for.
-    if (server_options.eventLoop && !max_conns_set)
-        server_options.maxConnections = 1024;
     if (!listen && !server_only_flag.empty()) {
         std::cerr << server_only_flag << " requires --listen\n";
         return 2;
@@ -562,14 +531,7 @@ main(int argc, char **argv)
         }
         std::cerr << "chocoq_serve: listening on "
                   << server_options.bindAddress << ":" << server.port()
-                  << " (" << service.workers() << " workers, "
-                  << (server_options.eventLoop
-                          ? "event-loop front-end, "
-                            + std::to_string(std::max(
-                                  1, server_options.eventLoopShards))
-                            + " shards"
-                          : std::string("thread-per-connection front-end"))
-                  << ")\n";
+                  << " (" << service.workers() << " workers)\n";
 
         while (!g_stop)
             std::this_thread::sleep_for(std::chrono::milliseconds(50));
