@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +38,7 @@
 #include "circuit/transpile.hpp"
 #include "core/chocoq_solver.hpp"
 #include "core/circuits.hpp"
+#include "core/feasible_subspace.hpp"
 #include "core/layer_fusion.hpp"
 #include "core/movebasis.hpp"
 #include "model/exact.hpp"
@@ -468,6 +471,76 @@ BM_QaoaDeepLayersFused(benchmark::State &state)
                         sink);
 }
 BENCHMARK(BM_QaoaDeepLayersFused);
+
+/**
+ * One Choco-Q layer plus its expectation on a registry structure's
+ * first sub-instance (case 0), once through the feasible-subspace
+ * kernels and once through the dense fused plan. The subspace probe
+ * normalizes ns_per_amp per *set state*, the dense one per amplitude of
+ * 2^k, so the pair's ns_per_amp ratio is the cost of one set state in
+ * dense amplitudes: the selection constant
+ * core::kDenseAmpsPerSubspaceState (docs/simulator.md).
+ */
+const core::CompiledSub &
+layerProbeSub(benchmark::State &state)
+{
+    static std::map<std::int64_t,
+                    std::shared_ptr<const core::ChocoQArtifacts>>
+        compiled;
+    auto &art = compiled[state.range(0)];
+    const auto scale =
+        problems::allScales()[static_cast<std::size_t>(state.range(0))];
+    if (!art)
+        art = core::ChocoQSolver().compile(problems::makeCase(scale, 0));
+    state.SetLabel(problems::scaleName(scale));
+    return art->subs.front();
+}
+
+void
+BM_ChocoLayerSubspace(benchmark::State &state)
+{
+    const core::CompiledSub &cs = layerProbeSub(state);
+    // Planned without the rule's bound, so the probe runs on any
+    // structure.
+    const auto fs = core::buildFeasibleSubspace(
+        cs.init, *cs.terms, *cs.costTable, cs.costTable->size());
+    sim::StateVector sv(1);
+    sv.resizeCompact(fs->states.size());
+    sv.reset(fs->initIndex);
+    std::vector<Cplx> scratch;
+    obs::KernelCounterSink sink;
+    sv.setCounterSink(&sink);
+    double e = 0.0;
+    for (auto _ : state) {
+        core::applySubspaceLayer(sv, *fs, 0.4, 0.7, scratch);
+        e += sv.expectationSubspace(fs->distinctValues, fs->valueIndex);
+    }
+    benchmark::DoNotOptimize(e);
+    setRooflineCounters(state,
+                        static_cast<std::int64_t>(fs->states.size()), sink);
+}
+BENCHMARK(BM_ChocoLayerSubspace)->Arg(9)->Arg(6)->Arg(10)->Arg(2);
+
+void
+BM_ChocoLayerDense(benchmark::State &state)
+{
+    const core::CompiledSub &cs = layerProbeSub(state);
+    const core::FusedLayerPlan &plan = *cs.fusedPlan;
+    sim::StateVector sv(cs.numQubits);
+    sv.reset(cs.init);
+    std::vector<Cplx> scratch;
+    obs::KernelCounterSink sink;
+    sv.setCounterSink(&sink);
+    double e = 0.0;
+    for (auto _ : state) {
+        core::applyFusedLayer(sv, plan, *cs.costTable, 0.4, 0.7, scratch);
+        e += sv.expectationTableCompressed(plan.distinctValues,
+                                           plan.valueIndex);
+    }
+    benchmark::DoNotOptimize(e);
+    setRooflineCounters(state, std::int64_t{1} << cs.numQubits, sink);
+}
+BENCHMARK(BM_ChocoLayerDense)->Arg(9)->Arg(6)->Arg(10)->Arg(2);
 
 /** Objective-phase-shaped diagonal gate chain (the circuit-path fusion
  * target): one RZ per qubit plus a CP chain. @p shift varies the angles

@@ -48,6 +48,8 @@ ChocoQArtifacts::memoryBytes() const
                          + 48; // map-node overhead estimate
         if (sub.fusedPlan)
             bytes += sub.fusedPlan->memoryBytes();
+        if (sub.subspace)
+            bytes += sub.subspace->memoryBytes();
     }
     return bytes;
 }
@@ -117,9 +119,12 @@ ChocoQSolver::compile(const model::Problem &p) const
         // artifacts and the cache key carries the flag); with fusion
         // off the artifacts stay plan-free and the run uses the
         // per-term/uncompressed kernels.
-        if (opts_.engine.fusion)
+        if (opts_.engine.fusion) {
             cs.fusedPlan = std::make_shared<const FusedLayerPlan>(
                 buildFusedLayerPlan(*cs.costTable, *cs.terms));
+            cs.subspace =
+                selectFeasibleSubspace(cs.init, *cs.terms, *cs.costTable);
+        }
 
         // Fig. 14 ablation: extra basic gates a generic two-level
         // synthesis of each local unitary would cost over Lemma 2.
@@ -175,7 +180,33 @@ ChocoQSolver::solveCompiled(const model::Problem &p,
         };
         if (!opts_.gateLevelLoop) {
             const auto plan = opts_.engine.fusion ? cs.fusedPlan : nullptr;
-            if (plan) {
+            const auto subspace = opts_.engine.fusion ? cs.subspace : nullptr;
+            if (subspace) {
+                // Feasible-subspace backend: the run works on the
+                // compact state of the reachable set (bit-identical to
+                // the dense closures below at one kernel thread; see
+                // core/feasible_subspace.hpp). Aliasing views into the
+                // plan give the engine the compact-to-basis map and the
+                // compressed objective over the set.
+                auto scratch = std::make_shared<std::vector<sim::Cplx>>();
+                run.evolve = [subspace,
+                              scratch](sim::StateVector &state,
+                                       const std::vector<double> &theta) {
+                    state.reset(subspace->initIndex);
+                    const std::size_t layers = theta.size() / 2;
+                    for (std::size_t l = 0; l < layers; ++l)
+                        applySubspaceLayer(state, *subspace, theta[2 * l],
+                                           theta[2 * l + 1], *scratch);
+                };
+                run.compactStates =
+                    std::shared_ptr<const std::vector<Basis>>(
+                        subspace, &subspace->states);
+                run.costDistinct = std::shared_ptr<const std::vector<double>>(
+                    subspace, &subspace->distinctValues);
+                run.costIndex =
+                    std::shared_ptr<const std::vector<std::uint16_t>>(
+                        subspace, &subspace->valueIndex);
+            } else if (plan) {
                 // Fused layers: value-compressed objective phase folded
                 // into the first commute-group sweep, remaining groups as
                 // grouped rotations — bit-identical to the unfused

@@ -11,6 +11,7 @@
 
 #include "core/commute.hpp"
 #include "core/eliminate.hpp"
+#include "core/feasible_subspace.hpp"
 #include "core/layer_fusion.hpp"
 #include "core/movebasis.hpp"
 #include "core/solver.hpp"
@@ -73,6 +74,14 @@ struct CompiledSub
      * once in compile() and shared read-only across jobs.
      */
     std::shared_ptr<const FusedLayerPlan> fusedPlan;
+    /**
+     * Feasible-subspace plan (reachable set, per-term compact pairs,
+     * compressed objective over the set); built with fusion on when
+     * selectFeasibleSubspace's rule picks it, in which case the
+     * functional path evolves only the reachable states. Null keeps the
+     * dense fused plan in charge.
+     */
+    std::shared_ptr<const FeasibleSubspace> subspace;
     /** Fig. 14 ablation: identity-CX pairs padded per ansatz layer. */
     std::size_t padPairs = 0;
 };

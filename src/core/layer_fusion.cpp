@@ -37,40 +37,47 @@ FusedLayerPlan::memoryBytes() const
     return bytes;
 }
 
+bool
+compressValues(const std::vector<double> &values,
+               std::vector<double> &distinct,
+               std::vector<std::uint16_t> &index)
+{
+    // Objective polynomials over a few integer-coefficient monomials
+    // take far fewer distinct values than 2^k; bail out (rare) past the
+    // uint16 index range.
+    constexpr std::size_t kMaxDistinct = 1u << 16;
+    std::unordered_map<std::uint64_t, std::uint16_t> seen;
+    seen.reserve(256);
+    distinct.clear();
+    index.resize(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const std::uint64_t bits = doubleBits(values[i]);
+        auto it = seen.find(bits);
+        if (it == seen.end()) {
+            if (seen.size() >= kMaxDistinct)
+                return false;
+            it = seen.emplace(bits, static_cast<std::uint16_t>(seen.size()))
+                     .first;
+            distinct.push_back(values[i]);
+        }
+        index[i] = it->second;
+    }
+    return !values.empty();
+}
+
 FusedLayerPlan
 buildFusedLayerPlan(const std::vector<double> &cost_table,
                     const std::vector<CommuteTerm> &terms)
 {
     FusedLayerPlan plan;
 
-    // Diagonal half: value-compress the eigenvalue table. Objective
-    // polynomials over a few integer-coefficient monomials take far
-    // fewer distinct values than 2^k; bail out (rare) past the uint16
-    // index range and keep the plain table sweep for that sub.
-    constexpr std::size_t kMaxDistinct = 1u << 16;
-    std::unordered_map<std::uint64_t, std::uint16_t> seen;
-    seen.reserve(256);
-    std::vector<std::uint16_t> index(cost_table.size());
-    bool compressible = true;
-    for (std::size_t i = 0; i < cost_table.size(); ++i) {
-        const std::uint64_t bits = doubleBits(cost_table[i]);
-        auto it = seen.find(bits);
-        if (it == seen.end()) {
-            if (seen.size() >= kMaxDistinct) {
-                compressible = false;
-                break;
-            }
-            it = seen.emplace(bits, static_cast<std::uint16_t>(seen.size()))
-                     .first;
-            plan.distinctValues.push_back(cost_table[i]);
-        }
-        index[i] = it->second;
-    }
-    if (compressible && !cost_table.empty()) {
-        plan.compressedPhase = true;
-        plan.valueIndex = std::move(index);
-    } else {
+    // Diagonal half: value-compress the eigenvalue table, or keep the
+    // plain table sweep for that sub when it does not compress.
+    plan.compressedPhase =
+        compressValues(cost_table, plan.distinctValues, plan.valueIndex);
+    if (!plan.compressedPhase) {
         plan.distinctValues.clear();
+        plan.valueIndex = {};
     }
 
     // Commute half: greedy in-order grouping. A term joins the current

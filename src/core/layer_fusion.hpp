@@ -70,6 +70,16 @@ struct FusedLayerPlan
 };
 
 /**
+ * Value-compress @p values into its distinct values (exact doubles,
+ * first-seen order) plus a per-entry uint16 index, as the plan's
+ * diagonal half does. Returns false, leaving both outputs unspecified,
+ * when @p values is empty or holds more than 65536 distinct values.
+ */
+bool compressValues(const std::vector<double> &values,
+                    std::vector<double> &distinct,
+                    std::vector<std::uint16_t> &index);
+
+/**
  * Build the plan for one compiled sub-instance. @p cost_table is the
  * objective eigenvalue table over the reduced basis states; @p terms is
  * the reduced move set in serialization order.

@@ -31,7 +31,10 @@ evolveInto(StateVector &state, const SubRun &run,
         // contract), so only the dimension needs fixing up — prepare()'s
         // zero-fill would be a redundant full-state sweep per objective
         // evaluation.
-        state.resizeScratch(run.numQubits);
+        if (run.compactStates)
+            state.resizeCompact(run.compactStates->size());
+        else
+            state.resizeScratch(run.numQubits);
         run.evolve(state, theta);
     } else {
         state.prepare(run.numQubits);
@@ -50,6 +53,9 @@ subrunCost(StateVector &scratch, const SubRun &run,
            const std::vector<double> &theta, bool fuse_gates)
 {
     evolveInto(scratch, run, theta, fuse_gates);
+    if (run.compactStates)
+        return scratch.expectationSubspace(*run.costDistinct,
+                                           *run.costIndex);
     if (run.costDistinct && run.costIndex)
         return scratch.expectationTableCompressed(*run.costDistinct,
                                                   *run.costIndex);
@@ -161,8 +167,13 @@ runQaoa(const std::vector<SubRun> &subruns,
 
     EngineResult out;
     double weight_total = 0.0;
-    for (const auto &r : subruns)
+    for (const auto &r : subruns) {
         weight_total += r.weight;
+        CHOCOQ_ASSERT(!r.compactStates
+                          || (r.evolve && r.costDistinct && r.costIndex),
+                      "a compact subrun needs evolve() and a compressed "
+                      "cost over its set");
+    }
     CHOCOQ_ASSERT(weight_total > 0.0, "subrun weights must be positive");
 
     // Construction-seeded optimizer: stochastic methods derive their
@@ -282,21 +293,27 @@ runQaoa(const std::vector<SubRun> &subruns,
     for (std::size_t i = 0; i < subruns.size(); ++i) {
         if (opts.checkpoint)
             opts.checkpoint();
-        const double w = subruns[i].weight / weight_total;
+        const SubRun &run = subruns[i];
+        const double w = run.weight / weight_total;
+        // Measured index -> reduced basis state (the compact map of the
+        // subspace backend; the identity on a dense state).
+        const auto basisOf = [&run](Basis x) {
+            return run.compactStates ? (*run.compactStates)[x] : x;
+        };
         if (noisy) {
-            accumulateNoisy(out.distribution, scratch, subruns[i],
-                            finals[i], opts, w, rng);
+            accumulateNoisy(out.distribution, scratch, run, finals[i], opts,
+                            w, rng);
         } else if (opts.shots > 0) {
-            evolveInto(scratch, subruns[i], theta_star[i], opts.fusion);
+            evolveInto(scratch, run, theta_star[i], opts.fusion);
             const auto hist = scratch.sample(rng, opts.shots);
             for (const auto &[x, cnt] : hist)
-                out.distribution[subruns[i].lift(x)] +=
+                out.distribution[run.lift(basisOf(x))] +=
                     w * static_cast<double>(cnt)
                     / static_cast<double>(opts.shots);
         } else {
-            evolveInto(scratch, subruns[i], theta_star[i], opts.fusion);
+            evolveInto(scratch, run, theta_star[i], opts.fusion);
             for (const auto &[x, p] : scratch.distribution())
-                out.distribution[subruns[i].lift(x)] += w * p;
+                out.distribution[run.lift(basisOf(x))] += w * p;
         }
     }
 

@@ -45,9 +45,10 @@ struct SubRun
      * theta (must be unitarily equivalent to build(); the equivalence is a
      * tested property). Used by the variational loop and the exact final
      * distribution; gate-noise sampling always goes through build().
-     * Contract: the callee receives a state of the right dimension with
+     * Contract: the callee receives a state of the right dimension
+     * (2^numQubits, or compactStates->size() for a compact run) with
      * unspecified contents and must establish its own initial state
-     * (every implementation starts with state.reset(init)).
+     * (every implementation starts with a reset to init).
      */
     std::function<void(sim::StateVector &, const std::vector<double> &)>
         evolve;
@@ -68,6 +69,17 @@ struct SubRun
      */
     std::shared_ptr<const std::vector<double>> costDistinct;
     std::shared_ptr<const std::vector<std::uint16_t>> costIndex;
+    /**
+     * Optional compact basis (the feasible-subspace backend, see
+     * core/feasible_subspace.hpp): the ascending basis states evolve()
+     * works over. When set, the engine sizes the state to
+     * compactStates->size() amplitudes, amplitude i standing for basis
+     * state (*compactStates)[i]; costDistinct/costIndex (required) are
+     * indexed the same way, and final distributions and shots map
+     * compact indices to basis states before lift(). The gate-level
+     * build() and the noisy path stay on the full register.
+     */
+    std::shared_ptr<const std::vector<Basis>> compactStates;
     /** Relative weight in the merged distribution. */
     double weight = 1.0;
 };

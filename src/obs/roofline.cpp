@@ -30,6 +30,11 @@ namespace
  *   side streams: the phased-group's index bytes (2 per phased
  *   amplitude only) and mask-phase block products beyond the 3-block
  *   17-24 qubit shape the benchmarks run (+/-6 flops per block).
+ * - The subspace layer touches every set state once (phase gather) and
+ *   each pair's two states once per term; its compact-index stream is
+ *   modeled at the rotation's 4 bytes per touched amplitude (the
+ *   gather reads a 2-byte value index, so the model overstates a
+ *   call's 34 |R| + 72 pairs bytes by 2 |R|).
  */
 constexpr std::array<KernelCost, kKernelCount> kCosts = {{
     /* Apply1q */ {32.0, 14.0},
@@ -49,6 +54,8 @@ constexpr std::array<KernelCost, kKernelCount> kCosts = {{
     /* ExpectationTable */ {24.0, 5.0},
     /* ExpectationTableCompressed */ {18.0, 5.0},
     /* ExpectationDiagonal */ {16.0, 5.0},
+    /* SubspaceLayer */ {36.0, 6.0},
+    /* ExpectationSubspace */ {18.0, 5.0},
 }};
 
 constexpr std::array<const char *, kKernelCount> kNames = {{
@@ -69,6 +76,8 @@ constexpr std::array<const char *, kKernelCount> kNames = {{
     "expectation_table",
     "expectation_table_compressed",
     "expectation_diagonal",
+    "subspace_layer",
+    "expectation_subspace",
 }};
 
 } // namespace

@@ -65,6 +65,8 @@ enum class KernelId : int
     ExpectationTable,
     ExpectationTableCompressed,
     ExpectationDiagonal,
+    SubspaceLayer,
+    ExpectationSubspace,
     kCount,
 };
 

@@ -565,7 +565,10 @@ Server::start()
         CHOCOQ_FATAL("cannot bind " << opts_.bindAddress << ":"
                      << opts_.port << ": " << std::strerror(err));
     }
-    if (::listen(listenFd_, opts_.backlog) != 0) {
+    // The kernel's own cap: a burst of connects (up to maxConnections)
+    // queues for the accept loop instead of overflowing a short backlog
+    // into dropped SYNs and ~1 s client retransmits.
+    if (::listen(listenFd_, SOMAXCONN) != 0) {
         const int err = errno;
         ::close(listenFd_);
         listenFd_ = -1;

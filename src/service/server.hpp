@@ -204,8 +204,6 @@ struct ServerOptions
     /** Bind address. Loopback by default: chocoq_serve is an operator
      * tool, exposing it beyond the host is an explicit decision. */
     std::string bindAddress = "127.0.0.1";
-    /** listen(2) backlog. */
-    int backlog = 16;
     /**
      * Server-wide bound on jobs accepted but not yet completed. A
      * request arriving at the bound is answered immediately with a

@@ -45,6 +45,14 @@ StateVector::resizeScratch(int num_qubits)
     amp_.resize(std::size_t{1} << num_qubits);
 }
 
+void
+StateVector::resizeCompact(std::size_t count)
+{
+    CHOCOQ_ASSERT(count >= 1, "empty compact state");
+    n_ = 0;
+    amp_.resize(count);
+}
+
 double
 StateVector::totalProbability() const
 {
@@ -274,6 +282,41 @@ StateVector::applyPhasedPairRotationGroup(Basis support_mask,
 }
 
 void
+StateVector::applySubspaceLayer(const Cplx *phases,
+                                const std::uint16_t *value_index,
+                                const std::uint32_t *pairs,
+                                const std::uint32_t *term_offsets,
+                                std::size_t term_count, double c, double s)
+{
+    const std::size_t rotated =
+        2 * static_cast<std::size_t>(term_offsets[term_count]
+                                     - term_offsets[0]);
+    if (counters_)
+        counters_->record(obs::KernelId::SubspaceLayer,
+                          amp_.size() + rotated);
+    Cplx *amp = amp_.data();
+    parallelFor(amp_.size(),
+                [=](std::size_t i) { amp[i] *= phases[value_index[i]]; });
+    // Term order is the dense layer's order; within a term the pairs
+    // are disjoint, so their split across threads changes no bit. The
+    // update is applyPairRotation's real-structured expression.
+    for (std::size_t t = 0; t < term_count; ++t) {
+        const std::uint32_t *tp = pairs + 2 * std::size_t{term_offsets[t]};
+        parallelFor(term_offsets[t + 1] - term_offsets[t],
+                    [=](std::size_t p) {
+                        Cplx &pv = amp[tp[2 * p]];
+                        Cplx &pw = amp[tp[2 * p + 1]];
+                        const Cplx a = pv;
+                        const Cplx b = pw;
+                        pv = Cplx{c * a.real() + s * b.imag(),
+                                  c * a.imag() - s * b.real()};
+                        pw = Cplx{s * a.imag() + c * b.real(),
+                                  c * b.imag() - s * a.real()};
+                    });
+    }
+}
+
+void
 StateVector::applyXY(int a, int b, double beta)
 {
     CHOCOQ_ASSERT(a != b, "XY on identical qubits");
@@ -454,11 +497,28 @@ StateVector::expectationTableCompressed(
     const std::vector<double> &distinct,
     const std::vector<std::uint16_t> &index) const
 {
+    return gatherExpectation(obs::KernelId::ExpectationTableCompressed,
+                             distinct, index);
+}
+
+double
+StateVector::expectationSubspace(
+    const std::vector<double> &distinct,
+    const std::vector<std::uint16_t> &index) const
+{
+    return gatherExpectation(obs::KernelId::ExpectationSubspace, distinct,
+                             index);
+}
+
+double
+StateVector::gatherExpectation(obs::KernelId id,
+                               const std::vector<double> &distinct,
+                               const std::vector<std::uint16_t> &index) const
+{
     CHOCOQ_ASSERT(index.size() == amp_.size(),
                   "compressed expectation index size mismatch");
     if (counters_)
-        counters_->record(obs::KernelId::ExpectationTableCompressed,
-                          amp_.size());
+        counters_->record(id, amp_.size());
     const Cplx *amp = amp_.data();
     const double *dv = distinct.data();
     const std::uint16_t *idx = index.data();

@@ -70,6 +70,18 @@ class StateVector
     void resizeScratch(int num_qubits);
 
     /**
+     * Re-dimension to @p count amplitudes in the compact layout of the
+     * feasible-subspace backend (core/feasible_subspace.hpp): amplitude
+     * i stands for the i-th state of a caller-held ascending basis list.
+     * Amplitudes are left unspecified (as resizeScratch) and the
+     * allocation is reused. numQubits() reads 0 until the next
+     * prepare/resizeScratch; on a compact state only reset, prob,
+     * totalProbability, distribution, sample without readout flips and
+     * the subspace kernels are meaningful.
+     */
+    void resizeCompact(std::size_t count);
+
+    /**
      * Attach (or detach, with nullptr) a kernel counter sink. The same
      * zero-cost-when-null contract as the service's Trace*: a null sink
      * costs one predictable branch per kernel *invocation*, never per
@@ -245,6 +257,27 @@ class StateVector
                                       double c, double s, const Cplx *phases,
                                       const std::uint16_t *index);
 
+    /**
+     * One Choco-Q layer on a compact state (see resizeCompact): first
+     * amp[i] *= phases[value_index[i]] for every i, then for each term
+     * t in order and each pair p in [term_offsets[t],
+     * term_offsets[t+1]), the rotation [[c, -i s], [-i s, c]] of
+     * (amp[pairs[2p]], amp[pairs[2p+1]]), the first index holding the
+     * term's |v> state. Per amplitude these are the multiplies, in the
+     * same order and with the same expressions, of
+     * applyPhaseTableCompressed followed by one applyPairRotation per
+     * term on the dense state; on a set closed under every term
+     * (amplitude outside it exactly zero) the result is bit-identical
+     * to the dense layer restricted to the set, at any thread count.
+     * A term's pairs must be pairwise disjoint and every index below
+     * dim(); @p term_offsets has term_count + 1 entries.
+     */
+    void applySubspaceLayer(const Cplx *phases,
+                            const std::uint16_t *value_index,
+                            const std::uint32_t *pairs,
+                            const std::uint32_t *term_offsets,
+                            std::size_t term_count, double c, double s);
+
     /** exp(-i beta (X_a X_b + Y_a Y_b)) on the {01, 10} block. */
     void applyXY(int a, int b, double beta);
 
@@ -288,6 +321,17 @@ class StateVector
     expectationTableCompressed(const std::vector<double> &distinct,
                                const std::vector<std::uint16_t> &index) const;
 
+    /**
+     * expectationTableCompressed on a compact state (see resizeCompact):
+     * @p index holds one entry per set state. Reduced in ascending
+     * index order at one thread, so when the set is sorted by basis
+     * index the sum meets the dense sweep's nonzero terms in the same
+     * order, and the zero terms it skips leave a sum unchanged.
+     */
+    double
+    expectationSubspace(const std::vector<double> &distinct,
+                        const std::vector<std::uint16_t> &index) const;
+
     /** Exact probability distribution restricted to |amp|^2 > eps. */
     std::map<Basis, double> distribution(double eps = 1e-12) const;
 
@@ -305,6 +349,12 @@ class StateVector
                                 double readout_flip_prob = 0.0) const;
 
   private:
+    /** The uint16-gather reduction behind both compressed expectations,
+     * recorded under @p id. */
+    double gatherExpectation(obs::KernelId id,
+                             const std::vector<double> &distinct,
+                             const std::vector<std::uint16_t> &index) const;
+
     /** Free (spectator) bit mask complementing @p fixed_mask. */
     Basis freeMask(Basis fixed_mask) const
     {

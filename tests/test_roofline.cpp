@@ -72,6 +72,8 @@ makeTables()
  *   PairRotation / XY / Swap (pair sweeps) . 32
  *   PairRotationGroup (2 terms) ............ 64
  *   PhasedPairRotationGroup (gather+2 terms) 128
+ *   SubspaceLayer (gather + 3 pairs) ........ 70
+ * The subspace kernels read the 64 amplitudes as a compact state.
  */
 void
 runScalarScript(sim::StateVector &sv, const Tables &t)
@@ -81,6 +83,9 @@ runScalarScript(sim::StateVector &sv, const Tables &t)
     const Basis vbits[2] = {kVBitsA, kVBitsB};
     const Basis masks[2] = {kMask2, kSupport};
     const Cplx mphases[2] = {d0, d1};
+    // Two terms over the compact state: pairs {0,1}, {2,3}, then {1,2}.
+    const std::uint32_t pairs[6] = {0, 1, 2, 3, 1, 2};
+    const std::uint32_t term_offsets[3] = {0, 2, 3};
     std::vector<Cplx> scratch;
 
     sv.apply1q(2, 0.6, 0.8, 0.8, -0.6);
@@ -97,6 +102,8 @@ runScalarScript(sim::StateVector &sv, const Tables &t)
     sv.applyPhaseTable(t.table, 0.4);
     sv.applyPhaseTableCompressed(t.distinct, t.index, 0.4, scratch);
     sv.applyMaskPhaseProduct(masks, mphases, 2, Cplx{1.0, 0.0});
+    sv.applySubspaceLayer(t.phases.data(), t.index.data(), pairs,
+                          term_offsets, 2, 0.55, 0.45);
     sv.applyDiagonal([](Basis i) {
         return Cplx{std::cos(0.01 * static_cast<double>(i)),
                     std::sin(0.01 * static_cast<double>(i))};
@@ -105,6 +112,7 @@ runScalarScript(sim::StateVector &sv, const Tables &t)
     e += sv.expectationTableCompressed(t.distinct, t.index);
     e += sv.expectationDiagonal(
         [](Basis i) { return static_cast<double>(i & 3); });
+    e += sv.expectationSubspace(t.distinct, t.index);
     ASSERT_TRUE(std::isfinite(e));
 }
 
@@ -125,6 +133,8 @@ expectedScalarAmps(obs::KernelId id)
         return 2 * (kDim >> 1); // two terms per group sweep
     case K::PhasedPairRotationGroup:
         return kDim + 2 * (kDim >> 1); // phase gather + two terms
+    case K::SubspaceLayer:
+        return kDim + 2 * 3; // phase gather + three pairs
     default:
         return kDim; // every full sweep / reduction
     }

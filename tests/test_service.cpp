@@ -947,6 +947,8 @@ TEST(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
     // One worker, in-flight bound 1: while the slow job occupies the
     // worker, every further request on the burst must be answered with
     // a status "rejected" line (the documented backpressure response).
+    // The slow job runs on the dense unfused oracle ("fusion":false) so
+    // its ~1 s hold does not depend on kernel speed.
     service::ServiceOptions so;
     so.workers = 1;
     service::SolveService svc(so);
@@ -957,7 +959,8 @@ TEST(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
 
     service::JsonlClient client(server.port());
     std::string burst;
-    burst += R"({"id":"slow","scale":"K3","iters":200})" "\n";
+    burst += R"({"id":"slow","scale":"K3","iters":200,"fusion":false})"
+             "\n";
     burst += R"({"id":"q1","scale":"F1","iters":5})" "\n";
     burst += R"({"id":"q2","scale":"F1","iters":5})" "\n";
     client.sendRaw(burst);
@@ -1148,8 +1151,10 @@ namespace
 /** A job whose optimizer loop runs far longer (tens of seconds) than
  * any test step, so a cancel/deadline/disconnect always lands
  * mid-execution — while iteration boundaries stay milliseconds apart,
- * so the engine's token polls still stop it fast. (K3 at the default
- * depth converges in ~1 s; the deeper ansatz keeps it busy.) */
+ * so the engine's token polls still stop it fast. The deep ansatz on
+ * the dense unfused oracle ("fusion":false) sets its length; the
+ * feasible-subspace backend would converge it in well under a second,
+ * so the pin keeps the hold independent of kernel speed. */
 service::SolveJob
 longJob(const std::string &id)
 {
@@ -1159,6 +1164,7 @@ longJob(const std::string &id)
     job.layers = 6;
     job.seed = 11;
     job.maxIterations = 1 << 20;
+    job.fusion = false;
     return job;
 }
 
@@ -1535,7 +1541,9 @@ TEST(SocketFrontEnd, DrainRejectsAParkedRequestWithoutWaitingOutItsBudget)
     // One worker, in-flight bound 1, a 60 s wait queue: while a ~1 s
     // job holds the only slot, the request behind it parks. Drain must
     // answer the parked request at once instead of waiting out its
-    // budget, and the slot-holder's result must still flush.
+    // budget, and the slot-holder's result must still flush. The
+    // slot-holder runs on the dense unfused oracle ("fusion":false) so
+    // its hold does not depend on kernel speed.
     service::ServiceOptions so;
     so.workers = 1;
     service::SolveService svc(so);
@@ -1547,7 +1555,8 @@ TEST(SocketFrontEnd, DrainRejectsAParkedRequestWithoutWaitingOutItsBudget)
 
     service::JsonlClient client(server.port());
     std::string burst;
-    burst += R"({"id":"slow","scale":"K3","iters":200})" "\n";
+    burst += R"({"id":"slow","scale":"K3","iters":200,"fusion":false})"
+             "\n";
     burst += R"({"id":"parked","scale":"F1","iters":5})" "\n";
     client.sendRaw(burst);
     ASSERT_TRUE(waitFor([&] { return svc.health().running >= 1; }));

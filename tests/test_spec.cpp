@@ -760,9 +760,13 @@ TEST(SocketServerSpec, QueueWaitHoldsOverCapacityJobsUntilDeadline)
     // enough that it cannot finish before the server reads hasty (the
     // connection stops reading while patient is parked) — otherwise
     // hasty would race into the freed slot and expire mid-admission
-    // instead of in the wait queue.
-    burst += R"({"id":"slow","scale":"K3","iters":200})" "\n";
-    burst += R"({"id":"patient","scale":"K3","iters":1000})" "\n";
+    // instead of in the wait queue. Both run on the dense unfused
+    // oracle ("fusion":false) so their ~1 s holds do not depend on
+    // kernel speed.
+    burst += R"({"id":"slow","scale":"K3","iters":200,"fusion":false})"
+             "\n";
+    burst += R"({"id":"patient","scale":"K3","iters":1000,"fusion":false})"
+             "\n";
     burst += R"({"id":"hasty","scale":"F1","iters":5,"deadline_ms":0.01})"
              "\n";
     client.sendRaw(burst);
