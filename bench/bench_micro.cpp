@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/fusion.hpp"
 #include "circuit/transpile.hpp"
 #include "core/chocoq_solver.hpp"
 #include "core/circuits.hpp"
@@ -45,7 +44,6 @@
 #include "obs/roofline.hpp"
 #include "problems/suite.hpp"
 #include "service/json.hpp"
-#include "sim/executor.hpp"
 #include "sim/naive.hpp"
 #include "sim/parallel.hpp"
 
@@ -541,73 +539,6 @@ BM_ChocoLayerDense(benchmark::State &state)
     setRooflineCounters(state, std::int64_t{1} << cs.numQubits, sink);
 }
 BENCHMARK(BM_ChocoLayerDense)->Arg(9)->Arg(6)->Arg(10)->Arg(2);
-
-/** Objective-phase-shaped diagonal gate chain (the circuit-path fusion
- * target): one RZ per qubit plus a CP chain. @p shift varies the angles
- * only (the shape the variational loop re-executes every evaluation). */
-circuit::Circuit
-diagonalChainCircuit(int n, double shift = 0.0)
-{
-    circuit::Circuit c(n);
-    for (int q = 0; q < n; ++q)
-        c.rz(q, 0.1 + 0.01 * q + shift);
-    for (int q = 0; q + 1 < n; ++q)
-        c.cp(q, q + 1, 0.2 + 0.01 * q + shift);
-    return c;
-}
-
-void
-BM_DiagonalCircuitUnfused(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    sim::StateVector sv(n);
-    const auto c = diagonalChainCircuit(n);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
-    for (auto _ : state) {
-        sim::execute(sv, c);
-        benchmark::DoNotOptimize(sv.amplitudes().data());
-    }
-    setRooflineCounters(state, std::int64_t{1} << n, sink);
-}
-BENCHMARK(BM_DiagonalCircuitUnfused)->Arg(14)->Arg(18);
-
-void
-BM_DiagonalCircuitFused(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    sim::StateVector sv(n);
-    const auto fused = circuit::fuseDiagonals(diagonalChainCircuit(n));
-    // Angle-only variant of the same chain: the shape the variational
-    // loop re-executes every objective evaluation.
-    const auto refit = circuit::fuseDiagonals(diagonalChainCircuit(n, 0.3));
-
-    // Regression check: the FusedDiagonal kernel's 256-entry factor
-    // tables are scratch-owned — after the first execution sized them,
-    // angle-only re-executions must reuse the allocation (the rebuild
-    // of table *contents* is amortized; the allocation was not, once).
-    sim::execute(sv, fused);
-    const std::size_t growths = sv.maskPhaseScratchGrowths();
-    for (int r = 0; r < 4; ++r)
-        sim::execute(sv, r % 2 == 0 ? refit : fused);
-    if (sv.maskPhaseScratchGrowths() != growths) {
-        state.SkipWithError(
-            "FusedDiagonal factor tables reallocated on an angle-only "
-            "change (scratch reuse regression)");
-        return;
-    }
-
-    // Attach the sink only after the scratch-reuse preamble so the
-    // roofline numbers cover exactly the timed executions.
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
-    for (auto _ : state) {
-        sim::execute(sv, fused);
-        benchmark::DoNotOptimize(sv.amplitudes().data());
-    }
-    setRooflineCounters(state, std::int64_t{1} << n, sink);
-}
-BENCHMARK(BM_DiagonalCircuitFused)->Arg(14)->Arg(18);
 
 // ---- compiler / solver paths ----
 

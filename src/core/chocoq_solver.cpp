@@ -178,74 +178,68 @@ ChocoQSolver::solveCompiled(const model::Problem &p,
                 appendIdentityPadding(c, pad_pairs * (theta.size() / 2));
             return c;
         };
-        if (!opts_.gateLevelLoop) {
-            const auto plan = opts_.engine.fusion ? cs.fusedPlan : nullptr;
-            const auto subspace = opts_.engine.fusion ? cs.subspace : nullptr;
-            if (subspace) {
-                // Feasible-subspace backend: the run works on the
-                // compact state of the reachable set (bit-identical to
-                // the dense closures below at one kernel thread; see
-                // core/feasible_subspace.hpp). Aliasing views into the
-                // plan give the engine the compact-to-basis map and the
-                // compressed objective over the set.
-                auto scratch = std::make_shared<std::vector<sim::Cplx>>();
-                run.evolve = [subspace,
-                              scratch](sim::StateVector &state,
-                                       const std::vector<double> &theta) {
-                    state.reset(subspace->initIndex);
-                    const std::size_t layers = theta.size() / 2;
-                    for (std::size_t l = 0; l < layers; ++l)
-                        applySubspaceLayer(state, *subspace, theta[2 * l],
-                                           theta[2 * l + 1], *scratch);
-                };
-                run.compactStates =
-                    std::shared_ptr<const std::vector<Basis>>(
-                        subspace, &subspace->states);
+        const auto fused = opts_.engine.fusion ? cs.fusedPlan : nullptr;
+        const auto subspace = opts_.engine.fusion ? cs.subspace : nullptr;
+        if (subspace) {
+            // Feasible-subspace backend: the run works on the compact
+            // state of the reachable set (bit-identical to the dense
+            // closures below at one kernel thread; see
+            // core/feasible_subspace.hpp). Aliasing views into the plan
+            // give the engine the compact-to-basis map and the
+            // compressed objective over the set.
+            auto scratch = std::make_shared<std::vector<sim::Cplx>>();
+            run.evolve = [subspace, scratch](sim::StateVector &state,
+                                             const std::vector<double> &theta) {
+                state.reset(subspace->initIndex);
+                const std::size_t layers = theta.size() / 2;
+                for (std::size_t l = 0; l < layers; ++l)
+                    applySubspaceLayer(state, *subspace, theta[2 * l],
+                                       theta[2 * l + 1], *scratch);
+            };
+            run.compactStates = std::shared_ptr<const std::vector<Basis>>(
+                subspace, &subspace->states);
+            run.costDistinct = std::shared_ptr<const std::vector<double>>(
+                subspace, &subspace->distinctValues);
+            run.costIndex = std::shared_ptr<const std::vector<std::uint16_t>>(
+                subspace, &subspace->valueIndex);
+        } else if (fused) {
+            // Fused layers: value-compressed objective phase folded into
+            // the first commute-group sweep, remaining groups as grouped
+            // rotations — bit-identical to the unfused closure below
+            // (tested property). The phase scratch buffer is shared
+            // across evaluations of this run (one engine run is
+            // single-threaded over its SubRuns), so the hot loop stays
+            // allocation-free in steady state.
+            auto scratch = std::make_shared<std::vector<sim::Cplx>>();
+            run.evolve = [x0, table, fused,
+                          scratch](sim::StateVector &state,
+                                   const std::vector<double> &theta) {
+                state.reset(x0);
+                const std::size_t layers = theta.size() / 2;
+                for (std::size_t l = 0; l < layers; ++l)
+                    applyFusedLayer(state, *fused, *table, theta[2 * l],
+                                    theta[2 * l + 1], *scratch);
+            };
+            if (fused->compressedPhase) {
+                // Aliasing views into the plan: the compressed cost
+                // table doubles as the expectation observable.
                 run.costDistinct = std::shared_ptr<const std::vector<double>>(
-                    subspace, &subspace->distinctValues);
+                    fused, &fused->distinctValues);
                 run.costIndex =
                     std::shared_ptr<const std::vector<std::uint16_t>>(
-                        subspace, &subspace->valueIndex);
-            } else if (plan) {
-                // Fused layers: value-compressed objective phase folded
-                // into the first commute-group sweep, remaining groups as
-                // grouped rotations — bit-identical to the unfused
-                // closure below (tested property). The phase scratch
-                // buffer is shared across evaluations of this run (one
-                // engine run is single-threaded over its SubRuns), so the
-                // hot loop stays allocation-free in steady state.
-                auto scratch = std::make_shared<std::vector<sim::Cplx>>();
-                run.evolve = [x0, table, plan,
-                              scratch](sim::StateVector &state,
-                                       const std::vector<double> &theta) {
-                    state.reset(x0);
-                    const std::size_t layers = theta.size() / 2;
-                    for (std::size_t l = 0; l < layers; ++l)
-                        applyFusedLayer(state, *plan, *table, theta[2 * l],
-                                        theta[2 * l + 1], *scratch);
-                };
-                if (plan->compressedPhase) {
-                    // Aliasing views into the plan: the compressed cost
-                    // table doubles as the expectation observable.
-                    run.costDistinct =
-                        std::shared_ptr<const std::vector<double>>(
-                            plan, &plan->distinctValues);
-                    run.costIndex =
-                        std::shared_ptr<const std::vector<std::uint16_t>>(
-                            plan, &plan->valueIndex);
-                }
-            } else {
-                run.evolve = [x0, table,
-                              terms](sim::StateVector &state,
-                                     const std::vector<double> &theta) {
-                    state.reset(x0);
-                    const std::size_t layers = theta.size() / 2;
-                    for (std::size_t l = 0; l < layers; ++l) {
-                        state.applyPhaseTable(*table, theta[2 * l]);
-                        applyCommuteLayer(state, *terms, theta[2 * l + 1]);
-                    }
-                };
+                        fused, &fused->valueIndex);
             }
+        } else {
+            run.evolve = [x0, table,
+                          terms](sim::StateVector &state,
+                                 const std::vector<double> &theta) {
+                state.reset(x0);
+                const std::size_t layers = theta.size() / 2;
+                for (std::size_t l = 0; l < layers; ++l) {
+                    state.applyPhaseTable(*table, theta[2 * l]);
+                    applyCommuteLayer(state, *terms, theta[2 * l + 1]);
+                }
+            };
         }
         run.lift = [plan, assignment](Basis x) {
             return liftToFull(x, plan, assignment);

@@ -35,13 +35,6 @@ struct ChocoQOptions
      */
     std::size_t moveSetFactor = 3;
     /**
-     * Use the Lemma-2 gate decomposition during the variational loop.
-     * When false, the loop uses the exact pair-rotation fast path (the
-     * two are equivalent — a tested property — but the fast path is much
-     * cheaper); the transpiled artifacts are always gate-level.
-     */
-    bool gateLevelLoop = false;
-    /**
      * Fig. 14 ablation hook ("Opt1 without Opt2"): pad every built
      * circuit with identity CX pairs until its gate count matches what a
      * GENERIC two-level synthesis of each local commute unitary would

@@ -24,7 +24,7 @@ using sim::StateVector;
  */
 void
 evolveInto(StateVector &state, const SubRun &run,
-           const std::vector<double> &theta, bool fuse_gates)
+           const std::vector<double> &theta)
 {
     if (run.evolve) {
         // evolve() establishes its own initial state (see the SubRun
@@ -38,11 +38,7 @@ evolveInto(StateVector &state, const SubRun &run,
         run.evolve(state, theta);
     } else {
         state.prepare(run.numQubits);
-        circuit::Circuit c = run.build(theta);
-        if (fuse_gates)
-            sim::execute(state, circuit::fuseDiagonals(c));
-        else
-            sim::execute(state, c);
+        sim::execute(state, run.build(theta));
     }
 }
 
@@ -50,9 +46,9 @@ evolveInto(StateVector &state, const SubRun &run,
 double
 subrunCost(StateVector &scratch, const SubRun &run,
            const std::function<double(Basis)> &cost,
-           const std::vector<double> &theta, bool fuse_gates)
+           const std::vector<double> &theta)
 {
-    evolveInto(scratch, run, theta, fuse_gates);
+    evolveInto(scratch, run, theta);
     if (run.compactStates)
         return scratch.expectationSubspace(*run.costDistinct,
                                            *run.costIndex);
@@ -70,8 +66,7 @@ subrunCost(StateVector &scratch, const SubRun &run,
  * multiStartKeep > 0, every start is evaluated once and only the most
  * promising multiStartKeep receive a full optimizer run. */
 optimize::OptResult
-optimizeMultiStart(const optimize::Optimizer &optimizer,
-                   const optimize::ObjectiveFn &objective,
+optimizeMultiStart(const optimize::ObjectiveFn &objective,
                    const EngineOptions &opts)
 {
     std::vector<std::vector<double>> starts{opts.theta0};
@@ -103,19 +98,14 @@ optimizeMultiStart(const optimize::Optimizer &optimizer,
         starts = std::move(kept);
     }
 
+    optimize::OptOptions opt = opts.opt;
+    if (opts.checkpoint)
+        opt.checkpoint = opts.checkpoint;
     optimize::OptResult best;
     int total_evals = screen_evals;
     int total_iters = 0;
     for (std::size_t i = 0; i < starts.size(); ++i) {
-        // Stochastic optimizers get a distinct, deterministic stream per
-        // restart, derived from the options seed alone — never from
-        // worker count or submission order.
-        optimize::OptOptions start_opts = opts.opt;
-        start_opts.seed = opts.opt.seed + 0x9E3779B97F4A7C15ull * i;
-        if (opts.checkpoint)
-            start_opts.checkpoint = opts.checkpoint;
-        optimize::OptResult res =
-            optimizer.minimize(objective, starts[i], start_opts);
+        optimize::OptResult res = optimize::cobyla(objective, starts[i], opt);
         total_evals += res.evaluations;
         total_iters += res.iterations;
         if (i == 0 || res.bestValue < best.bestValue)
@@ -176,10 +166,6 @@ runQaoa(const std::vector<SubRun> &subruns,
     }
     CHOCOQ_ASSERT(weight_total > 0.0, "subrun weights must be positive");
 
-    // Construction-seeded optimizer: stochastic methods derive their
-    // stream from the engine seed alone, so concurrent jobs with equal
-    // seeds are bit-identical regardless of scheduling order.
-    const auto optimizer = optimize::makeOptimizer(opts.optimizer, opts.seed);
     double sim_seconds = 0.0;
     Timer total_timer;
 
@@ -205,7 +191,7 @@ runQaoa(const std::vector<SubRun> &subruns,
     // One parameter vector per subrun (identical when shared).
     std::vector<std::vector<double>> theta_star(subruns.size());
 
-    if (opts.independentSubruns && subruns.size() > 1) {
+    if (subruns.size() > 1) {
         // Each eliminated/frozen-assignment circuit is optimized on its
         // own (Sec. IV-C: circuits are executed individually).
         double best_acc = 0.0;
@@ -216,12 +202,11 @@ runQaoa(const std::vector<SubRun> &subruns,
                 if (opts.checkpoint)
                     opts.checkpoint();
                 Timer t;
-                const double v = subrunCost(scratch, subruns[i], cost, theta,
-                                            opts.fusion);
+                const double v = subrunCost(scratch, subruns[i], cost, theta);
                 sim_seconds += t.seconds();
                 return v;
             };
-            const auto res = optimizeMultiStart(*optimizer, objective, opts);
+            const auto res = optimizeMultiStart(objective, opts);
             theta_star[i] = res.best;
             best_acc += subruns[i].weight / weight_total * res.bestValue;
             iters = std::max(iters, res.iterations);
@@ -254,11 +239,11 @@ runQaoa(const std::vector<SubRun> &subruns,
             double acc = 0.0;
             for (const auto &run : subruns)
                 acc += run.weight / weight_total
-                       * subrunCost(scratch, run, cost, theta, opts.fusion);
+                       * subrunCost(scratch, run, cost, theta);
             sim_seconds += t.seconds();
             return acc;
         };
-        out.opt = optimizeMultiStart(*optimizer, objective, opts);
+        out.opt = optimizeMultiStart(objective, opts);
         for (auto &theta : theta_star)
             theta = out.opt.best;
     }
@@ -304,14 +289,14 @@ runQaoa(const std::vector<SubRun> &subruns,
             accumulateNoisy(out.distribution, scratch, run, finals[i], opts,
                             w, rng);
         } else if (opts.shots > 0) {
-            evolveInto(scratch, run, theta_star[i], opts.fusion);
+            evolveInto(scratch, run, theta_star[i]);
             const auto hist = scratch.sample(rng, opts.shots);
             for (const auto &[x, cnt] : hist)
                 out.distribution[run.lift(basisOf(x))] +=
                     w * static_cast<double>(cnt)
                     / static_cast<double>(opts.shots);
         } else {
-            evolveInto(scratch, run, theta_star[i], opts.fusion);
+            evolveInto(scratch, run, theta_star[i]);
             for (const auto &[x, p] : scratch.distribution())
                 out.distribution[run.lift(basisOf(x))] += w * p;
         }

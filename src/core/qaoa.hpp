@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -87,8 +86,6 @@ struct SubRun
 /** Engine configuration. */
 struct EngineOptions
 {
-    /** Optimizer name: cobyla (default), nelder-mead, or spsa. */
-    std::string optimizer = "cobyla";
     optimize::OptOptions opt;
     /** Initial parameters. */
     std::vector<double> theta0;
@@ -113,22 +110,15 @@ struct EngineOptions
      */
     sim::StateVector *scratch = nullptr;
     /**
-     * Optimize each subrun independently (its own parameters) instead of
-     * sharing one parameter vector. This is how variable-eliminated
-     * circuits are handled: "execute the circuit individually" (IV-C).
-     */
-    bool independentSubruns = true;
-    /**
-     * Gate fusion. On the functional fast path the solver applies each
-     * layer through its compile-time FusedLayerPlan (value-compressed
-     * objective phase + grouped commute sweeps — bit-identical to the
-     * unfused kernels, see core/layer_fusion.hpp); on the circuit path
-     * built circuits run through circuit::fuseDiagonals so adjacent
-     * diagonal gates apply as one sweep (equivalent within fp
-     * reassociation). Off switches every evaluation back to the
-     * per-gate/per-term kernels — kept as the cross-checked fallback.
-     * Compile-relevant: the service hashes this into the compile-cache
-     * key because artifacts carry the fused plan.
+     * Layer fusion. Choco-Q applies each layer through its compile-time
+     * FusedLayerPlan (value-compressed objective phase + grouped commute
+     * sweeps — bit-identical to the unfused kernels, see
+     * core/layer_fusion.hpp) or, when its rule selects it, through the
+     * feasible-subspace backend (core/feasible_subspace.hpp). Off
+     * switches every evaluation back to the per-term kernels — kept as
+     * the cross-checked oracle. Compile-relevant: the service hashes
+     * this into the compile-cache key because artifacts carry the fused
+     * plan. Read by ChocoQSolver; the engine itself never branches on it.
      */
     bool fusion = true;
     /** Shots for the final sampling; 0 keeps the exact distribution. */
@@ -138,6 +128,8 @@ struct EngineOptions
     /** Number of noisy trajectories used when noise is enabled. */
     int trajectories = 128;
     circuit::TranspileOptions transpile;
+    /** Seeds the final shot sampling and the noisy trajectories (the
+     * optimizer is deterministic and draws no random numbers). */
     std::uint64_t seed = 7;
     /**
      * Optional kernel-mix sink (see obs/roofline.hpp). When set, the

@@ -26,10 +26,8 @@ namespace
  *   pair-rotation update is 6 flops per amplitude (4 mult + 2 add
  *   across the two components); |amp|^2 is 3; sincos is 2.
  * - Per-call setup amortized over the sweep (compressed-phase LUT
- *   builds, mask-phase factor tables) is excluded, as are non-uniform
- *   side streams: the phased-group's index bytes (2 per phased
- *   amplitude only) and mask-phase block products beyond the 3-block
- *   17-24 qubit shape the benchmarks run (+/-6 flops per block).
+ *   builds) is excluded, as is the phased-group's non-uniform index
+ *   side stream (2 bytes per phased amplitude only).
  * - The subspace layer touches every set state once (phase gather) and
  *   each pair's two states once per term; its compact-index stream is
  *   modeled at the rotation's 4 bytes per touched amplitude (the
@@ -49,7 +47,6 @@ constexpr std::array<KernelCost, kKernelCount> kCosts = {{
     /* Swap */ {32.0, 0.0},
     /* PhaseTable */ {40.0, 9.0},
     /* PhaseTableCompressed */ {34.0, 6.0},
-    /* MaskPhaseProduct */ {32.0, 18.0},
     /* ApplyDiagonal */ {32.0, 6.0},
     /* ExpectationTable */ {24.0, 5.0},
     /* ExpectationTableCompressed */ {18.0, 5.0},
@@ -71,7 +68,6 @@ constexpr std::array<const char *, kKernelCount> kNames = {{
     "swap",
     "phase_table",
     "phase_table_compressed",
-    "mask_phase_product",
     "apply_diagonal",
     "expectation_table",
     "expectation_table_compressed",

@@ -60,7 +60,6 @@ enum class KernelId : int
     Swap,
     PhaseTable,
     PhaseTableCompressed,
-    MaskPhaseProduct,
     ApplyDiagonal,
     ExpectationTable,
     ExpectationTableCompressed,

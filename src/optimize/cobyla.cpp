@@ -1,4 +1,4 @@
-#include "optimize/cobyla.hpp"
+#include "optimize/optimizer.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -46,197 +46,117 @@ solveLinear(std::vector<std::vector<double>> a, std::vector<double> b,
     return true;
 }
 
-/**
- * COBYLA step machine. Stage flow:
- *   InitVertex (evaluate vertex 0 then the m axis vertices) -> per
- *   iteration: checkpoint, fit the linear model around the best vertex;
- *   degenerate geometry or tiny gradient re-anchors an axis simplex
- *   (RebuildVertex evaluates its m fresh vertices), otherwise Candidate
- *   evaluates the trust-region step and the simplex/radius update runs
- *   -> next iteration or Done.
- * Evaluation order, radius updates, and trace pushes are verbatim the
- * pre-machine sequential loop (bit-identical when driven one value at
- * a time).
- */
-class CobylaRun final : public OptimizerRun
+} // namespace
+
+OptResult
+cobyla(const ObjectiveFn &f, const std::vector<double> &x0,
+       const OptOptions &opts)
 {
-  public:
-    CobylaRun(const std::vector<double> &x0, const OptOptions &opts)
-        : opts_(opts), m_(x0.size()), rho_(opts.initialStep),
-          verts_(m_ + 1, x0), vals_(m_ + 1, 0.0)
-    {
-        CHOCOQ_ASSERT(m_ >= 1, "cobyla needs at least one parameter");
-        // Simplex: vertex 0 plus axis offsets.
-        for (std::size_t i = 0; i < m_; ++i)
-            verts_[i + 1][i] += rho_;
+    const std::size_t m = x0.size();
+    CHOCOQ_ASSERT(m >= 1, "cobyla needs at least one parameter");
+
+    OptResult out;
+    double rho = opts.initialStep;
+
+    // Simplex: vertex 0 plus axis offsets, all with cached values.
+    std::vector<std::vector<double>> verts(m + 1, x0);
+    std::vector<double> vals(m + 1, 0.0);
+    auto eval = [&](const std::vector<double> &x) {
+        ++out.evaluations;
+        return f(x);
+    };
+    vals[0] = eval(verts[0]);
+    for (std::size_t i = 0; i < m; ++i) {
+        verts[i + 1][i] += rho;
+        vals[i + 1] = eval(verts[i + 1]);
     }
 
-    bool finished() const override { return stage_ == Stage::Done; }
-
-    const std::vector<double> &
-    pending() const override
-    {
-        CHOCOQ_ASSERT(stage_ != Stage::Done, "pending() on finished run");
-        if (stage_ == Stage::Candidate)
-            return cand_;
-        return verts_[idx_];
-    }
-
-    void
-    supply(double value) override
-    {
-        CHOCOQ_ASSERT(stage_ != Stage::Done, "supply() on finished run");
-        ++out_.evaluations;
-        switch (stage_) {
-        case Stage::InitVertex:
-            vals_[idx_] = value;
-            if (++idx_ > m_)
-                startIteration();
-            break;
-        case Stage::RebuildVertex:
-            vals_[idx_] = value;
-            if (++idx_ > m_) {
-                out_.trace.push_back({out_.iterations, vals_[bestIndex()]});
-                startIteration();
-            }
-            break;
-        case Stage::Candidate: {
-            const double cand_val = value;
-            const std::size_t wi = worstIndex();
-            if (cand_val < vals_[bi_]) {
-                // Good step: replace the worst vertex and keep the radius.
-                verts_[wi] = std::move(cand_);
-                vals_[wi] = cand_val;
-            } else if (cand_val < vals_[wi]) {
-                // Mild progress: still improves the simplex.
-                verts_[wi] = std::move(cand_);
-                vals_[wi] = cand_val;
-                rho_ *= 0.7;
-            } else {
-                rho_ *= 0.5;
-            }
-            out_.trace.push_back({out_.iterations, vals_[bestIndex()]});
-            if (rho_ < opts_.tolerance)
-                finish();
-            else
-                startIteration();
-            break;
-        }
-        case Stage::Done:
-            break;
-        }
-    }
-
-    const OptResult &result() const override { return out_; }
-
-  private:
-    enum class Stage { InitVertex, Candidate, RebuildVertex, Done };
-
-    std::size_t
-    bestIndex() const
-    {
+    auto best_index = [&]() {
         return static_cast<std::size_t>(
-            std::min_element(vals_.begin(), vals_.end()) - vals_.begin());
-    }
-
-    std::size_t
-    worstIndex() const
-    {
+            std::min_element(vals.begin(), vals.end()) - vals.begin());
+    };
+    auto worst_index = [&]() {
         return static_cast<std::size_t>(
-            std::max_element(vals_.begin(), vals_.end()) - vals_.begin());
-    }
+            std::max_element(vals.begin(), vals.end()) - vals.begin());
+    };
 
-    void
-    startIteration()
-    {
-        if (out_.iterations >= opts_.maxIterations) {
-            finish();
-            return;
+    auto rebuild = [&](std::size_t around) {
+        const std::vector<double> center = verts[around];
+        const double center_val = vals[around];
+        verts.assign(m + 1, center);
+        vals.assign(m + 1, center_val);
+        for (std::size_t i = 0; i < m; ++i) {
+            verts[i + 1][i] += rho;
+            vals[i + 1] = eval(verts[i + 1]);
         }
-        if (opts_.checkpoint)
-            opts_.checkpoint();
-        ++out_.iterations;
-        bi_ = bestIndex();
+    };
+
+    for (int iter = 0; iter < opts.maxIterations; ++iter) {
+        if (opts.checkpoint)
+            opts.checkpoint();
+        ++out.iterations;
+        const std::size_t bi = best_index();
 
         // Linear model around the best vertex: (v_j - v_b) . g = f_j - f_b.
         std::vector<std::vector<double>> a;
         std::vector<double> b;
-        for (std::size_t j = 0; j <= m_; ++j) {
-            if (j == bi_)
+        for (std::size_t j = 0; j <= m; ++j) {
+            if (j == bi)
                 continue;
-            std::vector<double> row(m_);
-            for (std::size_t c = 0; c < m_; ++c)
-                row[c] = verts_[j][c] - verts_[bi_][c];
+            std::vector<double> row(m);
+            for (std::size_t c = 0; c < m; ++c)
+                row[c] = verts[j][c] - verts[bi][c];
             a.push_back(std::move(row));
-            b.push_back(vals_[j] - vals_[bi_]);
+            b.push_back(vals[j] - vals[bi]);
         }
         std::vector<double> g;
         if (!solveLinear(std::move(a), std::move(b), g)) {
             // Degenerate geometry: re-anchor an axis simplex.
-            beginRebuild();
-            return;
+            rebuild(bi);
+            out.trace.push_back({out.iterations, vals[best_index()]});
+            continue;
         }
         double gn = 0.0;
         for (double v : g)
             gn += v * v;
         gn = std::sqrt(gn);
         if (gn < 1e-14) {
-            rho_ *= 0.5;
-            if (rho_ < opts_.tolerance) {
-                finish();
-                return;
-            }
-            beginRebuild();
-            return;
+            rho *= 0.5;
+            if (rho < opts.tolerance)
+                break;
+            rebuild(bi);
+            out.trace.push_back({out.iterations, vals[best_index()]});
+            continue;
         }
 
         // Trust-region step against the model gradient.
-        cand_ = verts_[bi_];
-        for (std::size_t c = 0; c < m_; ++c)
-            cand_[c] -= rho_ * g[c] / gn;
-        stage_ = Stage::Candidate;
+        std::vector<double> cand = verts[bi];
+        for (std::size_t c = 0; c < m; ++c)
+            cand[c] -= rho * g[c] / gn;
+        const double cand_val = eval(cand);
+
+        const std::size_t wi = worst_index();
+        if (cand_val < vals[bi]) {
+            // Good step: replace the worst vertex and keep the radius.
+            verts[wi] = std::move(cand);
+            vals[wi] = cand_val;
+        } else if (cand_val < vals[wi]) {
+            // Mild progress: still improves the simplex.
+            verts[wi] = std::move(cand);
+            vals[wi] = cand_val;
+            rho *= 0.7;
+        } else {
+            rho *= 0.5;
+        }
+        out.trace.push_back({out.iterations, vals[best_index()]});
+        if (rho < opts.tolerance)
+            break;
     }
 
-    void
-    beginRebuild()
-    {
-        const std::vector<double> center = verts_[bi_];
-        const double center_val = vals_[bi_];
-        verts_.assign(m_ + 1, center);
-        vals_.assign(m_ + 1, center_val);
-        for (std::size_t i = 0; i < m_; ++i)
-            verts_[i + 1][i] += rho_;
-        idx_ = 1;
-        stage_ = Stage::RebuildVertex;
-    }
-
-    void
-    finish()
-    {
-        const std::size_t bi = bestIndex();
-        out_.best = verts_[bi];
-        out_.bestValue = vals_[bi];
-        stage_ = Stage::Done;
-    }
-
-    const OptOptions opts_;
-    const std::size_t m_;
-    double rho_;
-    std::vector<std::vector<double>> verts_;
-    std::vector<double> vals_;
-    std::vector<double> cand_;
-    std::size_t idx_ = 0;
-    std::size_t bi_ = 0;
-    Stage stage_ = Stage::InitVertex;
-    OptResult out_;
-};
-
-} // namespace
-
-std::unique_ptr<OptimizerRun>
-Cobyla::start(const std::vector<double> &x0, const OptOptions &opts) const
-{
-    return std::make_unique<CobylaRun>(x0, opts);
+    const std::size_t bi = best_index();
+    out.best = verts[bi];
+    out.bestValue = vals[bi];
+    return out;
 }
 
 } // namespace chocoq::optimize

@@ -73,8 +73,8 @@ compileKey(const model::Problem &p, const core::ChocoQOptions &opts)
         key.push_back(';');
     }
 
-    // Compile-relevant options only: layers/engine/gateLevelLoop shape
-    // the run, not the artifacts.
+    // Compile-relevant options only: layers and the rest of the engine
+    // options shape the run, not the artifacts.
     key += "|e:";
     appendInt(key, opts.eliminate);
     key += "|m:";

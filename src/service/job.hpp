@@ -73,10 +73,11 @@ struct SolveJob
      */
     int keepStarts = 0;
     /**
-     * Gate fusion (EngineOptions::fusion): fused layer application in
-     * the variational loop. On by default; the off switch keeps the
-     * cross-checked per-term kernels reachable from the wire. Part of
-     * the compile-cache key (fused artifacts carry the fusion plan).
+     * Layer fusion (EngineOptions::fusion): fused layer application
+     * (or the feasible-subspace backend) in the variational loop. On
+     * by default; the off switch keeps the cross-checked per-term
+     * kernels reachable from the wire. Part of the compile-cache key
+     * (fused artifacts carry the fusion plan).
      */
     bool fusion = true;
     /**

@@ -29,9 +29,9 @@ millisSince(Clock::time_point t0)
 
 /**
  * Per-job engine configuration: every stochastic stream (final
- * sampling, optimizer restarts, SPSA perturbations) is derived from the
- * job seed alone, so results depend only on (job, seed) — never on the
- * worker that ran the job or on submission order.
+ * sampling, noisy trajectories) is derived from the job seed alone, so
+ * results depend only on (job, seed) — never on the worker that ran the
+ * job or on submission order.
  */
 void
 configureEngine(core::EngineOptions &engine, const SolveJob &job,
@@ -41,7 +41,6 @@ configureEngine(core::EngineOptions &engine, const SolveJob &job,
 {
     engine.kernelCounters = kernels;
     engine.seed = job.seed;
-    engine.opt.seed = deriveSeed(job.seed, 1);
     if (job.maxIterations > 0)
         engine.opt.maxIterations = job.maxIterations;
     else if (default_iterations > 0)

@@ -132,37 +132,6 @@ execute(StateVector &state, const circuit::Circuit &c,
 }
 
 void
-execute(StateVector &state, const circuit::FusedCircuit &c)
-{
-    CHOCOQ_ASSERT(state.numQubits() >= c.numQubits,
-                  "state narrower than circuit");
-    // Per-term e^{i angle} factors for the current diagonal block; the
-    // buffer is recycled across blocks (sincos count = term count, paid
-    // once per block, amortized over the 2^n-amplitude sweep).
-    std::vector<Basis> masks;
-    std::vector<Cplx> phases;
-    for (const auto &op : c.ops) {
-        if (!op.diagonal) {
-            applyGate(state, op.gate);
-            continue;
-        }
-        masks.clear();
-        phases.clear();
-        masks.reserve(op.diag.terms.size());
-        phases.reserve(op.diag.terms.size());
-        for (const auto &term : op.diag.terms) {
-            masks.push_back(term.mask);
-            phases.push_back(Cplx{std::cos(term.angle),
-                                  std::sin(term.angle)});
-        }
-        const Cplx global{std::cos(op.diag.globalAngle),
-                          std::sin(op.diag.globalAngle)};
-        state.applyMaskPhaseProduct(masks.data(), phases.data(),
-                                    masks.size(), global);
-    }
-}
-
-void
 executeNoisy(StateVector &state, const circuit::Circuit &c,
              const NoiseModel &noise, Rng &rng)
 {

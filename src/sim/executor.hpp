@@ -18,7 +18,6 @@
 #include <optional>
 
 #include "circuit/circuit.hpp"
-#include "circuit/fusion.hpp"
 #include "common/rng.hpp"
 #include "sim/statevector.hpp"
 
@@ -51,17 +50,6 @@ void applyGate(StateVector &state, const circuit::Gate &gate);
  */
 void execute(StateVector &state, const circuit::Circuit &c,
              const std::function<void(std::size_t)> &after_gate = nullptr);
-
-/**
- * Execute a gate-fused circuit (see circuit::fuseDiagonals): passthrough
- * gates run through applyGate, FusedDiagonal blocks apply as one
- * mask-phase-product sweep. Equivalent to executing the source circuit
- * within floating-point reassociation (each amplitude receives one
- * multiply by the accumulated product instead of one multiply per
- * diagonal gate); noisy trajectories must keep per-gate granularity and
- * always use executeNoisy on the unfused circuit.
- */
-void execute(StateVector &state, const circuit::FusedCircuit &c);
 
 /**
  * Execute one noisy trajectory: after each gate, each operand qubit is hit

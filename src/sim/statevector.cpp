@@ -402,82 +402,6 @@ StateVector::applyPhaseTableCompressed(const std::vector<double> &distinct,
                 [=](std::size_t i) { amp[i] *= phases[idx[i]]; });
 }
 
-void
-StateVector::applyMaskPhaseProduct(const Basis *masks, const Cplx *phases,
-                                   std::size_t count, Cplx global)
-{
-    if (counters_)
-        counters_->record(obs::KernelId::MaskPhaseProduct, amp_.size());
-    // Byte-blocked evaluation: a term whose mask lies inside one 8-bit
-    // slice of the index folds into that slice's 256-entry factor table
-    // (built in 256 x count_in_block operations, amortized over the 2^n
-    // sweep); only masks spanning slices stay as per-amplitude tests.
-    // The per-amplitude cost is ceil(n/8) table multiplies plus the few
-    // residual terms — independent of how many gates were fused —
-    // instead of one test-and-multiply per source gate.
-    // Scratch-owned buffers: contents are per-call (angles change every
-    // objective evaluation) but the allocation persists, so angle-only
-    // re-evaluations on a reused scratch state allocate nothing.
-    const int blocks = (n_ + 7) / 8;
-    const std::size_t cap_before = mask_phase_tables_.capacity()
-                                   + mask_phase_res_masks_.capacity()
-                                   + mask_phase_res_phases_.capacity();
-    mask_phase_tables_.assign(static_cast<std::size_t>(blocks) * 256,
-                              Cplx{1.0, 0.0});
-    mask_phase_res_masks_.clear();
-    mask_phase_res_phases_.clear();
-    Cplx *tables = mask_phase_tables_.data();
-    for (std::size_t t = 0; t < count; ++t) {
-        bool folded = false;
-        for (int b = 0; b < blocks; ++b) {
-            const Basis block_mask = Basis{0xFF} << (8 * b);
-            if ((masks[t] & ~block_mask) != 0)
-                continue;
-            const unsigned local =
-                static_cast<unsigned>(masks[t] >> (8 * b));
-            Cplx *table = tables + static_cast<std::size_t>(b) * 256;
-            for (unsigned v = 0; v < 256; ++v)
-                if ((v & local) == local)
-                    table[v] *= phases[t];
-            folded = true;
-            break;
-        }
-        if (!folded) {
-            mask_phase_res_masks_.push_back(masks[t]);
-            mask_phase_res_phases_.push_back(phases[t]);
-        }
-    }
-    // Fold the global phase into the slice every index passes through.
-    for (unsigned v = 0; v < 256; ++v)
-        tables[v] *= global;
-    if (cap_before != mask_phase_tables_.capacity()
-                          + mask_phase_res_masks_.capacity()
-                          + mask_phase_res_phases_.capacity())
-        ++mask_phase_growths_;
-
-    Cplx *amp = amp_.data();
-    const std::size_t res_count = mask_phase_res_masks_.size();
-    const Basis *rm = mask_phase_res_masks_.data();
-    const Cplx *rp = mask_phase_res_phases_.data();
-    if (blocks == 1 && res_count == 0) {
-        const Cplx *t0 = tables;
-        parallelFor(amp_.size(),
-                    [=](std::size_t i) { amp[i] *= t0[i & 0xFF]; });
-        return;
-    }
-    const Cplx *tabs = tables;
-    parallelFor(amp_.size(), [=](std::size_t i) {
-        Cplx f = tabs[i & 0xFF];
-        for (int b = 1; b < blocks; ++b)
-            f *= tabs[static_cast<std::size_t>(b) * 256
-                      + ((i >> (8 * b)) & 0xFF)];
-        for (std::size_t t = 0; t < res_count; ++t)
-            if ((static_cast<Basis>(i) & rm[t]) == rm[t])
-                f *= rp[t];
-        amp[i] *= f;
-    });
-}
-
 double
 StateVector::expectationTable(const std::vector<double> &table) const
 {

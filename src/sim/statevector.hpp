@@ -171,38 +171,6 @@ class StateVector
                                    std::vector<Cplx> &phase_scratch);
 
     /**
-     * One-pass product of mask-phase factors (the FusedDiagonal kernel):
-     * every amplitude is multiplied by @p global times the product of
-     * phases[t] over the terms whose mask is fully set in the index,
-     * i.e. (idx & masks[t]) == masks[t]. Terms whose mask fits in one
-     * 8-bit slice of the index are pre-folded into per-slice 256-entry
-     * factor tables, so the sweep costs ceil(n/8) table multiplies per
-     * amplitude regardless of how many gates were fused; masks spanning
-     * slices fall back to per-amplitude tests. Factor association
-     * differs from gate-at-a-time application, so equivalence is within
-     * fp reassociation (see circuit::fuseDiagonals).
-     *
-     * The factor tables live in scratch buffers owned by this state:
-     * table *contents* are rebuilt every call (angles change between
-     * objective evaluations, and the 256 x count rebuild is amortized
-     * over the 2^n sweep), but the *allocation* is reused, so a scratch
-     * state cycling through thousands of angle-only evaluations
-     * performs no steady-state allocation here
-     * (maskPhaseScratchGrowths() counts the growths; regression-checked
-     * in bench_micro).
-     */
-    void applyMaskPhaseProduct(const Basis *masks, const Cplx *phases,
-                               std::size_t count, Cplx global);
-
-    /** Times the applyMaskPhaseProduct scratch had to grow; stable
-     * between calls of unchanged shape (the bench_micro regression
-     * probe for the zero-steady-state-allocation property). */
-    std::size_t maskPhaseScratchGrowths() const
-    {
-        return mask_phase_growths_;
-    }
-
-    /**
      * Exact evolution exp(-i beta Hc(u)) of one commute-Hamiltonian term.
      *
      * @param support_mask Bits where u is non-zero.
@@ -366,14 +334,6 @@ class StateVector
 
     /** Optional kernel-mix sink (see setCounterSink); never owned. */
     obs::KernelCounterSink *counters_ = nullptr;
-
-    /** applyMaskPhaseProduct scratch: flat ceil(n/8) x 256 factor
-     * tables plus the residual cross-slice terms. Contents are
-     * per-call, allocations persist across angle-only changes. */
-    CVec mask_phase_tables_;
-    std::vector<Basis> mask_phase_res_masks_;
-    CVec mask_phase_res_phases_;
-    std::size_t mask_phase_growths_ = 0;
 };
 
 } // namespace chocoq::sim

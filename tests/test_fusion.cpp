@@ -1,17 +1,11 @@
 /**
  * @file
- * Fusion equivalence suite.
+ * Layer-fusion equivalence suite.
  *
- * Two different contracts are pinned down here (see docs/simulator.md,
- * "Gate fusion"):
- *  - the functional-path fusion (compressed objective phase, grouped
- *    commute sweeps, the solver's fused evolve closures) must be
- *    BIT-IDENTICAL to the unfused kernels — the service's determinism
- *    guarantees ride on it;
- *  - the circuit-path fusion (FusedDiagonal blocks) accumulates each
- *    run's factors into one product per amplitude and is equivalent
- *    within floating-point reassociation, checked at 1e-12 on
- *    randomized circuits across register widths k = 1..8.
+ * The functional-path fusion (compressed objective phase, grouped
+ * commute sweeps, the solver's fused evolve closures) must be
+ * BIT-IDENTICAL to the unfused kernels — the service's determinism
+ * guarantees ride on it (see docs/simulator.md, "Gate fusion").
  */
 
 #include <gtest/gtest.h>
@@ -20,29 +14,22 @@
 #include <cstring>
 #include <vector>
 
-#include "circuit/fusion.hpp"
 #include "common/rng.hpp"
 #include "core/chocoq_solver.hpp"
 #include "core/commute.hpp"
 #include "core/layer_fusion.hpp"
 #include "problems/suite.hpp"
 #include "service/compile_cache.hpp"
-#include "sim/executor.hpp"
 #include "sim/parallel.hpp"
 #include "sim/statevector.hpp"
 
 using namespace chocoq;
-using circuit::Circuit;
-using circuit::FusionOptions;
-using circuit::GateType;
 using linalg::Cplx;
 using linalg::CVec;
 using sim::StateVector;
 
 namespace
 {
-
-constexpr double kTol = 1e-12;
 
 CVec
 randomState(Rng &rng, int n)
@@ -59,16 +46,6 @@ randomState(Rng &rng, int n)
 }
 
 void
-expectNearState(const CVec &got, const CVec &want, double tol = kTol)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_NEAR(got[i].real(), want[i].real(), tol) << "index " << i;
-        ASSERT_NEAR(got[i].imag(), want[i].imag(), tol) << "index " << i;
-    }
-}
-
-void
 expectBitwiseState(const CVec &got, const CVec &want)
 {
     ASSERT_EQ(got.size(), want.size());
@@ -77,171 +54,7 @@ expectBitwiseState(const CVec &got, const CVec &want)
               0);
 }
 
-/** Random circuit mixing every diagonal gate with non-diagonal ones. */
-Circuit
-randomMixedCircuit(Rng &rng, int n, int gates)
-{
-    Circuit c(n);
-    for (int g = 0; g < gates; ++g) {
-        const int q = rng.intIn(0, n - 1);
-        int q2 = n > 1 ? rng.intIn(0, n - 2) : 0;
-        if (n > 1 && q2 >= q)
-            ++q2;
-        const double theta = rng.uniform() * 6.0 - 3.0;
-        switch (rng.intIn(0, 12)) {
-          case 0: c.h(q); break;
-          case 1: c.x(q); break;
-          case 2: c.rx(q, theta); break;
-          case 3: c.ry(q, theta); break;
-          case 4: c.rz(q, theta); break;
-          case 5: c.p(q, theta); break;
-          case 6: c.s(q); break;
-          case 7: c.t(q); break;
-          case 8:
-            if (n > 1)
-                c.cx(q, q2);
-            else
-                c.z(q);
-            break;
-          case 9:
-            if (n > 1)
-                c.cp(q, q2, theta);
-            else
-                c.sdg(q);
-            break;
-          case 10:
-            if (n > 1)
-                c.rzz(q, q2, theta);
-            else
-                c.tdg(q);
-            break;
-          case 11:
-            if (n > 2) {
-                c.mcp({0, 1, 2}, theta);
-                break;
-            }
-            c.z(q);
-            break;
-          default:
-            if (n > 1)
-                c.cz(q, q2);
-            else
-                c.p(q, theta);
-            break;
-        }
-    }
-    return c;
-}
-
 } // namespace
-
-// ---- circuit-level fusion pass ----
-
-TEST(FusionPass, FoldsDiagonalRunsAndPassesOthersThrough)
-{
-    Circuit c(3);
-    c.h(0);
-    c.rz(0, 0.3);
-    c.rzz(0, 1, 0.7); // run of 2 gates, fraction 1 + 1 >= 1 -> fused
-    c.cx(0, 2);
-    c.p(2, 0.5); // run of 1 -> below minGates, passthrough
-    const auto fused = circuit::fuseDiagonals(c);
-    ASSERT_EQ(fused.sourceGates, 5u);
-    ASSERT_EQ(fused.fusedGates, 2u);
-    ASSERT_EQ(fused.diagonalBlocks, 1u);
-    ASSERT_EQ(fused.ops.size(), 4u); // h, block, cx, p
-    EXPECT_FALSE(fused.ops[0].diagonal);
-    EXPECT_TRUE(fused.ops[1].diagonal);
-    EXPECT_EQ(fused.ops[1].diag.gateCount, 2u);
-    // rz contributes 1 term, rzz contributes 3.
-    EXPECT_EQ(fused.ops[1].diag.terms.size(), 4u);
-    EXPECT_FALSE(fused.ops[2].diagonal);
-    EXPECT_FALSE(fused.ops[3].diagonal);
-}
-
-TEST(FusionPass, CostModelKeepsSparseRunsUnfused)
-{
-    // Two CZ gates touch half a state in total: cheaper unfused.
-    Circuit c(4);
-    c.cz(0, 1);
-    c.cz(2, 3);
-    const auto fused = circuit::fuseDiagonals(c);
-    EXPECT_EQ(fused.diagonalBlocks, 0u);
-    EXPECT_EQ(fused.fusedGates, 0u);
-    ASSERT_EQ(fused.ops.size(), 2u);
-
-    // Opting the threshold down forces the fusion.
-    FusionOptions opts;
-    opts.minSweepFraction = 0.0;
-    const auto forced = circuit::fuseDiagonals(c, opts);
-    EXPECT_EQ(forced.diagonalBlocks, 1u);
-    EXPECT_EQ(forced.fusedGates, 2u);
-}
-
-TEST(FusionPass, BarrierEndsARun)
-{
-    Circuit c(2);
-    c.rz(0, 0.4);
-    c.barrier();
-    c.rz(1, 0.6);
-    const auto fused = circuit::fuseDiagonals(c);
-    // Each side of the barrier is a run of one gate: no block.
-    EXPECT_EQ(fused.diagonalBlocks, 0u);
-    ASSERT_EQ(fused.ops.size(), 3u);
-}
-
-TEST(FusionPass, RandomCircuitsMatchUnfusedExecution)
-{
-    Rng rng(20250727);
-    for (int n = 1; n <= 8; ++n) {
-        for (int rep = 0; rep < 8; ++rep) {
-            const Circuit c = randomMixedCircuit(rng, n, 24);
-            const CVec psi = randomState(rng, n);
-
-            StateVector plain(n), fused(n);
-            plain.amplitudes() = psi;
-            fused.amplitudes() = psi;
-            sim::execute(plain, c);
-
-            FusionOptions opts;
-            opts.minSweepFraction = rep % 2 == 0 ? 1.0 : 0.0;
-            sim::execute(fused, circuit::fuseDiagonals(c, opts));
-            expectNearState(fused.amplitudes(), plain.amplitudes());
-        }
-    }
-}
-
-TEST(FusionPass, MaskPhaseProductMatchesSequentialGates)
-{
-    Rng rng(7);
-    const int n = 6;
-    for (int rep = 0; rep < 16; ++rep) {
-        Circuit c(n);
-        const int gates = rng.intIn(2, 6);
-        for (int g = 0; g < gates; ++g) {
-            const double theta = rng.uniform() * 6.0 - 3.0;
-            const int a = rng.intIn(0, n - 1);
-            int b = rng.intIn(0, n - 2);
-            if (b >= a)
-                ++b;
-            if (rng.chance(0.5))
-                c.rz(a, theta);
-            else
-                c.cp(a, b, theta);
-        }
-        const CVec psi = randomState(rng, n);
-        StateVector plain(n), fused(n);
-        plain.amplitudes() = psi;
-        fused.amplitudes() = psi;
-        sim::execute(plain, c);
-        FusionOptions opts;
-        opts.minSweepFraction = 0.0;
-        const auto fc = circuit::fuseDiagonals(c, opts);
-        ASSERT_EQ(fc.diagonalBlocks, 1u);
-        sim::execute(fused, fc);
-        expectNearState(fused.amplitudes(), plain.amplitudes());
-    }
-}
 
 // ---- functional-path fusion: bit-identical contracts ----
 
@@ -453,34 +266,6 @@ TEST(ChocoQFusion, FusedSolveIsBitIdenticalOnFunctionalPath)
         ASSERT_EQ(fit->first, pit->first);
         ASSERT_EQ(std::memcmp(&fit->second, &pit->second, sizeof(double)),
                   0);
-    }
-}
-
-TEST(ChocoQFusion, GateLevelLoopMatchesWithinTolerance)
-{
-    // The circuit path reassociates diagonal products; equivalence is
-    // within fp tolerance rather than bitwise.
-    const auto p = problems::makeCase(problems::Scale::F1, 0);
-    core::ChocoQOptions base;
-    base.gateLevelLoop = true;
-    base.engine.opt.maxIterations = 6;
-    base.engine.seed = 5;
-
-    core::ChocoQOptions fused = base;
-    fused.engine.fusion = true;
-    core::ChocoQOptions plain = base;
-    plain.engine.fusion = false;
-
-    const auto fused_out = core::ChocoQSolver(fused).solve(p);
-    const auto plain_out = core::ChocoQSolver(plain).solve(p);
-    EXPECT_NEAR(fused_out.bestCost, plain_out.bestCost, 1e-9);
-    for (const auto &[x, prob] : fused_out.distribution) {
-        const auto it = plain_out.distribution.find(x);
-        if (it == plain_out.distribution.end()) {
-            EXPECT_LT(prob, 1e-9) << "state " << x;
-            continue;
-        }
-        EXPECT_NEAR(prob, it->second, 1e-9) << "state " << x;
     }
 }
 

@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/chocoq_solver.hpp"
+#include "core/circuits.hpp"
 #include "device/device.hpp"
 #include "metrics/stats.hpp"
 #include "model/exact.hpp"
 #include "problems/kpp.hpp"
 #include "problems/suite.hpp"
+#include "sim/executor.hpp"
 #include "solvers/cyclic.hpp"
 #include "solvers/hea.hpp"
 #include "solvers/penalty.hpp"
@@ -63,25 +67,33 @@ TEST(ChocoQEndToEnd, K1HighSuccess)
 
 TEST(ChocoQEndToEnd, GateLevelLoopMatchesFastPath)
 {
-    // The functional pair-rotation path and the Lemma-2 gate path must
+    // The functional fast path and the Lemma-2 gate circuit must
     // produce the same distribution for the same parameters.
     const auto p = problems::makeCase(problems::Scale::K1, 1);
     core::ChocoQOptions fast = quickChoco(1, 0);
-    // Pin the parameters: a live optimizer would amplify last-ulp
-    // differences between the two (unitarily equivalent) paths into
-    // different search trajectories.
+    // Pin the parameters: one iteration with a 1e-9 step keeps the
+    // solve's optimum within ~1e-9 of theta0.
     fast.engine.opt.maxIterations = 1;
     fast.engine.opt.initialStep = 1e-9;
     fast.engine.theta0 = {0.37, 0.81};
-    core::ChocoQOptions gates = fast;
-    gates.gateLevelLoop = true;
+    const core::ChocoQSolver solver(fast);
+    const auto art = solver.compile(p);
+    const auto run_fast = solver.solveCompiled(p, *art);
 
-    const auto run_fast = core::ChocoQSolver(fast).solve(p);
-    const auto run_gate = core::ChocoQSolver(gates).solve(p);
+    // The same ansatz at theta0, executed one gate at a time.
+    ASSERT_EQ(art->subs.size(), 1u);
+    const core::CompiledSub &sub = art->subs.front();
+    sim::StateVector state(sub.numQubits);
+    sim::execute(state, core::chocoAnsatz(sub.numQubits, sub.init,
+                                          *sub.objective, *sub.terms,
+                                          fast.engine.theta0));
+    std::map<Basis, double> run_gate;
+    for (const auto &[x, prob] : state.distribution())
+        run_gate[core::liftToFull(x, art->plan, sub.assignment)] += prob;
+
     for (const auto &[x, prob] : run_fast.distribution) {
-        const auto it = run_gate.distribution.find(x);
-        const double other =
-            it == run_gate.distribution.end() ? 0.0 : it->second;
+        const auto it = run_gate.find(x);
+        const double other = it == run_gate.end() ? 0.0 : it->second;
         EXPECT_NEAR(prob, other, 1e-6);
     }
 }

@@ -1,17 +1,15 @@
 /**
  * @file
- * Tests for the derivative-free optimizers on standard objectives.
+ * Tests for the COBYLA optimizer on standard objectives.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
-#include "common/error.hpp"
-#include "optimize/cobyla.hpp"
-#include "optimize/neldermead.hpp"
 #include "optimize/optimizer.hpp"
-#include "optimize/spsa.hpp"
 
 using namespace chocoq;
 using optimize::ObjectiveFn;
@@ -40,46 +38,51 @@ rosenbrock(const std::vector<double> &x)
     return acc;
 }
 
+/** Quadratic with cross terms, built from +, - and * only so its bits
+ * do not depend on the libm version. */
+double
+crossQuadratic(const std::vector<double> &x)
+{
+    const double a = x[0] - 1.0;
+    const double b = x[1] + 0.5;
+    const double c = x[2] - 0.25;
+    return a * a + 2.0 * b * b + 3.0 * c * c + a * b - 0.5 * b * c
+           + 0.25 * a * c;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
 } // namespace
 
-/** All three methods on a separable quadratic. */
-class OptimizerQuadratic
-    : public ::testing::TestWithParam<const char *>
+TEST(Cobyla, ConvergesNearMinimum)
 {
-};
-
-TEST_P(OptimizerQuadratic, ConvergesNearMinimum)
-{
-    const auto opt = optimize::makeOptimizer(GetParam());
     OptOptions opts;
     opts.maxIterations = 400;
     opts.initialStep = 0.8;
-    opts.seed = 3;
-    const auto res = opt->minimize(quadratic, {2.0, 2.0, 2.0}, opts);
-    EXPECT_LT(res.bestValue, 0.5) << opt->name();
+    const auto res = optimize::cobyla(quadratic, {2.0, 2.0, 2.0}, opts);
+    EXPECT_LT(res.bestValue, 0.5);
     EXPECT_GT(res.evaluations, 0);
     EXPECT_GT(res.iterations, 0);
 }
 
-TEST_P(OptimizerQuadratic, TraceIsMonotoneNonIncreasing)
+TEST(Cobyla, TraceIsMonotoneNonIncreasing)
 {
-    const auto opt = optimize::makeOptimizer(GetParam());
     OptOptions opts;
     opts.maxIterations = 100;
-    const auto res = opt->minimize(quadratic, {3.0, -1.0}, opts);
+    const auto res = optimize::cobyla(quadratic, {3.0, -1.0}, opts);
     for (std::size_t i = 1; i < res.trace.size(); ++i)
         EXPECT_LE(res.trace[i].best, res.trace[i - 1].best + 1e-12);
 }
 
-INSTANTIATE_TEST_SUITE_P(Methods, OptimizerQuadratic,
-                         ::testing::Values("cobyla", "nelder-mead", "spsa"));
-
 TEST(Cobyla, HandlesOneDimension)
 {
-    const optimize::Cobyla opt;
     OptOptions opts;
     opts.maxIterations = 200;
-    const auto res = opt.minimize(
+    const auto res = optimize::cobyla(
         [](const std::vector<double> &x) {
             return (x[0] - 1.5) * (x[0] - 1.5);
         },
@@ -89,79 +92,62 @@ TEST(Cobyla, HandlesOneDimension)
 
 TEST(Cobyla, ImprovesRosenbrockSubstantially)
 {
-    const optimize::Cobyla opt;
     OptOptions opts;
     opts.maxIterations = 500;
     opts.initialStep = 0.5;
     const std::vector<double> x0{-1.2, 1.0};
-    const auto res = opt.minimize(rosenbrock, x0, opts);
+    const auto res = optimize::cobyla(rosenbrock, x0, opts);
     EXPECT_LT(res.bestValue, rosenbrock(x0) * 0.25);
 }
 
-TEST(NelderMead, SolvesRosenbrock2d)
+TEST(Cobyla, RespectsIterationBudget)
 {
-    const optimize::NelderMead opt;
     OptOptions opts;
-    opts.maxIterations = 2000;
-    opts.tolerance = 1e-8;
-    const auto res = opt.minimize(rosenbrock, {-1.2, 1.0}, opts);
-    EXPECT_LT(res.bestValue, 1e-4);
-    EXPECT_NEAR(res.best[0], 1.0, 0.05);
-    EXPECT_NEAR(res.best[1], 1.0, 0.05);
+    opts.maxIterations = 7;
+    opts.tolerance = 0.0;
+    const auto res = optimize::cobyla(quadratic, {5.0, 5.0}, opts);
+    EXPECT_LE(res.iterations, 7);
 }
 
-TEST(Spsa, DeterministicForFixedSeed)
+TEST(Cobyla, FlatObjectiveTerminatesGracefully)
 {
-    const optimize::Spsa opt;
     OptOptions opts;
     opts.maxIterations = 50;
-    opts.seed = 99;
-    const auto a = opt.minimize(quadratic, {1.0, 1.0}, opts);
-    const auto b = opt.minimize(quadratic, {1.0, 1.0}, opts);
-    EXPECT_EQ(a.bestValue, b.bestValue);
-    EXPECT_EQ(a.best, b.best);
+    const auto res = optimize::cobyla(
+        [](const std::vector<double> &) { return 1.0; }, {0.0, 0.0}, opts);
+    EXPECT_DOUBLE_EQ(res.bestValue, 1.0);
 }
 
-TEST(Spsa, UsesTwoEvaluationsPerIteration)
+/** Pins COBYLA's exact trajectory: evaluation/iteration counts and the
+ * bits of the result on a trust-region run and on the re-anchor branch
+ * of a flat objective. Any change to the points COBYLA evaluates, or to
+ * their order, moves these numbers. */
+TEST(Cobyla, PinnedTrajectoryBits)
 {
-    const optimize::Spsa opt;
     OptOptions opts;
-    opts.maxIterations = 30;
-    const auto res = opt.minimize(quadratic, {0.5}, opts);
-    // 1 initial + 2 per iteration + 1 final.
-    EXPECT_EQ(res.evaluations, 1 + 2 * res.iterations + 1);
-}
+    opts.maxIterations = 200;
+    opts.initialStep = 0.5;
+    const auto quad =
+        optimize::cobyla(crossQuadratic, {0.0, 0.0, 0.0}, opts);
+    EXPECT_EQ(quad.evaluations, 63);
+    EXPECT_EQ(quad.iterations, 59);
+    EXPECT_EQ(quad.trace.size(), 59u);
+    ASSERT_EQ(quad.best.size(), 3u);
+    EXPECT_EQ(bits(quad.best[0]), bits(0x1.00229ce9e8f64p+0));
+    EXPECT_EQ(bits(quad.best[1]), bits(-0x1.001319d4176b6p-1));
+    EXPECT_EQ(bits(quad.best[2]), bits(0x1.0009b2997365fp-2));
+    EXPECT_EQ(bits(quad.bestValue), bits(0x1.13064bae5a42fp-22));
 
-TEST(Factory, ReturnsNamedMethodsAndRejectsUnknown)
-{
-    EXPECT_EQ(optimize::makeOptimizer("cobyla")->name(), "cobyla");
-    EXPECT_EQ(optimize::makeOptimizer("nelder-mead")->name(),
-              "nelder-mead");
-    EXPECT_EQ(optimize::makeOptimizer("spsa")->name(), "spsa");
-    EXPECT_THROW(optimize::makeOptimizer("adam"), FatalError);
-}
-
-TEST(Optimizers, RespectIterationBudget)
-{
-    for (const char *name : {"cobyla", "nelder-mead", "spsa"}) {
-        const auto opt = optimize::makeOptimizer(name);
-        OptOptions opts;
-        opts.maxIterations = 7;
-        opts.tolerance = 0.0;
-        const auto res = opt->minimize(quadratic, {5.0, 5.0}, opts);
-        EXPECT_LE(res.iterations, 7) << name;
-    }
-}
-
-TEST(Optimizers, FlatObjectiveTerminatesGracefully)
-{
-    for (const char *name : {"cobyla", "nelder-mead", "spsa"}) {
-        const auto opt = optimize::makeOptimizer(name);
-        OptOptions opts;
-        opts.maxIterations = 50;
-        const auto res = opt->minimize(
-            [](const std::vector<double> &) { return 1.0; }, {0.0, 0.0},
-            opts);
-        EXPECT_DOUBLE_EQ(res.bestValue, 1.0) << name;
-    }
+    OptOptions flat_opts;
+    flat_opts.maxIterations = 50;
+    const auto flat = optimize::cobyla(
+        [](const std::vector<double> &) { return 1.0; }, {0.0, 0.0},
+        flat_opts);
+    EXPECT_EQ(flat.evaluations, 27);
+    EXPECT_EQ(flat.iterations, 13);
+    EXPECT_EQ(flat.trace.size(), 12u);
+    ASSERT_EQ(flat.best.size(), 2u);
+    EXPECT_EQ(bits(flat.best[0]), bits(0x0p+0));
+    EXPECT_EQ(bits(flat.best[1]), bits(0x0p+0));
+    EXPECT_EQ(bits(flat.bestValue), bits(0x1p+0));
 }

@@ -81,8 +81,6 @@ runScalarScript(sim::StateVector &sv, const Tables &t)
     const Cplx d0{std::cos(0.3), std::sin(0.3)};
     const Cplx d1 = std::conj(d0);
     const Basis vbits[2] = {kVBitsA, kVBitsB};
-    const Basis masks[2] = {kMask2, kSupport};
-    const Cplx mphases[2] = {d0, d1};
     // Two terms over the compact state: pairs {0,1}, {2,3}, then {1,2}.
     const std::uint32_t pairs[6] = {0, 1, 2, 3, 1, 2};
     const std::uint32_t term_offsets[3] = {0, 2, 3};
@@ -101,7 +99,6 @@ runScalarScript(sim::StateVector &sv, const Tables &t)
     sv.applySwap(0, 4);
     sv.applyPhaseTable(t.table, 0.4);
     sv.applyPhaseTableCompressed(t.distinct, t.index, 0.4, scratch);
-    sv.applyMaskPhaseProduct(masks, mphases, 2, Cplx{1.0, 0.0});
     sv.applySubspaceLayer(t.phases.data(), t.index.data(), pairs,
                           term_offsets, 2, 0.55, 0.45);
     sv.applyDiagonal([](Basis i) {

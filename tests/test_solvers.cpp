@@ -345,7 +345,6 @@ TEST(QaoaEngine, IndependentSubrunsOptimizeSeparately)
     core::EngineOptions opts;
     opts.theta0 = {0.4};
     opts.opt.maxIterations = 60;
-    opts.independentSubruns = true;
     const auto res = core::runQaoa(
         {make(1.0), make(-1.0)},
         [](Basis x) { return x == 1 ? -1.0 : 1.0; }, opts);
@@ -391,10 +390,9 @@ commuteLayerSubRun()
 
 /** Four two-layer starts, two kept after screening. */
 core::EngineOptions
-screenedMultiStart(const char *optimizer)
+screenedMultiStart()
 {
     core::EngineOptions opts;
-    opts.optimizer = optimizer;
     opts.theta0 = {0.4, 0.7, 1.1, 0.3};
     opts.extraStarts = {{0.8, 2.2, 0.2, 1.4},
                         {2.4, 1.2, 2.8, 0.6},
@@ -425,15 +423,11 @@ expectBitwiseSameResult(const core::EngineResult &a,
     }
 }
 
-class QaoaEngineMultiStart : public ::testing::TestWithParam<const char *>
-{
-};
-
-TEST_P(QaoaEngineMultiStart, CheckpointThatNeverFiresIsBitwiseNoOp)
+TEST(QaoaEngineMultiStart, CheckpointThatNeverFiresIsBitwiseNoOp)
 {
     const core::SubRun run = commuteLayerSubRun();
     const auto cost = [&run](Basis x) { return (*run.costTable)[x]; };
-    const core::EngineOptions plain = screenedMultiStart(GetParam());
+    const core::EngineOptions plain = screenedMultiStart();
     const auto reference = core::runQaoa({run}, cost, plain);
 
     core::EngineOptions hooked = plain;
@@ -443,13 +437,13 @@ TEST_P(QaoaEngineMultiStart, CheckpointThatNeverFiresIsBitwiseNoOp)
     EXPECT_GT(calls, 0);
 }
 
-TEST_P(QaoaEngineMultiStart, ThrowingCheckpointPropagates)
+TEST(QaoaEngineMultiStart, ThrowingCheckpointPropagates)
 {
     const core::SubRun run = commuteLayerSubRun();
     const auto cost = [&run](Basis x) { return (*run.costTable)[x]; };
 
     // Count the checkpoints of a whole run, then throw halfway through.
-    core::EngineOptions probe = screenedMultiStart(GetParam());
+    core::EngineOptions probe = screenedMultiStart();
     int total = 0;
     probe.checkpoint = [&total] { ++total; };
     (void)core::runQaoa({run}, cost, probe);
@@ -466,9 +460,6 @@ TEST_P(QaoaEngineMultiStart, ThrowingCheckpointPropagates)
                  std::runtime_error);
     EXPECT_EQ(calls, limit);
 }
-
-INSTANTIATE_TEST_SUITE_P(Optimizers, QaoaEngineMultiStart,
-                         ::testing::Values("cobyla", "nelder-mead", "spsa"));
 
 } // namespace
 
