@@ -7,17 +7,8 @@
  *
  * The kernel benchmarks report a ns_per_amp counter (wall time per
  * state-vector amplitude, normalized to the full 2^n dimension so that
- * fast/naive ratios read directly as speedups) plus the roofline
- * inputs bytes_per_amp / flops_per_amp, derived from the instrumented
- * kernels' own counter sink (obs/roofline.hpp) over the timing loop —
- * by the static cost model, not by measurement, so the numbers are
- * exact and machine-independent. The whole run is mirrored to
- * BENCH_kernels.json (pass --benchmark_out=... to override) and then
- * annotated in place: a "machine" block with the hardware fingerprint
- * and calibrated peaks (STREAM triad, FMA-chain FLOP rates), and per
- * kernel entry arithmetic_intensity, roofline_bound and
- * pct_of_ceiling. Run with --calibrate to print the machine block
- * alone and exit (the baseline-refresh recipe in docs/benchmarks.md).
+ * fast/naive ratios read directly as speedups). Pass
+ * --benchmark_out=<file> --benchmark_out_format=json for a JSON report.
  */
 
 #include <benchmark/benchmark.h>
@@ -26,12 +17,8 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "circuit/transpile.hpp"
@@ -41,9 +28,7 @@
 #include "core/layer_fusion.hpp"
 #include "core/movebasis.hpp"
 #include "model/exact.hpp"
-#include "obs/roofline.hpp"
 #include "problems/suite.hpp"
-#include "service/json.hpp"
 #include "sim/naive.hpp"
 #include "sim/parallel.hpp"
 
@@ -68,42 +53,6 @@ setAmpCounters(benchmark::State &state, std::int64_t amps_per_iter)
         static_cast<double>(state.iterations())
             * static_cast<double>(amps_per_iter) * 1e-9,
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-
-/**
- * ns_per_amp plus the roofline inputs, read back from the kernel
- * counter sink that was attached over the timing loop: bytes/flops per
- * *normalized* amplitude (the same 2^n denominator ns_per_amp uses),
- * so arithmetic intensity and percent-of-ceiling compose directly.
- * A masked kernel that touches 2^(n-k) amplitudes therefore reports
- * model-bytes x 2^-k per normalized amp — by construction equal to
- * sink totals over the loop divided by the normalized amp count.
- */
-void
-setRooflineCounters(benchmark::State &state, std::int64_t amps_per_iter,
-                    const obs::KernelCounterSink &sink)
-{
-    setAmpCounters(state, amps_per_iter);
-    const double norm_amps = static_cast<double>(state.iterations())
-                             * static_cast<double>(amps_per_iter);
-    state.counters["bytes_per_amp"] = sink.totalBytes() / norm_amps;
-    state.counters["flops_per_amp"] = sink.totalFlops() / norm_amps;
-}
-
-/**
- * Hand model for the uninstrumented sim::naive baselines, which scan
- * the full 2^n space and transform only the matching subspace: every
- * amplitude is read (16 B), the touched fraction is written back
- * (16 B) and costs one 6-flop complex multiply-accumulate.
- */
-void
-setNaiveRooflineCounters(benchmark::State &state,
-                         std::int64_t amps_per_iter,
-                         double touched_fraction)
-{
-    setAmpCounters(state, amps_per_iter);
-    state.counters["bytes_per_amp"] = 16.0 + 16.0 * touched_fraction;
-    state.counters["flops_per_amp"] = 6.0 * touched_fraction;
 }
 
 /**
@@ -139,13 +88,11 @@ BM_Apply1q(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
     sim::StateVector sv(n);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         sv.apply1q(n / 2, kInvSqrt2, kInvSqrt2, kInvSqrt2, -kInvSqrt2);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << n, sink);
+    setAmpCounters(state, std::int64_t{1} << n);
 }
 BENCHMARK(BM_Apply1q)->Arg(10)->Arg(14)->Arg(18);
 
@@ -155,13 +102,11 @@ BM_Diagonal1q(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     sim::StateVector sv(n);
     const Cplx em{std::cos(0.4), -std::sin(0.4)};
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         sv.applyDiagonal1q(n / 2, em, std::conj(em));
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << n, sink);
+    setAmpCounters(state, std::int64_t{1} << n);
 }
 BENCHMARK(BM_Diagonal1q)->Arg(14)->Arg(18)->Arg(kKernelQubits);
 
@@ -172,13 +117,11 @@ BM_ParityPhase(benchmark::State &state)
     sim::StateVector sv(n);
     const Cplx even{std::cos(0.4), -std::sin(0.4)};
     const Basis mask = (Basis{1} << (n / 2)) | (Basis{1} << (n - 1));
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         sv.applyParityPhase(mask, even, std::conj(even));
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << n, sink);
+    setAmpCounters(state, std::int64_t{1} << n);
 }
 BENCHMARK(BM_ParityPhase)->Arg(14)->Arg(18)->Arg(kKernelQubits);
 
@@ -190,13 +133,11 @@ BM_PairRotation(benchmark::State &state)
     const int k = static_cast<int>(state.range(0));
     sim::StateVector sv(kKernelQubits);
     const auto term = spreadTerm(kKernelQubits, k);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         core::applyCommuteExact(sv, term, 0.3);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << kKernelQubits, sink);
+    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
 }
 BENCHMARK(BM_PairRotation)->Arg(2)->Arg(3)->Arg(4)->Arg(8);
 
@@ -211,10 +152,7 @@ BM_PairRotationNaive(benchmark::State &state)
                                  term.vBits, 0.3);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    // The naive scan rotates the two matching 2^(n-k) subspaces (the
-    // |v> / |~v> pair on the k support bits): fraction 2^(1-k) written.
-    setNaiveRooflineCounters(state, std::int64_t{1} << kKernelQubits,
-                             std::ldexp(1.0, 1 - k));
+    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
 }
 BENCHMARK(BM_PairRotationNaive)->Arg(2)->Arg(3)->Arg(4)->Arg(8);
 
@@ -224,13 +162,11 @@ BM_PairRotationLowSupport(benchmark::State &state)
     const int k = static_cast<int>(state.range(0));
     sim::StateVector sv(kKernelQubits);
     const auto term = lowTerm(kKernelQubits, k);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         core::applyCommuteExact(sv, term, 0.3);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << kKernelQubits, sink);
+    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
 }
 BENCHMARK(BM_PairRotationLowSupport)->Arg(2)->Arg(4);
 
@@ -240,13 +176,11 @@ BM_PhaseMask(benchmark::State &state)
     const int m = static_cast<int>(state.range(0));
     sim::StateVector sv(kKernelQubits);
     const auto term = spreadTerm(kKernelQubits, m);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         sv.applyPhaseMask(term.supportMask, 0.4);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << kKernelQubits, sink);
+    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
 }
 BENCHMARK(BM_PhaseMask)->Arg(1)->Arg(2)->Arg(4);
 
@@ -260,9 +194,7 @@ BM_PhaseMaskNaive(benchmark::State &state)
         sim::naive::phaseMask(sv.amplitudes(), term.supportMask, 0.4);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    // The all-ones subspace of an m-bit mask: fraction 2^-m phased.
-    setNaiveRooflineCounters(state, std::int64_t{1} << kKernelQubits,
-                             std::ldexp(1.0, -m));
+    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
 }
 BENCHMARK(BM_PhaseMaskNaive)->Arg(1)->Arg(2)->Arg(4);
 
@@ -272,13 +204,11 @@ BM_Controlled1q(benchmark::State &state)
     const int n = kKernelQubits;
     sim::StateVector sv(n);
     const Basis controls = (Basis{1} << 0) | (Basis{1} << (n - 1));
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         sv.applyControlled1q(controls, n / 2, 0, 1, 1, 0);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << n, sink);
+    setAmpCounters(state, std::int64_t{1} << n);
 }
 BENCHMARK(BM_Controlled1q);
 
@@ -286,13 +216,11 @@ void
 BM_XY(benchmark::State &state)
 {
     sim::StateVector sv(kKernelQubits);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         sv.applyXY(1, kKernelQubits - 2, 0.6);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << kKernelQubits, sink);
+    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
 }
 BENCHMARK(BM_XY);
 
@@ -300,13 +228,11 @@ void
 BM_Swap(benchmark::State &state)
 {
     sim::StateVector sv(kKernelQubits);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         sv.applySwap(1, kKernelQubits - 2);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << kKernelQubits, sink);
+    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
 }
 BENCHMARK(BM_Swap);
 
@@ -316,13 +242,11 @@ BM_PhaseTable(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     sim::StateVector sv(n);
     std::vector<double> table(std::size_t{1} << n, 0.5);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         sv.applyPhaseTable(table, 0.4);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << n, sink);
+    setAmpCounters(state, std::int64_t{1} << n);
 }
 BENCHMARK(BM_PhaseTable)->Arg(10)->Arg(14)->Arg(18);
 
@@ -332,13 +256,11 @@ BM_ExpectationTable(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     sim::StateVector sv(n);
     std::vector<double> table(std::size_t{1} << n, 0.5);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         double v = sv.expectationTable(table);
         benchmark::DoNotOptimize(v);
     }
-    setRooflineCounters(state, std::int64_t{1} << n, sink);
+    setAmpCounters(state, std::int64_t{1} << n);
 }
 BENCHMARK(BM_ExpectationTable)->Arg(14)->Arg(18)->Arg(kKernelQubits);
 
@@ -349,14 +271,12 @@ BM_PairRotationThreads(benchmark::State &state)
     sim::setSimThreads(static_cast<int>(state.range(0)));
     sim::StateVector sv(kKernelQubits);
     const auto term = spreadTerm(kKernelQubits, 3);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         core::applyCommuteExact(sv, term, 0.3);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
     sim::setSimThreads(0);
-    setRooflineCounters(state, std::int64_t{1} << kKernelQubits, sink);
+    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
 }
 BENCHMARK(BM_PairRotationThreads)->Arg(1)->Arg(2)->Arg(4);
 
@@ -373,13 +293,11 @@ BM_FusedPhaseTable(benchmark::State &state)
         table[i] = static_cast<double>((i * 2654435761u) % 64) - 32.0;
     const auto plan = core::buildFusedLayerPlan(table, {});
     std::vector<Cplx> scratch;
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         core::applyFusedObjectivePhase(sv, plan, table, 0.4, scratch);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state, std::int64_t{1} << n, sink);
+    setAmpCounters(state, std::int64_t{1} << n);
 }
 BENCHMARK(BM_FusedPhaseTable)->Arg(10)->Arg(14)->Arg(18);
 
@@ -429,8 +347,6 @@ BM_QaoaDeepLayersUnfused(benchmark::State &state)
     const auto table = deepLayerTable(n);
     const auto terms = deepLayerTerms(n);
     sv.reset(1);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         for (int l = 0; l < kDeepLayers; ++l) {
             sv.applyPhaseTable(table, 0.4 + 0.01 * l);
@@ -438,9 +354,7 @@ BM_QaoaDeepLayersUnfused(benchmark::State &state)
         }
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state,
-                        (std::int64_t{1} << n) * std::int64_t{kDeepLayers},
-                        sink);
+    setAmpCounters(state, (std::int64_t{1} << n) * std::int64_t{kDeepLayers});
 }
 BENCHMARK(BM_QaoaDeepLayersUnfused);
 
@@ -454,8 +368,6 @@ BM_QaoaDeepLayersFused(benchmark::State &state)
     const auto plan = core::buildFusedLayerPlan(table, terms);
     std::vector<Cplx> scratch;
     sv.reset(1);
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     for (auto _ : state) {
         for (int l = 0; l < kDeepLayers; ++l) {
             core::applyFusedObjectivePhase(sv, plan, table, 0.4 + 0.01 * l,
@@ -464,20 +376,19 @@ BM_QaoaDeepLayersFused(benchmark::State &state)
         }
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
-    setRooflineCounters(state,
-                        (std::int64_t{1} << n) * std::int64_t{kDeepLayers},
-                        sink);
+    setAmpCounters(state, (std::int64_t{1} << n) * std::int64_t{kDeepLayers});
 }
 BENCHMARK(BM_QaoaDeepLayersFused);
 
 /**
  * One Choco-Q layer plus its expectation on a registry structure's
- * first sub-instance (case 0), once through the feasible-subspace
- * kernels and once through the dense fused plan. The subspace probe
- * normalizes ns_per_amp per *set state*, the dense one per amplitude of
- * 2^k, so the pair's ns_per_amp ratio is the cost of one set state in
- * dense amplitudes: the selection constant
- * core::kDenseAmpsPerSubspaceState (docs/simulator.md).
+ * first sub-instance (case 0), through the feasible-subspace kernels,
+ * the dense fused plan, and the dense unfused oracle ("fusion":false).
+ * The subspace probe normalizes ns_per_amp per *set state*, the dense
+ * ones per amplitude of 2^k, so the subspace/fused ns_per_amp ratio is
+ * the cost of one set state in dense amplitudes: the selection constant
+ * core::kDenseAmpsPerSubspaceState (docs/simulator.md). CI gates the
+ * subspace/oracle real_time ratio on every scale.
  */
 const core::CompiledSub &
 layerProbeSub(benchmark::State &state)
@@ -506,16 +417,13 @@ BM_ChocoLayerSubspace(benchmark::State &state)
     sv.resizeCompact(fs->states.size());
     sv.reset(fs->initIndex);
     std::vector<Cplx> scratch;
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     double e = 0.0;
     for (auto _ : state) {
         core::applySubspaceLayer(sv, *fs, 0.4, 0.7, scratch);
         e += sv.expectationSubspace(fs->distinctValues, fs->valueIndex);
     }
     benchmark::DoNotOptimize(e);
-    setRooflineCounters(state,
-                        static_cast<std::int64_t>(fs->states.size()), sink);
+    setAmpCounters(state, static_cast<std::int64_t>(fs->states.size()));
 }
 BENCHMARK(BM_ChocoLayerSubspace)->Arg(9)->Arg(6)->Arg(10)->Arg(2);
 
@@ -527,8 +435,6 @@ BM_ChocoLayerDense(benchmark::State &state)
     sim::StateVector sv(cs.numQubits);
     sv.reset(cs.init);
     std::vector<Cplx> scratch;
-    obs::KernelCounterSink sink;
-    sv.setCounterSink(&sink);
     double e = 0.0;
     for (auto _ : state) {
         core::applyFusedLayer(sv, plan, *cs.costTable, 0.4, 0.7, scratch);
@@ -536,9 +442,26 @@ BM_ChocoLayerDense(benchmark::State &state)
                                            plan.valueIndex);
     }
     benchmark::DoNotOptimize(e);
-    setRooflineCounters(state, std::int64_t{1} << cs.numQubits, sink);
+    setAmpCounters(state, std::int64_t{1} << cs.numQubits);
 }
 BENCHMARK(BM_ChocoLayerDense)->Arg(9)->Arg(6)->Arg(10)->Arg(2);
+
+void
+BM_ChocoLayerOracle(benchmark::State &state)
+{
+    const core::CompiledSub &cs = layerProbeSub(state);
+    sim::StateVector sv(cs.numQubits);
+    sv.reset(cs.init);
+    double e = 0.0;
+    for (auto _ : state) {
+        sv.applyPhaseTable(*cs.costTable, 0.4);
+        core::applyCommuteLayer(sv, *cs.terms, 0.7);
+        e += sv.expectationTable(*cs.costTable);
+    }
+    benchmark::DoNotOptimize(e);
+    setAmpCounters(state, std::int64_t{1} << cs.numQubits);
+}
+BENCHMARK(BM_ChocoLayerOracle)->Arg(9)->Arg(6)->Arg(10)->Arg(2);
 
 // ---- compiler / solver paths ----
 
@@ -616,129 +539,6 @@ BM_ChocoCompile(benchmark::State &state)
 }
 BENCHMARK(BM_ChocoCompile)->Arg(0)->Arg(5)->Arg(9);
 
-/**
- * Annotate the google-benchmark JSON mirror in place: inject the
- * "machine" block (fingerprint + calibrated peaks) and, for every
- * benchmark entry that carries ns_per_amp and bytes_per_amp, the
- * derived roofline keys (arithmetic_intensity, roofline_bound,
- * pct_of_ceiling). Failures are reported but non-fatal: a missing or
- * malformed file must not fail the benchmark run itself.
- */
-bool
-annotateRoofline(const std::string &path, const obs::MachineInfo &info,
-                 const obs::MachinePeaks &peaks)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    in.close();
-
-    service::Json doc;
-    try {
-        doc = service::Json::parse(buf.str());
-    } catch (const std::exception &) {
-        return false;
-    }
-    if (!doc.isObject())
-        return false;
-
-    doc.set("machine", obs::machineJson(info, peaks));
-    if (service::Json *benchmarks = doc.find("benchmarks")) {
-        for (service::Json &entry : benchmarks->items()) {
-            const service::Json *ns = entry.find("ns_per_amp");
-            const service::Json *bytes = entry.find("bytes_per_amp");
-            const service::Json *flops = entry.find("flops_per_amp");
-            if (!ns || !bytes || !flops)
-                continue;
-            const obs::RooflinePoint pt = obs::placeOnRoofline(
-                bytes->asNumber(), flops->asNumber(), ns->asNumber(), peaks);
-            entry.set("arithmetic_intensity", pt.arithmeticIntensity);
-            entry.set("roofline_bound",
-                      pt.computeBound ? "compute" : "memory");
-            entry.set("pct_of_ceiling", pt.pctOfCeiling);
-        }
-    }
-
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return false;
-    out << doc.pretty() << "\n";
-    return out.good();
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    // --calibrate: probe the machine (STREAM triad + FMA-chain FLOP
-    // peaks + hardware fingerprint), print the machine block, and exit.
-    // This is the block a committed perf baseline embeds; the refresh
-    // recipe lives in docs/benchmarks.md.
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--calibrate") {
-            const obs::MachineInfo info = obs::detectMachine();
-            const obs::MachinePeaks peaks = obs::calibratePeaks();
-            std::printf("%s\n",
-                        obs::machineJson(info, peaks).pretty().c_str());
-            return 0;
-        }
-    }
-
-    // Console for humans plus a JSON mirror for the perf trajectory:
-    // default --benchmark_out to BENCH_kernels.json (in the invocation
-    // directory) unless the caller picked their own output file.
-    std::vector<char *> args(argv, argv + argc);
-    std::string out_flag = "--benchmark_out=BENCH_kernels.json";
-    std::string fmt_flag = "--benchmark_out_format=json";
-    bool has_out = false;
-    bool has_fmt = false;
-    bool json_fmt = true;
-    std::string out_path = "BENCH_kernels.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--benchmark_out=", 0) == 0) {
-            has_out = true;
-            out_path = arg.substr(std::string("--benchmark_out=").size());
-        }
-        if (arg.rfind("--benchmark_out_format=", 0) == 0) {
-            has_fmt = true;
-            json_fmt = arg.substr(arg.find('=') + 1) == "json";
-        }
-    }
-    // Only default the JSON mirror when the caller expressed no output
-    // preference at all; an explicit format without a file is left to
-    // google-benchmark's own handling rather than polluting the .json.
-    if (!has_out && !has_fmt) {
-        args.push_back(out_flag.data());
-        args.push_back(fmt_flag.data());
-    }
-    // The roofline annotator only understands the JSON mirror: run it
-    // on the defaulted file, or on an explicit out file whose format
-    // (default json) is json.
-    const bool annotate = (!has_out && !has_fmt) || (has_out && json_fmt);
-    int n = static_cast<int>(args.size());
-    benchmark::Initialize(&n, args.data());
-    if (benchmark::ReportUnrecognizedArguments(n, args.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
-    if (annotate) {
-        const obs::MachineInfo info = obs::detectMachine();
-        const obs::MachinePeaks peaks = obs::calibratePeaks();
-        if (annotateRoofline(out_path, info, peaks))
-            std::printf("Roofline: machine %s, triad %.1f GB/s, peak %.1f "
-                        "GF/s, ridge AI %.2f -> %s annotated\n",
-                        info.fingerprint.c_str(), peaks.triadGBps,
-                        peaks.peakGflops(), peaks.ridgeAI(),
-                        out_path.c_str());
-        else
-            std::fprintf(stderr,
-                         "Roofline: could not annotate %s (skipped)\n",
-                         out_path.c_str());
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

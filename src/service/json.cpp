@@ -364,17 +364,6 @@ Json::find(const std::string &key) const
     return nullptr;
 }
 
-Json *
-Json::find(const std::string &key)
-{
-    if (kind_ != Kind::Object)
-        return nullptr;
-    for (auto &[k, v] : object_)
-        if (k == key)
-            return &v;
-    return nullptr;
-}
-
 bool
 Json::asBool(bool fallback) const
 {

@@ -60,11 +60,8 @@ class Json
     bool isNull() const { return kind_ == Kind::Null; }
     bool isObject() const { return kind_ == Kind::Object; }
 
-    /** Object member by key, or nullptr (also for non-objects). The
-     * mutable overload lets post-processors edit a parsed document in
-     * place (bench_micro's roofline annotation of BENCH_kernels.json). */
+    /** Object member by key, or nullptr (also for non-objects). */
     const Json *find(const std::string &key) const;
-    Json *find(const std::string &key);
 
     /** Typed accessors with defaults (wrong kind returns the default). */
     bool asBool(bool fallback = false) const;
@@ -83,7 +80,6 @@ class Json
     Json &set(const std::string &key, Json v);
 
     const std::vector<Json> &items() const { return array_; }
-    std::vector<Json> &items() { return array_; }
     const std::vector<std::pair<std::string, Json>> &members() const
     {
         return object_;

@@ -390,8 +390,8 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
     if (sinkPtr && !sink.empty()) {
         recordKernels(sink);
         // Echo the job's kernel mix into its timeline as a zero-width
-        // annotation span, so chocoq_trace renders the per-job roofline
-        // inputs next to the stage bars.
+        // annotation span, so chocoq_trace renders the per-job calls,
+        // amplitudes and modeled bytes/flops next to the stage bars.
         if (trace)
             trace->add("kernels", trace->sinceOriginMs(), 0.0,
                        sink.summary());
