@@ -3,7 +3,8 @@
  * Google-benchmark micro-suite for the hot kernels: state-vector gate
  * application, the commute pair-rotation fast path, diagonal phase
  * tables, move-basis computation, transpilation, and the Lemma-2 circuit
- * construction.
+ * construction, plus one device-noise trajectory through the tracked
+ * support and through its dense oracle.
  *
  * The kernel benchmarks report a ns_per_amp counter (wall time per
  * state-vector amplitude, normalized to the full 2^n dimension so that
@@ -27,6 +28,7 @@
 #include "core/feasible_subspace.hpp"
 #include "core/layer_fusion.hpp"
 #include "core/movebasis.hpp"
+#include "device/device.hpp"
 #include "model/exact.hpp"
 #include "problems/suite.hpp"
 #include "sim/naive.hpp"
@@ -462,6 +464,55 @@ BM_ChocoLayerOracle(benchmark::State &state)
     setAmpCounters(state, std::int64_t{1} << cs.numQubits);
 }
 BENCHMARK(BM_ChocoLayerOracle)->Arg(9)->Arg(6)->Arg(10)->Arg(2);
+
+/**
+ * One device-noise trajectory of a registry structure's first
+ * sub-instance (case 0): its Choco-Q ansatz at fixed angles, lowered
+ * for IBM Fez, run from |0> under Fez noise through executeNoisy's
+ * tracked support and through the dense oracle naive::executeNoisy.
+ * The generator carries across iterations, so the probes average over
+ * error patterns. CI gates the oracle/tracked real_time ratio on G1
+ * and K2.
+ */
+using Trajectory = void (*)(sim::StateVector &, const circuit::Circuit &,
+                            const sim::NoiseModel &, Rng &);
+
+void
+noisyTrajectoryProbe(benchmark::State &state, Trajectory run)
+{
+    const core::CompiledSub &cs = layerProbeSub(state);
+    circuit::TranspileOptions lowering;
+    lowering.nativeCz = device::fez().nativeCz;
+    const circuit::Circuit c = circuit::transpile(
+        core::chocoAnsatz(cs.numQubits, cs.init, *cs.objective, *cs.terms,
+                          {0.4, 0.7}),
+        lowering);
+    const sim::NoiseModel noise = device::noiseOf(device::fez());
+    sim::StateVector sv(c.numQubits());
+    Rng rng(17);
+    for (auto _ : state) {
+        sv.prepare(c.numQubits());
+        run(sv, c, noise, rng);
+        benchmark::DoNotOptimize(sv.amplitudes().data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["gates"] = static_cast<double>(c.gates().size());
+    setAmpCounters(state, std::int64_t{1} << c.numQubits());
+}
+
+void
+BM_NoisyTrajectory(benchmark::State &state)
+{
+    noisyTrajectoryProbe(state, &sim::executeNoisy);
+}
+BENCHMARK(BM_NoisyTrajectory)->Arg(4)->Arg(9);
+
+void
+BM_NoisyTrajectoryOracle(benchmark::State &state)
+{
+    noisyTrajectoryProbe(state, &sim::naive::executeNoisy);
+}
+BENCHMARK(BM_NoisyTrajectoryOracle)->Arg(4)->Arg(9);
 
 // ---- compiler / solver paths ----
 

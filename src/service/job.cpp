@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
+#include "device/device.hpp"
 #include "obs/trace.hpp"
 #include "problems/suite.hpp"
 
@@ -99,6 +100,14 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
     job.shots = static_cast<int>(
         checkedInt(v, "shots", 0, 1 << 30, job.shots));
     job.device = v.getString("device", "");
+    if (!job.device.empty()) {
+        device::deviceByName(job.device); // throws on an unknown name
+        // A device job samples its final distribution from noisy
+        // trajectories; with no shots it would draw a single one.
+        if (job.shots == 0)
+            CHOCOQ_FATAL("field 'device' needs field 'shots' >= 1 (a "
+                         "noisy distribution is sampled, never exact)");
+    }
     job.layers = static_cast<int>(checkedInt(v, "layers", 0, 1 << 20, 0));
     job.maxIterations =
         static_cast<int>(checkedInt(v, "iters", 0, 1 << 30, 0));

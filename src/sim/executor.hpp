@@ -54,6 +54,13 @@ void execute(StateVector &state, const circuit::Circuit &c,
 /**
  * Execute one noisy trajectory: after each gate, each operand qubit is hit
  * by a uniformly random Pauli with the model's error probability.
+ *
+ * The trajectory tracks which basis states have a nonzero amplitude and
+ * updates only those and their partners, until more than dim/8 of them
+ * are nonzero or a gate outside the lowered set {H, X, RZ, CX, CZ}
+ * comes up; the rest runs on the dense kernels. Probabilities and the
+ * generator stream are bit-identical to naive::executeNoisy, the plain
+ * dense loop, at any thread count (docs/simulator.md, "Noise model").
  */
 void executeNoisy(StateVector &state, const circuit::Circuit &c,
                   const NoiseModel &noise, Rng &rng);

@@ -3,8 +3,9 @@
  * Naive full-scan reference kernels — the pre-subspace-enumeration
  * implementations, kept verbatim as the single source of truth for both
  * the kernel property tests (amplitude-exactness against the fast
- * paths) and the micro-benchmarks (speedup baselines). Not used by the
- * library itself.
+ * paths) and the micro-benchmarks (speedup baselines) — plus the dense
+ * noisy-trajectory loop that sim::executeNoisy's tracked support is
+ * checked against. Not used by the library itself.
  */
 
 #ifndef CHOCOQ_SIM_NAIVE_HPP
@@ -13,8 +14,13 @@
 #include <cmath>
 #include <utility>
 
+#include "circuit/circuit.hpp"
 #include "common/bitops.hpp"
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "linalg/matrix.hpp"
+#include "sim/executor.hpp"
+#include "sim/statevector.hpp"
 
 namespace chocoq::sim::naive
 {
@@ -98,6 +104,43 @@ swapQubits(CVec &amp, int a, int b)
         if ((i & ba) == 0 || (i & bb) != 0)
             continue;
         std::swap(amp[i], amp[(i ^ ba) | bb]);
+    }
+}
+
+/**
+ * One noisy trajectory over the full register: sim::applyGate per gate,
+ * then per operand a Pauli error drawn exactly as sim::executeNoisy
+ * draws it. The same state and generator must give the same
+ * probabilities and the same next generator output on both.
+ */
+inline void
+executeNoisy(StateVector &state, const circuit::Circuit &c,
+             const NoiseModel &noise, Rng &rng)
+{
+    CHOCOQ_ASSERT(state.numQubits() >= c.numQubits(),
+                  "state narrower than circuit");
+    for (const auto &g : c.gates()) {
+        applyGate(state, g);
+        if (g.type == circuit::GateType::BARRIER)
+            continue;
+        const double p = g.qubits.size() >= 2 ? noise.p2q : noise.p1q;
+        if (p <= 0.0)
+            continue;
+        for (int q : g.qubits) {
+            if (!rng.chance(p))
+                continue;
+            switch (rng.intIn(0, 2)) {
+              case 0:
+                state.apply1q(q, 0, 1, 1, 0); // X
+                break;
+              case 1:
+                state.apply1q(q, 0, Cplx{0, -1}, Cplx{0, 1}, 0); // Y
+                break;
+              default:
+                state.apply1q(q, 1, 0, 0, -1); // Z
+                break;
+            }
+        }
     }
 }
 

@@ -131,6 +131,36 @@ TEST(JobModel, RejectsUnknownScaleAndSolver)
     EXPECT_THROW(service::jobFromJsonLine(R"({"scale":"Z9"})"), FatalError);
     EXPECT_THROW(service::jobFromJsonLine(R"({"solver":"adam"})"),
                  FatalError);
+    EXPECT_THROW(
+        service::jobFromJsonLine(R"({"device":"nosuch","shots":256})"),
+        FatalError);
+    // Device names follow deviceByName's case-insensitive rule.
+    EXPECT_EQ(
+        service::jobFromJsonLine(R"({"device":"Fez","shots":256})").device,
+        "Fez");
+}
+
+TEST(JobModel, RejectsDeviceWithoutShots)
+{
+    // With shots 0 a device job would sample one shot per sub-instance.
+    try {
+        service::jobFromJsonLine(R"({"scale":"F1","device":"fez"})");
+        FAIL() << "a device job without shots must be rejected";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("'device'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'shots'"), std::string::npos) << msg;
+    }
+    EXPECT_THROW(service::jobFromJsonLine(
+                     R"({"scale":"F1","device":"fez","shots":0})"),
+                 FatalError);
+    EXPECT_EQ(service::jobFromJsonLine(
+                  R"({"scale":"F1","device":"fez","shots":1})")
+                  .shots,
+              1);
+    EXPECT_EQ(service::jobFromJsonLine(R"({"scale":"F1","device":""})")
+                  .device,
+              "");
 }
 
 TEST(JobModel, RejectsOutOfRangeNumericFields)

@@ -1,18 +1,31 @@
 /**
  * @file
  * State-vector simulator tests: every gate kernel against dense matrices,
- * fast paths, sampling statistics, and noise trajectories.
+ * fast paths, sampling statistics, and noise trajectories — including
+ * the differential suite that pins sim::executeNoisy's tracked support
+ * to the dense oracle naive::executeNoisy bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
 
+#include "circuit/transpile.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/chocoq_solver.hpp"
+#include "core/circuits.hpp"
+#include "device/device.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/paulis.hpp"
+#include "obs/roofline.hpp"
+#include "problems/suite.hpp"
 #include "sim/executor.hpp"
+#include "sim/naive.hpp"
 #include "sim/statevector.hpp"
 #include "sim/unitary.hpp"
 
@@ -313,6 +326,209 @@ TEST(Executor, NoiseShrinksSuccessProbability)
     good /= kTrajectories;
     EXPECT_LT(good, 0.999);
     EXPECT_GT(good, 0.8);
+}
+
+// ------------------------------------ tracked trajectories vs oracle
+
+namespace
+{
+
+/**
+ * Run one trajectory of @p c from @p init through executeNoisy and
+ * through the dense oracle, each with its own copy of @p rng, and
+ * return "" when they agree: every probability bit-equal, every
+ * amplitude component equal as a double (a zero may differ in sign
+ * only, so nonzero components are bit-equal), and the same next
+ * generator output. @p rng advances past the trajectory.
+ */
+std::string
+trajectoryMismatch(const Circuit &c, const linalg::CVec &init,
+                   const sim::NoiseModel &noise, Rng &rng)
+{
+    StateVector fast(c.numQubits());
+    StateVector oracle(c.numQubits());
+    fast.amplitudes() = init;
+    oracle.amplitudes() = init;
+    Rng fast_rng = rng;
+    sim::executeNoisy(fast, c, noise, fast_rng);
+    sim::naive::executeNoisy(oracle, c, noise, rng);
+    for (std::size_t i = 0; i < oracle.dim(); ++i) {
+        const Cplx a = fast.amplitudes()[i];
+        const Cplx b = oracle.amplitudes()[i];
+        if (std::bit_cast<std::uint64_t>(fast.prob(i))
+                != std::bit_cast<std::uint64_t>(oracle.prob(i))
+            || a.real() != b.real() || a.imag() != b.imag()) {
+            std::ostringstream out;
+            out << "index " << i << ": tracked " << a << " vs oracle "
+                << b;
+            return out.str();
+        }
+    }
+    Rng fast_next = fast_rng;
+    Rng oracle_next = rng;
+    if (fast_next.next() != oracle_next.next())
+        return "generator streams diverged";
+    return "";
+}
+
+linalg::CVec
+basisState(int n, Basis idx)
+{
+    linalg::CVec psi(std::size_t{1} << n);
+    psi[idx] = 1.0;
+    return psi;
+}
+
+/** |+>^n, whose support already passes the dense switch on entry. */
+linalg::CVec
+plusState(int n)
+{
+    const std::size_t dim = std::size_t{1} << n;
+    return linalg::CVec(dim, Cplx{1.0 / std::sqrt(double(dim)), 0.0});
+}
+
+/**
+ * Seeded random circuit over the lowered gate set plus CZ. H is drawn
+ * rarely so the support stays sparse for a while before it spreads
+ * past the dense switch.
+ */
+Circuit
+randomLoweredCircuit(Rng &rng, int n, int gates)
+{
+    Circuit c(n);
+    for (int g = 0; g < gates; ++g) {
+        const int a = static_cast<int>(rng.below(n));
+        int b = static_cast<int>(rng.below(n - 1));
+        b += b >= a;
+        const std::uint64_t pick = rng.below(10);
+        if (pick == 0)
+            c.h(a);
+        else if (pick < 3)
+            c.x(a);
+        else if (pick < 5)
+            c.rz(a, rng.uniform(-M_PI, M_PI));
+        else if (pick < 8)
+            c.cx(a, b);
+        else
+            c.add({GateType::CZ, {a, b}, 0.0});
+    }
+    return c;
+}
+
+sim::NoiseModel
+uniformNoise(double p)
+{
+    sim::NoiseModel noise;
+    noise.p1q = p;
+    noise.p2q = p;
+    return noise;
+}
+
+} // namespace
+
+TEST(TrackedTrajectory, RandomLoweredCircuitsMatchOracle)
+{
+    Rng circuits(2024);
+    Rng draws(77);
+    for (int n = 2; n <= 12; ++n) {
+        for (int rep = 0; rep < 3; ++rep) {
+            const Circuit c = randomLoweredCircuit(circuits, n, 12 * n);
+            const Basis start = circuits.below(Basis{1} << n);
+            for (const double p : {0.0, 1e-3, 0.05, 0.3}) {
+                const auto noise = uniformNoise(p);
+                EXPECT_EQ(trajectoryMismatch(c, basisState(n, start), noise,
+                                             draws),
+                          "")
+                    << "n=" << n << " rep=" << rep << " p=" << p
+                    << " from |" << start << ">";
+                EXPECT_EQ(trajectoryMismatch(c, plusState(n), noise, draws),
+                          "")
+                    << "n=" << n << " rep=" << rep << " p=" << p
+                    << " from |+>";
+            }
+        }
+    }
+}
+
+TEST(TrackedTrajectory, OtherGateTypesFinishOnTheDenseKernels)
+{
+    // A CCX or MCP mid-circuit hands the rest of the trajectory to the
+    // dense kernels; the tracked prefix must leave the state exact.
+    Rng circuits(31);
+    Rng draws(32);
+    for (int n = 4; n <= 10; n += 3) {
+        for (const GateType middle : {GateType::CCX, GateType::MCP}) {
+            Circuit c = randomLoweredCircuit(circuits, n, 4 * n);
+            c.add({middle, {0, n / 2, n - 1}, 0.6});
+            const Circuit tail = randomLoweredCircuit(circuits, n, 4 * n);
+            for (const auto &g : tail.gates())
+                c.add(g);
+            for (const double p : {0.0, 0.05, 0.3})
+                EXPECT_EQ(trajectoryMismatch(c, basisState(n, 1),
+                                             uniformNoise(p), draws),
+                          "")
+                    << "n=" << n << " gate=" << circuit::gateName(middle)
+                    << " p=" << p;
+        }
+    }
+}
+
+TEST(TrackedTrajectory, LoweredChocoQCircuitsMatchOracle)
+{
+    // The circuits the engine actually samples: each sub-instance's
+    // ansatz at fixed angles, lowered for every device, from |0>, with
+    // a generator carried across trajectories like accumulateNoisy.
+    for (const auto scale :
+         {problems::Scale::F1, problems::Scale::K1, problems::Scale::G1}) {
+        const auto art =
+            core::ChocoQSolver().compile(problems::makeCase(scale, 0));
+        for (const auto &dev : device::allDevices()) {
+            circuit::TranspileOptions lowering;
+            lowering.nativeCz = dev.nativeCz;
+            const auto noise = device::noiseOf(dev);
+            Rng draws(11);
+            for (const auto &cs : art->subs) {
+                const Circuit c = circuit::transpile(
+                    core::chocoAnsatz(cs.numQubits, cs.init, *cs.objective,
+                                      *cs.terms, {0.4, 0.7}),
+                    lowering);
+                for (int t = 0; t < 4; ++t)
+                    EXPECT_EQ(trajectoryMismatch(
+                                  c, basisState(c.numQubits(), 0), noise,
+                                  draws),
+                              "")
+                        << problems::scaleName(scale) << " on " << dev.name
+                        << " trajectory " << t;
+            }
+        }
+    }
+}
+
+TEST(TrackedTrajectory, CountsTheAmplitudesItTouches)
+{
+    // From |0> on 10 qubits the whole circuit stays tracked: each gate
+    // records one call under its dense kernel's id with the amplitudes
+    // it actually updated.
+    Circuit c(10);
+    c.x(0);
+    c.cx(0, 1);
+    c.rz(1, 0.3);
+    c.h(2);
+    c.add({GateType::CZ, {0, 1}, 0.0});
+    obs::KernelCounterSink sink;
+    StateVector s(10);
+    s.setCounterSink(&sink);
+    Rng rng(5);
+    sim::executeNoisy(s, c, {}, rng);
+    using K = obs::KernelId;
+    EXPECT_EQ(sink.tally(K::Apply1q).calls, 2u);     // X, H
+    EXPECT_EQ(sink.tally(K::Apply1q).amps, 4u);      // one pair each
+    EXPECT_EQ(sink.tally(K::Controlled1q).calls, 1u);
+    EXPECT_EQ(sink.tally(K::Controlled1q).amps, 2u);
+    EXPECT_EQ(sink.tally(K::Diagonal1q).amps, 1u);   // |011> alone
+    EXPECT_EQ(sink.tally(K::PhaseMask).amps, 2u);    // |011>, |111>
+    EXPECT_NEAR(s.prob(0b011), 0.5, 1e-15);
+    EXPECT_NEAR(s.prob(0b111), 0.5, 1e-15);
 }
 
 TEST(Unitary, HGateUnitary)
