@@ -1,9 +1,9 @@
 #include "service/job.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/error.hpp"
 #include "device/device.hpp"
@@ -88,14 +88,22 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
     job.caseIndex = static_cast<unsigned>(
         checkedInt(v, "case", 0, 1u << 30, 0));
     // Seeds may exceed 2^53; a string value carries the full 64 bits
-    // (JSON numbers are doubles and would round).
+    // (JSON numbers are doubles and would round). It must be 1-20
+    // decimal digits naming a value below 2^64, nothing else.
     if (const Json *seed = v.find("seed")) {
-        if (seed->kind() == Json::Kind::String)
-            job.seed = std::strtoull(seed->asString().c_str(), nullptr, 10);
-        else
+        if (seed->kind() == Json::Kind::String) {
+            const std::string &text = seed->asString();
+            const char *end = text.data() + text.size();
+            const auto [ptr, ec] =
+                std::from_chars(text.data(), end, job.seed);
+            if (text.size() > 20 || ec != std::errc() || ptr != end)
+                CHOCOQ_FATAL("field 'seed' as a string must be 1-20 "
+                             "decimal digits with a value below 2^64");
+        } else {
             job.seed = static_cast<std::uint64_t>(checkedInt(
                 v, "seed", 0, (1ll << 53),
                 static_cast<long long>(job.seed)));
+        }
     }
     job.shots = static_cast<int>(
         checkedInt(v, "shots", 0, 1 << 30, job.shots));
@@ -119,8 +127,10 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
         job.fusion = fusion->asBool(true);
     }
     job.deadlineMs = v.getNumber("deadline_ms", 0.0);
-    if (job.deadlineMs < 0.0)
-        CHOCOQ_FATAL("field 'deadline_ms' must be non-negative");
+    if (!(job.deadlineMs >= 0.0 && job.deadlineMs <= kMaxDeadlineMs))
+        CHOCOQ_FATAL("field 'deadline_ms' must be in [0, 2147483648] "
+                     "(2^31 ms, about 24.9 days), got "
+                     << job.deadlineMs);
     if (const Json *trace = v.find("trace")) {
         if (trace->kind() != Json::Kind::Bool)
             CHOCOQ_FATAL("field 'trace' must be a boolean");

@@ -32,6 +32,9 @@ class Trace;
 namespace chocoq::service
 {
 
+/** Longest accepted deadline_ms: 2^31 ms, about 24.9 days. */
+inline constexpr double kMaxDeadlineMs = 2147483648.0;
+
 /** One solve request. */
 struct SolveJob
 {
@@ -86,7 +89,8 @@ struct SolveJob
      * deadline fails as "expired" without running, and a job whose
      * deadline elapses mid-execution is cooperatively cancelled at the
      * next engine checkpoint and fails as "expired" too. 0 = no
-     * deadline.
+     * deadline. The wire rejects values above kMaxDeadlineMs, and
+     * SolveService::submit clamps library-supplied ones to it.
      */
     double deadlineMs = 0.0;
     /**

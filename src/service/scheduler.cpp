@@ -14,14 +14,11 @@ Scheduler::Scheduler(int workers)
     for (int i = 0; i < n; ++i) {
         auto w = std::make_unique<Worker>();
         w->context.id = i;
-        workers_.push_back(std::move(w));
-    }
-    // Threads start only after every Worker exists: workerLoop scans all
-    // victims' deques.
-    for (auto &w : workers_)
         w->thread = std::thread([this, worker = w.get()] {
             workerLoop(*worker);
         });
+        workers_.push_back(std::move(w));
+    }
 }
 
 Scheduler::~Scheduler()
@@ -41,8 +38,7 @@ Scheduler::submit(Task task)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
-        workers_[next_]->queue.push_back(std::move(task));
-        next_ = (next_ + 1) % workers_.size();
+        queue_.push_back(std::move(task));
         ++inflight_;
     }
     work_cv_.notify_one();
@@ -67,10 +63,7 @@ std::size_t
 Scheduler::queuedTasks() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::size_t n = 0;
-    for (const auto &w : workers_)
-        n += w->queue.size();
-    return n;
+    return queue_.size();
 }
 
 std::size_t
@@ -94,34 +87,9 @@ Scheduler::workerSnapshots() const
         s.busyMs =
             s.busy ? static_cast<double>(now - s.busySinceMs) : 0.0;
         s.tasksDone = w->tasksDone.load(std::memory_order_relaxed);
-        s.tasksStolen = w->tasksStolen.load(std::memory_order_relaxed);
         out.push_back(s);
     }
     return out;
-}
-
-bool
-Scheduler::takeTask(Worker &self, Task &out)
-{
-    // Own deque first (front: oldest of my queue), then steal from the
-    // back of the next busy victim in ring order.
-    if (!self.queue.empty()) {
-        out = std::move(self.queue.front());
-        self.queue.pop_front();
-        return true;
-    }
-    const std::size_t n = workers_.size();
-    const std::size_t me = static_cast<std::size_t>(self.context.id);
-    for (std::size_t d = 1; d < n; ++d) {
-        Worker &victim = *workers_[(me + d) % n];
-        if (!victim.queue.empty()) {
-            out = std::move(victim.queue.back());
-            victim.queue.pop_back();
-            self.tasksStolen.fetch_add(1, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    return false;
 }
 
 void
@@ -131,21 +99,11 @@ Scheduler::workerLoop(Worker &self)
         Task task;
         {
             std::unique_lock<std::mutex> lock(mu_);
-            work_cv_.wait(lock, [&] {
-                if (stop_)
-                    return true;
-                if (!self.queue.empty())
-                    return true;
-                for (const auto &w : workers_)
-                    if (!w->queue.empty())
-                        return true;
-                return false;
-            });
-            if (!takeTask(self, task)) {
-                if (stop_)
-                    return;
-                continue; // raced with another thief; wait again
-            }
+            work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+            if (queue_.empty())
+                return; // stopping, and ~Scheduler waited the queue out
+            task = std::move(queue_.front());
+            queue_.pop_front();
         }
 
         // A throwing task (SolveService catches solver errors, but user

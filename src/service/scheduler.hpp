@@ -1,20 +1,17 @@
 /**
  * @file
- * Work-stealing thread-pool scheduler for solve jobs.
+ * FIFO thread-pool scheduler for solve jobs.
  *
- * Each worker owns a deque and a WorkerContext holding its private
- * scratch state: submissions are spread round-robin across the
- * deques, a worker pops from the front of its own deque (FIFO for
- * fairness/latency), and an idle worker steals from the back of a
- * victim's deque. Job granularity is milliseconds-to-seconds, so one
- * mutex guarding the deques is nowhere near contended — the point of the
- * per-worker structure is affinity (a worker's scratch buffers stay warm
- * across its queue run) and starvation-freedom, not lock-free popping.
+ * One queue under one mutex: submit() appends, and the next free worker
+ * takes the oldest task, so jobs start in submission order. Job
+ * granularity is milliseconds-to-seconds, so the mutex is nowhere near
+ * contended. Each worker keeps its own WorkerContext, so every job it
+ * runs reuses its warm scratch state.
  *
  * Determinism contract: the scheduler decides only *where and when* a
  * task runs, never its inputs. Tasks derive all randomness from their
  * job seed and write only task-local state plus their own result slot,
- * so outputs are independent of worker count and steal order (tested
+ * so outputs are independent of worker count and start order (tested
  * property).
  */
 
@@ -46,7 +43,7 @@ struct WorkerContext
     sim::StateVector scratch{1};
 };
 
-/** Fixed-size work-stealing thread pool. */
+/** Fixed-size thread pool over one FIFO task queue. */
 class Scheduler
 {
   public:
@@ -69,8 +66,6 @@ class Scheduler
         long long busySinceMs = -1;
         /** Tasks completed by this worker so far. */
         std::uint64_t tasksDone = 0;
-        /** Tasks this worker stole from another worker's deque. */
-        std::uint64_t tasksStolen = 0;
     };
 
     /** Start @p workers threads (clamped to >= 1). */
@@ -81,13 +76,13 @@ class Scheduler
 
     int workers() const { return static_cast<int>(workers_.size()); }
 
-    /** Enqueue a task (round-robin across worker deques). */
+    /** Enqueue a task behind every task already queued. */
     void submit(Task task);
 
     /** Block until every submitted task has finished. */
     void wait();
 
-    /** Tasks sitting in deques, not yet picked up by a worker. */
+    /** Tasks queued, not yet picked up by a worker. */
     std::size_t queuedTasks() const;
 
     /** Tasks submitted and not yet finished (queued + running). */
@@ -99,17 +94,14 @@ class Scheduler
   private:
     struct Worker
     {
-        std::deque<Task> queue;
         std::thread thread;
         WorkerContext context;
         /** ms since scheduler start when the running task began; -1 idle. */
         std::atomic<long long> busySinceMs{-1};
         std::atomic<std::uint64_t> tasksDone{0};
-        std::atomic<std::uint64_t> tasksStolen{0};
     };
 
     void workerLoop(Worker &self);
-    bool takeTask(Worker &self, Task &out);
     long long nowMs() const;
 
     std::vector<std::unique_ptr<Worker>> workers_;
@@ -118,10 +110,10 @@ class Scheduler
     mutable std::mutex mu_;
     std::condition_variable work_cv_;
     std::condition_variable idle_cv_;
+    /** Tasks not yet picked up, oldest first. */
+    std::deque<Task> queue_;
     /** Tasks submitted but not yet finished. */
     std::size_t inflight_ = 0;
-    /** Round-robin submission cursor. */
-    std::size_t next_ = 0;
     bool stop_ = false;
 };
 

@@ -74,9 +74,17 @@ sendAll(int fd, const char *data, std::size_t len)
  * flushed. A stale peer costs at most this bound. */
 constexpr int kCloseLingerMs = 1000;
 
-/** Event-loop shard threads; connections are dealt round-robin at
- * accept. */
-constexpr int kEventShards = 2;
+/** Poll granularity of the event loop: bounds how stale the stop flag,
+ * the idle and park clocks, and the accept backoff can get. */
+constexpr int kPollTickMs = 20;
+
+/** Write backpressure: once a connection's buffered unsent output
+ * exceeds this many bytes, the loop stops reading its requests until
+ * the buffer drains below the bound (TCP backpressure then reaches the
+ * sender). Results of already accepted jobs still append past the
+ * bound — the true cap is this plus maxInflight result lines — so a
+ * slow reader can never deadlock its own completions. */
+constexpr std::size_t kMaxWriteBufferBytes = std::size_t{4} << 20;
 
 } // namespace
 
@@ -217,6 +225,25 @@ statsToJson(const SolveService &service)
 namespace
 {
 
+/** The reply to a control request, shared by both front-ends: runs a
+ * cancel and acknowledges it, or builds the health or stats body. */
+Json
+controlReply(SolveService &service, const ParsedLine &parsed)
+{
+    if (parsed.control == ControlKind::Cancel) {
+        const int n = service.cancel(parsed.cancelId);
+        Json ack = Json::object();
+        ack.set("type", std::string("cancel"));
+        ack.set("id", parsed.cancelId);
+        ack.set("status", std::string("ok"));
+        ack.set("cancelled", n);
+        return ack;
+    }
+    if (parsed.control == ControlKind::Health)
+        return healthToJson(service.health());
+    return statsToJson(service);
+}
+
 /**
  * Bounded line reader over an istream: like std::getline but a line
  * longer than @p max_bytes is reported oversized and skipped to its
@@ -351,32 +378,16 @@ runJsonlStream(std::istream &in, std::ostream &out, SolveService &service,
             ++stats.failed;
             continue;
         }
-        if (parsed.control == ControlKind::Cancel) {
-            const int n = service.cancel(parsed.cancelId);
-            ++stats.cancelRequests;
-            Json ack = Json::object();
-            ack.set("type", std::string("cancel"));
-            ack.set("id", parsed.cancelId);
-            ack.set("status", std::string("ok"));
-            ack.set("cancelled", n);
+        if (parsed.control != ControlKind::None) {
+            if (parsed.control == ControlKind::Cancel)
+                ++stats.cancelRequests;
+            else if (parsed.control == ControlKind::Health)
+                ++stats.healthProbes;
+            else
+                ++stats.statsProbes;
+            const Json reply = controlReply(service, parsed);
             std::lock_guard<std::mutex> lock(out_mu);
-            out << ack.dump() << "\n";
-            out.flush();
-            continue;
-        }
-        if (parsed.control == ControlKind::Health) {
-            ++stats.healthProbes;
-            const Json h = healthToJson(service.health());
-            std::lock_guard<std::mutex> lock(out_mu);
-            out << h.dump() << "\n";
-            out.flush();
-            continue;
-        }
-        if (parsed.control == ControlKind::Stats) {
-            ++stats.statsProbes;
-            const Json s = statsToJson(service);
-            std::lock_guard<std::mutex> lock(out_mu);
-            out << s.dump() << "\n";
+            out << reply.dump() << "\n";
             out.flush();
             continue;
         }
@@ -396,23 +407,23 @@ runJsonlStream(std::istream &in, std::ostream &out, SolveService &service,
 
 // --------------------------------------------------------------- Server
 
-/** Per-connection state shared between its owning event-loop shard and
- * the result callbacks still in flight on worker threads. */
+/** Per-connection state shared between the event loop and the result
+ * callbacks still in flight on worker threads. */
 struct Server::Connection
 {
     int fd = -1;
     /** When accept() returned this connection, anchoring accept_ms and
      * idle_before_first_request_ms. */
     Clock::time_point acceptedAt;
-    /** Idle-before-first-request recorded yet? Only the owning shard
-     * touches it. */
+    /** Idle-before-first-request recorded yet? Only the loop touches
+     * it. */
     bool sawFirstByte = false;
     /** Serializes result lines (callbacks fire on worker threads) and
      * guards fd teardown, outBuf/outOff, and lastWriteProgress. */
     std::mutex writeMu;
     /** When the first request byte arrived, anchoring first_byte_ms
      * (first request byte -> first response byte). Stamped once by the
-     * shard, read by the response path; writeMu guards the handoff
+     * loop, read by the response path; writeMu guards the handoff
      * because responses are written from worker threads. */
     Clock::time_point firstByteAt;
     bool firstByteStamped = false; // writeMu
@@ -426,10 +437,8 @@ struct Server::Connection
      * stat is exactly-once per connection. */
     std::atomic<bool> disconnectCounted{false};
 
-    // ---- Event-loop state, owned by the shard thread except where a
+    // ---- Event-loop state, owned by the loop thread except where a
     // comment says otherwise.
-    /** Owning shard, set at accept. */
-    EventShard *shard = nullptr;
     LineFramer framer;
     /** Jobs accepted from this connection (per-connection limit). */
     long served = 0;
@@ -496,34 +505,6 @@ struct Server::Connection
     }
 };
 
-/**
- * One event-loop shard: a poll(2) thread owning a private connection
- * table. The only cross-thread surface is the incoming queue (accept
- * loop hands new connections over) and the self-pipe that interrupts
- * poll when another thread changes state the shard should notice (new
- * connection, buffered output, a job completion).
- */
-struct Server::EventShard
-{
-    std::thread thread;
-    /** Self-pipe: [0] read end polled by the shard, [1] written by
-     * wakeShard. Both non-blocking. */
-    int wakeRd = -1;
-    int wakeWr = -1;
-    std::mutex mu; // guards incoming
-    std::vector<std::shared_ptr<Connection>> incoming;
-    /** Shard-thread private. */
-    std::vector<std::shared_ptr<Connection>> conns;
-
-    ~EventShard()
-    {
-        if (wakeRd >= 0)
-            ::close(wakeRd);
-        if (wakeWr >= 0)
-            ::close(wakeWr);
-    }
-};
-
 Server::Server(SolveService &service, ServerOptions opts)
     : service_(service), opts_(opts),
       acceptMs_(service.metrics().histogram("server.accept_ms")),
@@ -566,7 +547,7 @@ Server::start()
                      << opts_.port << ": " << std::strerror(err));
     }
     // The kernel's own cap: a burst of connects (up to maxConnections)
-    // queues for the accept loop instead of overflowing a short backlog
+    // queues for the event loop instead of overflowing a short backlog
     // into dropped SYNs and ~1 s client retransmits.
     if (::listen(listenFd_, SOMAXCONN) != 0) {
         const int err = errno;
@@ -578,55 +559,39 @@ Server::start()
     ::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr), &len);
     port_ = ntohs(addr.sin_port);
 
-    for (int i = 0; i < kEventShards; ++i) {
-        auto sh = std::make_unique<EventShard>();
-        int pipefd[2];
-        if (::pipe(pipefd) != 0) {
-            ::close(listenFd_);
-            listenFd_ = -1;
-            shards_.clear();
-            CHOCOQ_FATAL("pipe(): " << std::strerror(errno));
-        }
-        ::fcntl(pipefd[0], F_SETFL,
-                ::fcntl(pipefd[0], F_GETFL, 0) | O_NONBLOCK);
-        ::fcntl(pipefd[1], F_SETFL,
-                ::fcntl(pipefd[1], F_GETFL, 0) | O_NONBLOCK);
-        sh->wakeRd = pipefd[0];
-        sh->wakeWr = pipefd[1];
-        shards_.push_back(std::move(sh));
+    // Non-blocking listener: the loop accepts until EAGAIN.
+    ::fcntl(listenFd_, F_SETFL, ::fcntl(listenFd_, F_GETFL, 0) | O_NONBLOCK);
+    int pipefd[2];
+    if (::pipe(pipefd) != 0) {
+        const int err = errno;
+        ::close(listenFd_);
+        listenFd_ = -1;
+        CHOCOQ_FATAL("pipe(): " << std::strerror(err));
     }
-    for (auto &sh : shards_) {
-        EventShard *raw = sh.get();
-        raw->thread = std::thread([this, raw] { eventShardLoop(*raw); });
-    }
+    for (const int fd : pipefd)
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    wakeRd_ = pipefd[0];
+    wakeWr_ = pipefd[1];
 
     started_ = true;
-    acceptThread_ = std::thread([this] { acceptLoop(); });
+    loop_ = std::thread([this] { eventLoop(); });
 }
 
-void
-Server::acceptLoop()
+bool
+Server::acceptPending()
 {
-    while (!stop_.load(std::memory_order_relaxed)) {
-        pollfd p{listenFd_, POLLIN, 0};
-        const int pr = ::poll(&p, 1, opts_.pollTickMs);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (pr == 0)
-            continue;
+    while (true) {
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0) {
-            // Only a dead listener ends the loop. Resource pressure
-            // (EMFILE/ENFILE/ENOBUFS/...) is transient: the next poll
-            // tick retries once connections close and free fds —
-            // breaking here would leave a live server that silently
-            // never accepts again.
-            if (errno == EBADF || errno == EINVAL)
-                break;
-            continue;
+            // ECONNABORTED: a queued connection was reset before
+            // accept(2) reached it; the backlog may hold more.
+            if (errno == EINTR || errno == ECONNABORTED)
+                continue;
+            // EAGAIN: the backlog is empty. Anything else is resource
+            // pressure (EMFILE/ENFILE/ENOBUFS/ENOMEM): the connection
+            // stays queued and keeps the listener readable, so the
+            // caller must back off rather than poll it again at once.
+            return errno == EAGAIN || errno == EWOULDBLOCK;
         }
         // Fault site conn_reset: the accepted connection is reset (RST,
         // via zero-linger close) before serving anything, modeling a
@@ -660,8 +625,8 @@ Server::acceptLoop()
             sendAll(fd, line.data(), line.size());
             // Non-blocking discard of whatever arrived with the
             // connect, so close() doesn't RST the rejection line away
-            // (must not stall the accept loop; a peer still mid-write
-            // can race this, which costs it only this line).
+            // (must not stall the loop; a peer still mid-write can race
+            // this, which costs it only this line).
             char sink[4096];
             while (::recv(fd, sink, sizeof sink, MSG_DONTWAIT) > 0) {}
             ::close(fd);
@@ -672,34 +637,26 @@ Server::acceptLoop()
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
         conn->acceptedAt = Clock::now();
-        const long accepted =
-            connectionsAccepted_.fetch_add(1, std::memory_order_relaxed);
+        connectionsAccepted_.fetch_add(1, std::memory_order_relaxed);
         connectionsOpen_.fetch_add(1, std::memory_order_relaxed);
         connOpenGauge_.add(1.0);
-
-        // Non-blocking fd, round-robin shard handoff: the shard owns the
-        // connection from here (no shared connection table).
         ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
         conn->framer = LineFramer(opts_.maxLineBytes);
         conn->lastActivity = Clock::now();
-        EventShard &sh =
-            *shards_[static_cast<std::size_t>(accepted) % shards_.size()];
-        conn->shard = &sh;
-        {
-            std::lock_guard<std::mutex> lock(sh.mu);
-            sh.incoming.push_back(std::move(conn));
-        }
-        wakeShard(sh);
+        // accept -> registration: the server-controlled half of
+        // connection setup.
+        acceptMs_.record(millisSince(conn->acceptedAt));
+        conns_.push_back(std::move(conn));
     }
 }
 
 void
-Server::wakeShard(EventShard &sh)
+Server::wake()
 {
-    // Self-pipe: interrupt the shard's poll. Non-blocking write; a
-    // full pipe already has a wake pending, so EAGAIN is success.
+    // Self-pipe: interrupt the loop's poll. Non-blocking write; a full
+    // pipe already has a wake pending, so EAGAIN is success.
     const char b = 1;
-    [[maybe_unused]] const ssize_t n = ::write(sh.wakeWr, &b, 1);
+    [[maybe_unused]] const ssize_t n = ::write(wakeWr_, &b, 1);
 }
 
 void
@@ -709,7 +666,7 @@ Server::markBrokenLocked(const std::shared_ptr<Connection> &conn)
     // The peer is provably gone: nobody will read this connection's
     // remaining results, so stop computing them.
     cancelConnectionJobs(conn);
-    wakeShard(*conn->shard); // let the shard close and unregister
+    wake(); // let the loop close and unregister it
 }
 
 bool
@@ -747,7 +704,7 @@ Server::writeLine(const std::shared_ptr<Connection> &conn,
 
     // Append, then flush opportunistically — the common case completes
     // right here and the loop never sees POLLOUT. A partial send leaves
-    // the remainder buffered; the shard resumes it when the socket
+    // the remainder buffered; the loop resumes it when the socket
     // drains (never blocking this worker thread).
     if (conn->fd < 0)
         return; // already finalized
@@ -765,7 +722,7 @@ Server::writeLine(const std::shared_ptr<Connection> &conn,
             return;
         if (conn->outOff < conn->outBuf.size()) {
             partialWrites_.fetch_add(1, std::memory_order_relaxed);
-            wakeShard(*conn->shard); // start polling POLLOUT
+            wake(); // start polling POLLOUT
         }
     }
 }
@@ -773,9 +730,8 @@ Server::writeLine(const std::shared_ptr<Connection> &conn,
 bool
 Server::tryReserveInflight()
 {
-    // Reserve the slot first (fetch_add, not load-then-add): shards
-    // racing a plain check could all pass it and overshoot the bound by
-    // shards-1 jobs.
+    // Reserve the slot first (fetch_add, not load-then-add): completions
+    // release slots concurrently from worker threads.
     const long reserved = inflight_.fetch_add(1, std::memory_order_relaxed);
     if (opts_.maxInflight > 0
         && reserved >= static_cast<long>(opts_.maxInflight)) {
@@ -789,23 +745,26 @@ void
 Server::handleControl(const std::shared_ptr<Connection> &conn,
                       const ParsedLine &parsed)
 {
-    if (parsed.control == ControlKind::Cancel) {
-        // Cancellation is server-wide by id, not per-connection: an
-        // operator can open a second connection to cancel a job a
-        // wedged first connection submitted.
-        const int n = service_.cancel(parsed.cancelId);
+    // Counted before the reply is built, so a stats probe sees itself.
+    // Cancellation is server-wide by id, not per-connection: an
+    // operator can open a second connection to cancel a job a wedged
+    // first connection submitted.
+    if (parsed.control == ControlKind::Cancel)
         cancelRequests_.fetch_add(1, std::memory_order_relaxed);
-        Json ack = Json::object();
-        ack.set("type", std::string("cancel"));
-        ack.set("id", parsed.cancelId);
-        ack.set("status", std::string("ok"));
-        ack.set("cancelled", n);
-        writeLine(conn, ack.dump());
-        return;
-    }
-    if (parsed.control == ControlKind::Stats) {
+    else if (parsed.control == ControlKind::Health)
+        healthProbes_.fetch_add(1, std::memory_order_relaxed);
+    else
         statsProbes_.fetch_add(1, std::memory_order_relaxed);
-        Json s = statsToJson(service_);
+    Json reply = controlReply(service_, parsed);
+    const double inflight =
+        static_cast<double>(inflight_.load(std::memory_order_relaxed));
+    if (parsed.control == ControlKind::Health) {
+        // Server-level view rides along with the service's counters.
+        reply.set("connections_open",
+                  static_cast<double>(
+                      connectionsOpen_.load(std::memory_order_relaxed)));
+        reply.set("server_inflight", inflight);
+    } else if (parsed.control == ControlKind::Stats) {
         // Server-level section: the front-end's own counters, which the
         // embedded service cannot see.
         Json server = Json::object();
@@ -838,22 +797,10 @@ Server::handleControl(const std::shared_ptr<Connection> &conn,
                    static_cast<double>(ss.faultConnResets));
         server.set("partial_writes",
                    static_cast<double>(ss.partialWrites));
-        server.set("inflight",
-                   static_cast<double>(
-                       inflight_.load(std::memory_order_relaxed)));
-        s.set("server", std::move(server));
-        writeLine(conn, s.dump());
-        return;
+        server.set("inflight", inflight);
+        reply.set("server", std::move(server));
     }
-    healthProbes_.fetch_add(1, std::memory_order_relaxed);
-    Json h = healthToJson(service_.health());
-    // Server-level view rides along with the service's counters.
-    h.set("connections_open",
-          static_cast<double>(
-              connectionsOpen_.load(std::memory_order_relaxed)));
-    h.set("server_inflight",
-          static_cast<double>(inflight_.load(std::memory_order_relaxed)));
-    writeLine(conn, h.dump());
+    writeLine(conn, reply.dump());
 }
 
 void
@@ -938,7 +885,7 @@ Server::submitAccepted(const std::shared_ptr<Connection> &conn,
                         inflight_.fetch_sub(1, std::memory_order_relaxed);
                         // Completion changes the finish/park calculus;
                         // don't leave it to the next tick.
-                        wakeShard(*conn->shard);
+                        wake();
                     },
                     token);
 }
@@ -946,7 +893,7 @@ Server::submitAccepted(const std::shared_ptr<Connection> &conn,
 // ----------------------------------------------------------- event loop
 //
 // Connection state machine (one instance per connection, advanced only
-// by its owning shard thread;
+// by the loop thread;
 // docs/service.md#event-loop-connection-state-machine has the
 // operator-facing version):
 //
@@ -958,7 +905,7 @@ Server::submitAccepted(const std::shared_ptr<Connection> &conn,
 //
 // Writes are the only cross-thread traffic: worker callbacks append
 // under writeMu and flush opportunistically; what the kernel refuses
-// rides in outBuf until the shard sees POLLOUT.
+// rides in outBuf until the loop sees POLLOUT.
 
 void
 Server::eventHandleReadable(const std::shared_ptr<Connection> &conn)
@@ -994,8 +941,9 @@ Server::eventHandleReadable(const std::shared_ptr<Connection> &conn)
     if (conn->readClosed)
         return; // no longer reading; late bytes die at close
     // Fault site read_delay: a pause after the socket read, modeling a
-    // saturated or lossy link. It deliberately stalls the whole shard —
-    // that is exactly what saturation does to an event loop.
+    // saturated or lossy link. It deliberately stalls the one loop —
+    // every connection and the accept path — which is exactly what
+    // saturation does to an event loop.
     if (opts_.fault && opts_.fault->fire(FaultInjector::Site::ReadDelay))
         std::this_thread::sleep_for(std::chrono::milliseconds(
             opts_.fault->durationMs(FaultInjector::Site::ReadDelay)));
@@ -1017,10 +965,6 @@ Server::eventProcessBuffer(const std::shared_ptr<Connection> &conn)
     if (conn->fd < 0 || conn->broken.load(std::memory_order_relaxed)
         || conn->parked)
         return;
-    const auto atConnLimit = [&] {
-        return opts_.maxRequestsPerConn > 0
-               && conn->served >= opts_.maxRequestsPerConn;
-    };
     LineFramer::Line ln;
     while (!conn->parked && !conn->broken.load(std::memory_order_relaxed)
            && conn->framer.next(ln)) {
@@ -1033,15 +977,6 @@ Server::eventProcessBuffer(const std::shared_ptr<Connection> &conn)
                           .dump());
             continue;
         }
-        if (isSkippableLine(ln.text))
-            continue;
-        if (conn->limitClose || atConnLimit()) {
-            // Never silence: every buffered request at or behind the
-            // limit gets its own rejection before the close.
-            rejectAtLimit(conn, ln.text, ln.lineno);
-            conn->limitClose = true;
-            continue;
-        }
         eventDispatchLine(conn, std::move(ln));
     }
     if (conn->limitClose)
@@ -1052,10 +987,19 @@ void
 Server::eventDispatchLine(const std::shared_ptr<Connection> &conn,
                           LineFramer::Line &&ln)
 {
+    if (isSkippableLine(ln.text))
+        return;
+    if (conn->limitClose
+        || (opts_.maxRequestsPerConn > 0
+            && conn->served >= opts_.maxRequestsPerConn)) {
+        // Never silence: every request at or behind the limit gets its
+        // own rejection before the close.
+        rejectAtLimit(conn, ln.text, ln.lineno);
+        conn->limitClose = true;
+        return;
+    }
     ParsedLine parsed =
         parseRequestLine(ln.text, ln.lineno, false, opts_.specLimits);
-    if (parsed.skip)
-        return;
     if (!parsed.ok) {
         lineErrors_.fetch_add(1, std::memory_order_relaxed);
         writeLine(conn, resultToJson(parsed.error).dump());
@@ -1074,7 +1018,7 @@ Server::eventDispatchLine(const std::shared_ptr<Connection> &conn,
     }
     if (opts_.queueWaitMs > 0 && !stop_.load(std::memory_order_relaxed)) {
         // Park: reading pauses so at most one request per connection is
-        // in limbo (TCP backpressure reaches the sender), and the shard
+        // in limbo (TCP backpressure reaches the sender), and the loop
         // retries every tick.
         conn->parked = true;
         conn->parkedBudgetMs = opts_.queueWaitMs;
@@ -1094,16 +1038,8 @@ Server::eventAnswerTail(const std::shared_ptr<Connection> &conn)
     // A parked request precedes any tail bytes; they stay buffered
     // until the park resolves (EOF is then re-observed by the loop).
     LineFramer::Line tail;
-    if (conn->parked || !conn->framer.tail(tail)
-        || isSkippableLine(tail.text))
-        return;
-    if (conn->limitClose
-        || (opts_.maxRequestsPerConn > 0
-            && conn->served >= opts_.maxRequestsPerConn)) {
-        rejectAtLimit(conn, tail.text, tail.lineno);
-        return;
-    }
-    eventDispatchLine(conn, std::move(tail));
+    if (!conn->parked && conn->framer.tail(tail))
+        eventDispatchLine(conn, std::move(tail));
 }
 
 void
@@ -1111,35 +1047,31 @@ Server::eventResolveParked(const std::shared_ptr<Connection> &conn,
                            bool draining)
 {
     const double waited = millisSince(conn->parkedAt);
-    if (!draining && waited < conn->parkedBudgetMs) {
-        if (!tryReserveInflight())
-            return; // budget left: keep waiting
-        SolveJob job = std::move(conn->parkedJob);
-        conn->parked = false;
-        conn->parkedJob = SolveJob{};
-        if (job.deadlineMs > 0.0) {
-            // Queue time counts against the deadline; a slot that
-            // frees exactly as the deadline passes is still a timeout.
-            job.deadlineMs -= waited;
-            if (job.deadlineMs <= 0.0) {
-                inflight_.fetch_sub(1, std::memory_order_relaxed);
-                rejectCapacity(conn, job.id);
-                eventProcessBuffer(conn);
-                return;
-            }
-        }
-        queueWaited_.fetch_add(1, std::memory_order_relaxed);
-        ++conn->served;
-        submitAccepted(conn, std::move(job));
-        eventProcessBuffer(conn); // resume lines queued behind the park
-        return;
-    }
-    // Budget exhausted (or drain): the bounded wait ends in rejection.
+    bool admit = !draining && waited < conn->parkedBudgetMs;
+    if (admit && !tryReserveInflight())
+        return; // budget left: keep waiting
     SolveJob job = std::move(conn->parkedJob);
     conn->parked = false;
     conn->parkedJob = SolveJob{};
-    rejectCapacity(conn, job.id);
-    eventProcessBuffer(conn);
+    if (admit && job.deadlineMs > 0.0) {
+        // Queue time counts against the deadline; a slot that frees
+        // exactly as the deadline passes is still a timeout.
+        job.deadlineMs -= waited;
+        if (job.deadlineMs <= 0.0) {
+            inflight_.fetch_sub(1, std::memory_order_relaxed);
+            admit = false;
+        }
+    }
+    if (admit) {
+        queueWaited_.fetch_add(1, std::memory_order_relaxed);
+        ++conn->served;
+        submitAccepted(conn, std::move(job));
+    } else {
+        // Budget exhausted (or drain): the bounded wait ends in
+        // rejection.
+        rejectCapacity(conn, job.id);
+    }
+    eventProcessBuffer(conn); // resume lines queued behind the park
 }
 
 void
@@ -1238,38 +1170,39 @@ Server::eventFinalize(const std::shared_ptr<Connection> &conn)
 }
 
 void
-Server::eventShardLoop(EventShard &sh)
+Server::eventLoop()
 {
     std::vector<pollfd> pfds;
     std::vector<std::shared_ptr<Connection>> polled;
+    // accept(2) out of resources: the listener sits out the poll set
+    // until then, so the connection it cannot take doesn't spin the loop.
+    Clock::time_point acceptPausedUntil;
     while (true) {
-        // Intake connections the accept loop handed over.
-        {
-            std::vector<std::shared_ptr<Connection>> fresh;
-            {
-                std::lock_guard<std::mutex> lock(sh.mu);
-                fresh.swap(sh.incoming);
-            }
-            for (auto &c : fresh) {
-                // accept -> shard pickup: the server-controlled half of
-                // connection setup.
-                acceptMs_.record(millisSince(c->acceptedAt));
-                sh.conns.push_back(std::move(c));
-            }
-        }
         const bool draining = stop_.load(std::memory_order_relaxed);
+        if (draining && listenFd_ >= 0) {
+            // Close the listener first: clients connecting mid-drain get
+            // connection-refused rather than a backlog slot that never
+            // answers.
+            ::close(listenFd_);
+            listenFd_ = -1;
+        }
 
         // Housekeep every connection, drop the finalized ones, and
         // build the poll set from what remains.
         pfds.clear();
         polled.clear();
-        pfds.push_back(pollfd{sh.wakeRd, POLLIN, 0});
-        for (std::size_t i = 0; i < sh.conns.size();) {
-            const auto conn = sh.conns[i]; // keep alive across erase
+        pfds.push_back(pollfd{wakeRd_, POLLIN, 0});
+        const bool pollListener =
+            listenFd_ >= 0 && Clock::now() >= acceptPausedUntil;
+        if (pollListener)
+            pfds.push_back(pollfd{listenFd_, POLLIN, 0});
+        const std::size_t firstConn = pfds.size();
+        for (std::size_t i = 0; i < conns_.size();) {
+            const auto conn = conns_[i]; // keep alive across erase
             eventHousekeep(conn, draining);
             if (conn->fd < 0) {
-                sh.conns[i] = std::move(sh.conns.back());
-                sh.conns.pop_back();
+                conns_[i] = std::move(conns_.back());
+                conns_.pop_back();
                 continue;
             }
             short ev = 0;
@@ -1283,8 +1216,7 @@ Server::eventShardLoop(EventShard &sh)
             // Write backpressure: a connection whose output buffer is
             // over the bound stops being read until it drains (TCP
             // then pushes back on the sender).
-            const bool paused = opts_.maxWriteBufferBytes > 0
-                                && pending >= opts_.maxWriteBufferBytes;
+            const bool paused = pending >= kMaxWriteBufferBytes;
             if (conn->wrShutdown) {
                 ev |= POLLIN; // close handshake: read to peer EOF
             } else if (!conn->readClosed && !conn->parked && !paused) {
@@ -1301,15 +1233,11 @@ Server::eventShardLoop(EventShard &sh)
             ++i;
         }
 
-        if (draining && sh.conns.empty()) {
-            std::lock_guard<std::mutex> lock(sh.mu);
-            if (sh.incoming.empty())
-                break; // drained: every connection finished and closed
-            continue;
-        }
+        if (draining && conns_.empty())
+            break; // drained: every connection finished and closed
 
         const int pr = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                              opts_.pollTickMs);
+                              kPollTickMs);
         if (pr < 0) {
             if (errno != EINTR)
                 std::this_thread::sleep_for(
@@ -1320,14 +1248,17 @@ Server::eventShardLoop(EventShard &sh)
             continue; // tick: housekeeping runs at the loop top
         if ((pfds[0].revents & POLLIN) != 0) {
             char sink[256];
-            while (::read(sh.wakeRd, sink, sizeof sink) > 0) {}
+            while (::read(wakeRd_, sink, sizeof sink) > 0) {}
         }
+        if (pollListener && pfds[1].revents != 0 && !acceptPending())
+            acceptPausedUntil =
+                Clock::now() + std::chrono::milliseconds(kPollTickMs);
         for (std::size_t k = 0; k < polled.size(); ++k) {
-            const short re = pfds[k + 1].revents;
-            if (re == 0)
+            const pollfd &p = pfds[firstConn + k];
+            if (p.revents == 0)
                 continue;
             const auto &conn = polled[k];
-            if ((re & POLLOUT) != 0) {
+            if ((p.revents & POLLOUT) != 0) {
                 std::lock_guard<std::mutex> lock(conn->writeMu);
                 if (conn->fd >= 0
                     && !conn->broken.load(std::memory_order_relaxed))
@@ -1335,8 +1266,8 @@ Server::eventShardLoop(EventShard &sh)
             }
             // Read only when this pass asked for POLLIN — unrequested
             // POLLERR/POLLHUP is left to whichever direction is active.
-            if ((pfds[k + 1].events & POLLIN) != 0
-                && (re & (POLLIN | POLLERR | POLLHUP)) != 0)
+            if ((p.events & POLLIN) != 0
+                && (p.revents & (POLLIN | POLLERR | POLLHUP)) != 0)
                 eventHandleReadable(conn);
         }
     }
@@ -1348,37 +1279,15 @@ Server::drain()
     if (!started_ || drained_)
         return;
     requestStop();
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-    // Close the listener immediately: clients connecting mid-drain get
-    // connection-refused rather than a backlog slot that never answers.
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    // Wake the shards so they notice the drain, then join them — each
-    // keeps flushing until every connection has finished and closed.
-    for (auto &sh : shards_)
-        wakeShard(*sh);
-    for (auto &sh : shards_)
-        if (sh->thread.joinable())
-            sh->thread.join();
-    for (auto &sh : shards_) {
-        // A connection accepted in the stop window can land in the
-        // incoming queue after its shard exited: close it here (the
-        // client sees a FIN with no response, the same as connecting a
-        // moment later and being refused).
-        std::lock_guard<std::mutex> lock(sh->mu);
-        for (auto &conn : sh->incoming) {
-            ::close(conn->fd);
-            conn->fd = -1;
-            connectionsOpen_.fetch_sub(1, std::memory_order_relaxed);
-            connOpenGauge_.add(-1.0);
-        }
-        sh->incoming.clear();
-    }
-    shards_.clear();
+    wake();
+    // The loop closes the listener, keeps flushing until every
+    // connection has finished and closed, then exits.
+    loop_.join();
     service_.drain();
+    // No result callback is left to wake the loop: close the pipe.
+    ::close(wakeRd_);
+    ::close(wakeWr_);
+    wakeRd_ = wakeWr_ = -1;
     drained_ = true;
 }
 

@@ -1,17 +1,16 @@
 /**
  * @file
- * Network front-end of the solve service: a long-lived TCP accept loop
+ * Network front-end of the solve service: a long-lived TCP server
  * speaking the JSONL protocol (docs/protocol.md) per connection, plus
  * the shared request-stream plumbing the stdin batch mode is built on.
  *
- * Design: one poll(2) event loop. Non-blocking sockets are multiplexed
- * by a small fixed set of shard threads, each owning a private
- * connection table (no cross-shard lock on the hot path). Reads are
- * level-triggered into a per-connection LineFramer; writes that cannot
- * complete in one send(2) are buffered and resumed when the loop
- * reports POLLOUT, so a slow reader costs buffered bytes, never a
- * blocked thread, and an idle connection costs no thread at all
- * (docs/service.md#socket-front-end).
+ * Design: one poll(2) event loop on one thread. It owns the
+ * non-blocking listener, a self-pipe that other threads write to wake
+ * it, and every connection. Reads are level-triggered into a
+ * per-connection LineFramer; writes that cannot complete in one send(2)
+ * are buffered and resumed when the loop reports POLLOUT, so a slow
+ * reader costs buffered bytes, never a blocked thread, and an idle
+ * connection costs no thread at all (docs/service.md#socket-front-end).
  *
  * Requests are parsed off the socket and fed into the shared
  * SolveService scheduler; each result is serialized back on the
@@ -256,19 +255,6 @@ struct ServerOptions
      * 0 = never declare a stall.
      */
     int sendTimeoutMs = 10000;
-    /** Poll granularity of the accept and shard loops; bounds how stale
-     * the stop flag and idle clocks can get. */
-    int pollTickMs = 20;
-    /**
-     * Write backpressure: once a connection's buffered unsent output
-     * exceeds this many bytes, the loop stops reading its requests
-     * until the buffer drains below the bound (TCP backpressure then
-     * reaches the sender). Results of already accepted jobs still
-     * append past the bound — the true cap is this plus maxInflight
-     * result lines — so a slow reader can never deadlock its own
-     * completions. 0 = never pause reads.
-     */
-    std::size_t maxWriteBufferBytes = std::size_t{4} << 20;
     /**
      * SO_SNDBUF override on accepted connections, in bytes (0 = OS
      * default). Shrinking it makes write backpressure trip early —
@@ -327,9 +313,9 @@ struct ServerStats
 };
 
 /**
- * The TCP front-end. Owns the listening socket, the accept thread, and
- * the event-loop shard threads; jobs run on the SolveService passed in
- * (shared compile cache and worker pool across connections).
+ * The TCP front-end. Owns the listening socket and the event-loop
+ * thread; jobs run on the SolveService passed in (shared compile cache
+ * and worker pool across connections).
  */
 class Server
 {
@@ -349,16 +335,17 @@ class Server
 
     /**
      * Flip the drain flag: stop accepting connections and reading new
-     * requests. Safe to call from a signal handler's forwarding thread
-     * or any other thread; returns immediately. drain() completes the
-     * shutdown.
+     * requests (the loop notices within one poll tick). Safe to call
+     * from a signal handler's forwarding thread or any other thread;
+     * returns immediately. drain() completes the shutdown.
      */
     void requestStop() { stop_.store(true, std::memory_order_relaxed); }
 
     /**
-     * Graceful drain: requestStop(), then wait for every accepted job
-     * to finish and its result to flush, close all connections and the
-     * listener, and join the threads. Idempotent.
+     * Graceful drain: requestStop() and wake the loop, which closes the
+     * listener, waits for every accepted job to finish and its result
+     * to flush, closes all connections and exits; then join it.
+     * Idempotent.
      */
     void drain();
 
@@ -366,10 +353,9 @@ class Server
 
   private:
     struct Connection;
-    struct EventShard;
 
-    void acceptLoop();
-    /** Answer a cancel/health control request on this connection. */
+    /** Answer a cancel/health/stats control request on this
+     * connection. */
     void handleControl(const std::shared_ptr<Connection> &conn,
                        const ParsedLine &parsed);
     /** Cancel every job this connection still has in flight (the
@@ -393,15 +379,18 @@ class Server
     void writeLine(const std::shared_ptr<Connection> &conn,
                    const std::string &line);
 
-    // Event loop (all run on the owning shard's thread unless noted;
-    // see the connection state machine in
+    // Event loop (all run on the loop thread unless noted; see the
+    // connection state machine in
     // docs/service.md#event-loop-connection-state-machine).
-    void eventShardLoop(EventShard &sh);
+    void eventLoop();
+    /** Accept until EAGAIN and register each connection. False when
+     * accept(2) failed for lack of resources (the caller backs off). */
+    bool acceptPending();
     /** Frame and dispatch every complete buffered line; stops early
      * when the connection parks on a full server. */
     void eventProcessBuffer(const std::shared_ptr<Connection> &conn);
-    /** Classify and dispatch one framed line (submit / control /
-     * per-line error / park / reject). */
+    /** Classify and dispatch one framed line (skip / limit rejection /
+     * per-line error / control / submit / park / capacity rejection). */
     void eventDispatchLine(const std::shared_ptr<Connection> &conn,
                            LineFramer::Line &&ln);
     /** Answer the truncated final line at EOF / idle close. */
@@ -422,21 +411,22 @@ class Server
     bool flushOutputLocked(const std::shared_ptr<Connection> &conn);
     /** Mark broken + cancel in-flight jobs; writeMu must be held. */
     void markBrokenLocked(const std::shared_ptr<Connection> &conn);
-    /** Interrupt a shard's poll(2) (self-pipe). Any thread. */
-    void wakeShard(EventShard &sh);
+    /** Interrupt the loop's poll(2) (self-pipe). Any thread. */
+    void wake();
 
     SolveService &service_;
     ServerOptions opts_;
     /** Connection-setup and first-response latency, recorded into the
      * service's metrics registry so the stats probe and bench_service's
      * socket suite read one source of truth. accept_ms is accept() to
-     * shard pickup (server-controlled); idle_before_first_request_ms
-     * is accept() to the connection's first received byte — the
-     * client's connect-to-send turnaround, which open-loop harnesses
-     * stretch arbitrarily by holding idle connections; first_byte_ms is
-     * first received request byte to the first response byte written,
-     * the server-side latency that used to be polluted by that idle
-     * time when it was measured from accept(). */
+     * registration in the loop (server-controlled, near zero);
+     * idle_before_first_request_ms is accept() to the connection's
+     * first received byte — the client's connect-to-send turnaround,
+     * which open-loop harnesses stretch arbitrarily by holding idle
+     * connections; first_byte_ms is first received request byte to the
+     * first response byte written, the server-side latency that used
+     * to be polluted by that idle time when it was measured from
+     * accept(). */
     obs::Histogram &acceptMs_;
     obs::Histogram &idleBeforeFirstRequestMs_;
     obs::Histogram &firstByteMs_;
@@ -450,10 +440,12 @@ class Server
     /** Jobs accepted into the scheduler, not yet completed. */
     std::atomic<long> inflight_{0};
 
-    std::thread acceptThread_;
-    /** Event-loop shard threads (sized and started by start(), joined
-     * by drain()). */
-    std::vector<std::unique_ptr<EventShard>> shards_;
+    /** Self-pipe: [0] polled by the loop, [1] written by wake(). Both
+     * non-blocking; closed by drain() once no callback can wake. */
+    int wakeRd_ = -1;
+    int wakeWr_ = -1;
+    /** Open connections. Loop thread only. */
+    std::vector<std::shared_ptr<Connection>> conns_;
 
     // Stats counters (relaxed: observability only).
     std::atomic<long> connectionsAccepted_{0};
@@ -473,6 +465,9 @@ class Server
     std::atomic<long> disconnectCancels_{0};
     std::atomic<long> faultConnResets_{0};
     std::atomic<long> partialWrites_{0};
+
+    /** The event loop; declared last, after everything it uses. */
+    std::thread loop_;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -143,11 +144,12 @@ SolveService::watchdogLoop()
     // new task stalling on the same worker counts again.
     std::vector<long long> flagged(
         static_cast<std::size_t>(scheduler_.workers()), -1);
+    // Ten samples per threshold, at most 20 ms apart.
+    const std::chrono::milliseconds tick(
+        std::clamp(opts_.stallThresholdMs / 10, 1, 20));
     std::unique_lock<std::mutex> lock(watchdogMu_);
     while (!watchdogStop_) {
-        watchdogCv_.wait_for(
-            lock, std::chrono::milliseconds(opts_.watchdogTickMs),
-            [this] { return watchdogStop_; });
+        watchdogCv_.wait_for(lock, tick, [this] { return watchdogStop_; });
         if (watchdogStop_)
             break;
         lock.unlock();
@@ -519,7 +521,6 @@ SolveService::metricsToJson() const
         ws.set("id", w.id);
         ws.set("busy", w.busy);
         ws.set("tasks_done", static_cast<double>(w.tasksDone));
-        ws.set("tasks_stolen", static_cast<double>(w.tasksStolen));
         per_worker.push(std::move(ws));
     }
     sched.set("per_worker", std::move(per_worker));
@@ -551,11 +552,14 @@ SolveService::submit(SolveJob job, Callback done,
     const auto submitted = Clock::now();
     if (!token)
         token = std::make_shared<CancelToken>();
+    // The cap keeps the nanosecond conversion in range: an overflowing
+    // one would arm a deadline in the past.
     if (job.deadlineMs > 0.0)
         token->armDeadline(submitted
                            + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
-                                   job.deadlineMs)));
+                                   std::min(job.deadlineMs,
+                                            kMaxDeadlineMs))));
     registerToken(job.id, token);
     jobsSubmitted_.add();
     jobsInflight_.add(1.0);

@@ -61,13 +61,12 @@ struct ServiceOptions
     /**
      * Watchdog threshold: a worker busy on one job for longer than
      * this is flagged as stalled (counted once per stuck task, surfaced
-     * by health() and the serve summary). 0 disables the watchdog
+     * by health() and the serve summary). The watchdog samples every
+     * threshold/10 ms, clamped to [1, 20]. 0 disables the watchdog
      * thread entirely — the library default, so embedding callers pay
      * nothing; chocoq_serve enables it.
      */
     int stallThresholdMs = 0;
-    /** Watchdog polling period (only used when the watchdog is on). */
-    int watchdogTickMs = 20;
     /**
      * Optional fault injector (non-owning; must outlive the service).
      * nullptr — the default — means no injection anywhere: the fault
@@ -96,7 +95,7 @@ class SolveService
     struct Health
     {
         int workers = 0;
-        /** Jobs waiting in worker deques (not started). */
+        /** Jobs waiting in the queue (not started). */
         std::size_t queued = 0;
         /** Jobs currently executing on a worker. */
         std::size_t running = 0;
@@ -123,7 +122,8 @@ class SolveService
      * that ran the job; it must be thread-safe against other callbacks.
      * Returns the job's cancellation token: any holder may
      * requestCancel() it, and a job.deadlineMs > 0 arms its deadline
-     * clock (counting from now, through queueing and execution).
+     * clock (counting from now, through queueing and execution; capped
+     * at kMaxDeadlineMs).
      * @p token (optional) supplies the token instead — callers that
      * track tokens externally (the TCP front-end, per connection) pass
      * one they already hold, avoiding any window where a job runs

@@ -12,10 +12,12 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -124,6 +126,13 @@ TEST(JobModel, StringSeedCarriesFull64Bits)
     const auto job = service::jobFromJsonLine(
         R"({"scale":"F1","seed":"9007199254740993"})");
     EXPECT_EQ(job.seed, 9007199254740993ull);
+    // 2^64 - 1, the largest seed, and the string jobToJsonRequest
+    // emits for it parses back to the same value.
+    const auto max = service::jobFromJsonLine(
+        R"({"scale":"F1","seed":"18446744073709551615"})");
+    EXPECT_EQ(max.seed, 18446744073709551615ull);
+    EXPECT_EQ(service::jobFromJson(service::jobToJsonRequest(max)).seed,
+              max.seed);
 }
 
 TEST(JobModel, RejectsUnknownScaleAndSolver)
@@ -180,6 +189,33 @@ TEST(JobModel, RejectsOutOfRangeNumericFields)
     EXPECT_THROW(
         service::jobFromJsonLine(R"({"scale":"F1","deadline_ms":-1})"),
         FatalError);
+    // Past 2^31 ms the deadline is refused, not armed in the past.
+    EXPECT_THROW(
+        service::jobFromJsonLine(R"({"scale":"F1","deadline_ms":1e13})"),
+        FatalError);
+    EXPECT_THROW(
+        service::jobFromJsonLine(R"({"scale":"F1","deadline_ms":1e300})"),
+        FatalError);
+    EXPECT_EQ(service::jobFromJsonLine(
+                  R"({"scale":"F1","deadline_ms":2147483648})")
+                  .deadlineMs,
+              2147483648.0);
+    // A string seed is 1-20 decimal digits below 2^64, or an error that
+    // names the field.
+    for (const char *bad :
+         {"", "abc", "12xyz", "-1", " 1", "+1", "18446744073709551616",
+          "99999999999999999999999", "000000000000000000001"}) {
+        const std::string line =
+            std::string(R"({"scale":"F1","seed":")") + bad + "\"}";
+        try {
+            service::jobFromJsonLine(line);
+            ADD_FAILURE() << "seed string '" << bad << "' was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("'seed'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Suite, ScaleByName)
@@ -376,6 +412,51 @@ TEST(Scheduler, WaitWithNoTasksReturnsImmediately)
     SUCCEED();
 }
 
+TEST(Scheduler, StartsQueuedTasksInSubmissionOrder)
+{
+    service::Scheduler scheduler(2);
+    std::mutex mu;
+    std::condition_variable cv;
+    int gatesHeld = 0;
+    bool open[2] = {false, false};
+    std::vector<std::string> started;
+    // Hold both workers, each on its own gate.
+    for (int g = 0; g < 2; ++g)
+        scheduler.submit([&, g](service::WorkerContext &) {
+            std::unique_lock<std::mutex> lock(mu);
+            ++gatesHeld;
+            cv.notify_all();
+            cv.wait(lock, [&] { return open[g]; });
+        });
+    const auto waitFor = [&](const auto &pred) {
+        std::unique_lock<std::mutex> lock(mu);
+        return cv.wait_for(lock, std::chrono::seconds(10), pred);
+    };
+    const bool held = waitFor([&] { return gatesHeld == 2; });
+    for (const char *name : {"A", "B", "C", "D"})
+        scheduler.submit([&, name](service::WorkerContext &) {
+            std::lock_guard<std::mutex> lock(mu);
+            started.push_back(name);
+            cv.notify_all();
+        });
+    // Free one worker: it alone drains the queue while the other waits.
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        open[0] = true;
+    }
+    cv.notify_all();
+    const bool ranAll = waitFor([&] { return started.size() == 4; });
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        open[1] = true;
+    }
+    cv.notify_all();
+    scheduler.wait(); // every gate is open by now: no path can hang
+    ASSERT_TRUE(held);
+    ASSERT_TRUE(ranAll);
+    EXPECT_EQ(started, (std::vector<std::string>{"A", "B", "C", "D"}));
+}
+
 TEST(Scheduler, ThrowingTaskDoesNotKillThePoolOrHangWait)
 {
     service::Scheduler scheduler(2);
@@ -520,6 +601,19 @@ TEST(SolveService, ErrorAndExpiredJobs)
     svc.drain();
     EXPECT_EQ(out.status, "expired");
     EXPECT_EQ(out.id, "late");
+
+    // 1e13 ms overflows a nanosecond clock: submit caps it at 2^31 ms
+    // instead of arming a deadline in the past.
+    service::SolveJob patient;
+    patient.id = "patient";
+    patient.scale = "F1";
+    patient.maxIterations = 5;
+    patient.deadlineMs = 1e13;
+    svc.submit(patient,
+               [&](const service::SolveResult &res) { out = res; });
+    svc.drain();
+    EXPECT_EQ(out.status, "ok") << out.error;
+    EXPECT_EQ(out.id, "patient");
 }
 
 TEST(SolveService, ResultJsonRoundTrip)
@@ -1434,7 +1528,6 @@ TEST(FaultInjection, InjectedStallTripsTheWatchdog)
     so.workers = 1;
     so.fault = &fault;
     so.stallThresholdMs = 50;
-    so.watchdogTickMs = 5;
     service::SolveService svc(so);
 
     const auto results = svc.solveAll({quickJob("stalled")});
