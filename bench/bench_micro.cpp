@@ -4,7 +4,8 @@
  * application, the commute pair-rotation fast path, diagonal phase
  * tables, move-basis computation, transpilation, and the Lemma-2 circuit
  * construction, plus one device-noise trajectory through the tracked
- * support and through its dense oracle.
+ * support and through its dense oracle, and one warm-cache service job
+ * next to the metric writes it makes.
  *
  * The kernel benchmarks report a ns_per_amp counter (wall time per
  * state-vector amplitude, normalized to the full 2^n dimension so that
@@ -30,7 +31,9 @@
 #include "core/movebasis.hpp"
 #include "device/device.hpp"
 #include "model/exact.hpp"
+#include "obs/metrics.hpp"
 #include "problems/suite.hpp"
+#include "service/service.hpp"
 #include "sim/naive.hpp"
 #include "sim/parallel.hpp"
 
@@ -589,6 +592,101 @@ BM_ChocoCompile(benchmark::State &state)
     state.SetLabel(problems::scaleName(scale));
 }
 BENCHMARK(BM_ChocoCompile)->Arg(0)->Arg(5)->Arg(9);
+
+// ---- service job and its metric books ----
+
+/**
+ * One warm-cache job through SolveService::execute in repeat_stream's
+ * shape: F1 case 0, 20 optimizer iterations, two multi-start survivors,
+ * a new seed each iteration. The structure compiles once before timing.
+ */
+void
+BM_ServiceJob(benchmark::State &state)
+{
+    service::SolveService svc;
+    service::WorkerContext ctx;
+    service::SolveJob job;
+    job.scale = "F1";
+    job.maxIterations = 20;
+    job.keepStarts = 2;
+    svc.execute(job, ctx);
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        job.seed = ++seed;
+        const service::SolveResult r = svc.execute(job, ctx);
+        if (r.status != "ok") {
+            state.SkipWithError(r.error.c_str());
+            break;
+        }
+        benchmark::DoNotOptimize(r.distHash);
+    }
+}
+BENCHMARK(BM_ServiceJob);
+
+/**
+ * Every registry write one completed job makes, on the metric names
+ * SolveService binds, from its four recording sites in service.cpp:
+ * submit (jobs.submitted, jobs.inflight +1), execute (jobs.started,
+ * stage.compile_ms, stage.solve_ms), recordKernels (kernels.bytes,
+ * kernels.flops, and .calls/.amps for every KernelId, an upper bound
+ * on any job's kernel mix) and recordCompletion (stage.queue_ms,
+ * stage.total_ms, jobs.ok, jobs.completed, jobs.inflight -1). CI gates
+ * this probe's real_time below 2% of BM_ServiceJob's.
+ */
+void
+BM_ServiceJobBooks(benchmark::State &state)
+{
+    obs::MetricsRegistry m;
+    obs::Counter &submitted = m.counter("jobs.submitted");
+    obs::Counter &started = m.counter("jobs.started");
+    obs::Counter &completed = m.counter("jobs.completed");
+    obs::Counter &ok = m.counter("jobs.ok");
+    obs::Gauge &inflight = m.gauge("jobs.inflight");
+    obs::Histogram &queueMs = m.histogram("stage.queue_ms");
+    obs::Histogram &compileMs = m.histogram("stage.compile_ms");
+    obs::Histogram &solveMs = m.histogram("stage.solve_ms");
+    obs::Histogram &totalMs = m.histogram("stage.total_ms");
+    obs::Counter &bytes = m.counter("kernels.bytes");
+    obs::Counter &flops = m.counter("kernels.flops");
+    std::vector<std::pair<obs::Counter *, obs::Counter *>> kernels;
+    for (std::size_t k = 0; k < obs::kKernelCount; ++k) {
+        const std::string base =
+            std::string("kernels.")
+            + obs::kernelName(static_cast<obs::KernelId>(k));
+        kernels.emplace_back(&m.counter(base + ".calls"),
+                             &m.counter(base + ".amps"));
+    }
+    // One F1 job's magnitudes, opaque to the optimizer.
+    struct
+    {
+        double queueMs = 0.02, compileMs = 0.004, solveMs = 0.11;
+        std::uint64_t calls = 40, amps = 320, bytes = 180000, flops = 40000;
+    } job;
+    benchmark::DoNotOptimize(&job);
+    for (auto _ : state) {
+        submitted.add();
+        inflight.add(1.0);
+
+        started.add();
+        compileMs.record(job.compileMs);
+        solveMs.record(job.solveMs);
+
+        for (const auto &[calls, amps] : kernels) {
+            calls->add(job.calls);
+            amps->add(job.amps);
+        }
+        bytes.add(job.bytes);
+        flops.add(job.flops);
+
+        queueMs.record(job.queueMs);
+        totalMs.record(job.queueMs + job.solveMs);
+        ok.add();
+        completed.add();
+        inflight.add(-1.0);
+    }
+    benchmark::DoNotOptimize(completed.value());
+}
+BENCHMARK(BM_ServiceJobBooks);
 
 } // namespace
 

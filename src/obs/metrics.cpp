@@ -99,8 +99,6 @@ Histogram::bucketIndex(double ms)
 void
 Histogram::record(double ms)
 {
-    if (!enabled_)
-        return;
     counts_[bucketIndex(ms)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     atomicAddDouble(sumMs_, ms);
@@ -160,7 +158,6 @@ MetricsRegistry::counter(const std::string &name)
     if (it != counters_.end())
         return *it->second;
     counterStore_.emplace_back();
-    counterStore_.back().enabled_ = enabled_;
     counters_.emplace(name, &counterStore_.back());
     return counterStore_.back();
 }
@@ -173,7 +170,6 @@ MetricsRegistry::gauge(const std::string &name)
     if (it != gauges_.end())
         return *it->second;
     gaugeStore_.emplace_back();
-    gaugeStore_.back().enabled_ = enabled_;
     gauges_.emplace(name, &gaugeStore_.back());
     return gaugeStore_.back();
 }
@@ -186,7 +182,6 @@ MetricsRegistry::histogram(const std::string &name)
     if (it != histograms_.end())
         return *it->second;
     histogramStore_.emplace_back();
-    histogramStore_.back().enabled_ = enabled_;
     histograms_.emplace(name, &histogramStore_.back());
     return histogramStore_.back();
 }

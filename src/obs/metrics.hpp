@@ -5,11 +5,12 @@
  *
  * Design goals, in order:
  *
- * 1. Cheap enough to leave on in production (<2% jobs/sec overhead,
- *    measured by bench_service's observability probe). Counters are
- *    sharded across cache lines so concurrent workers never contend on
- *    one atomic; histogram recording is a handful of relaxed atomic
- *    RMWs against a precomputed boundary table.
+ * 1. Cheap enough to leave on in production (one job's writes cost
+ *    under 2% of the job, gated by bench_micro's BM_ServiceJobBooks vs
+ *    BM_ServiceJob). Counters are sharded across cache lines so
+ *    concurrent workers never contend on one atomic; histogram
+ *    recording is a handful of relaxed atomic RMWs against a
+ *    precomputed boundary table.
  * 2. Exact reconciliation. Every metric is updated with plain
  *    monotonic increments — no sampling, no decay — so after a load
  *    completes, histogram counts equal the job counters bit-for-bit
@@ -19,9 +20,7 @@
  *
  * Registration (name -> metric) takes a mutex and happens once per
  * metric at service construction; the hot path works through stable
- * references and never locks. A registry constructed disabled turns
- * every record into an early-return — that is the bench baseline for
- * the overhead probe, not an operational mode.
+ * references and never locks.
  */
 
 #ifndef CHOCOQ_OBS_METRICS_HPP
@@ -55,8 +54,6 @@ class Counter
 
     void add(std::uint64_t n = 1)
     {
-        if (!enabled_)
-            return;
         shards_[shardIndex()].value.fetch_add(n,
                                               std::memory_order_relaxed);
     }
@@ -70,8 +67,6 @@ class Counter
     }
 
   private:
-    friend class MetricsRegistry;
-
     /** One shard per cache line: false sharing would put every worker's
      * increment on the same line and show up as probe overhead. */
     struct alignas(64) Shard
@@ -82,23 +77,16 @@ class Counter
     static std::size_t shardIndex();
 
     std::array<Shard, kShards> shards_;
-    bool enabled_ = true;
 };
 
 /** Last-write-wins instantaneous value (queue depth, bytes held). */
 class Gauge
 {
   public:
-    void set(double v)
-    {
-        if (enabled_)
-            value_.store(v, std::memory_order_relaxed);
-    }
+    void set(double v) { value_.store(v, std::memory_order_relaxed); }
 
     void add(double delta)
     {
-        if (!enabled_)
-            return;
         double cur = value_.load(std::memory_order_relaxed);
         while (!value_.compare_exchange_weak(cur, cur + delta,
                                              std::memory_order_relaxed))
@@ -108,9 +96,7 @@ class Gauge
     double value() const { return value_.load(std::memory_order_relaxed); }
 
   private:
-    friend class MetricsRegistry;
     std::atomic<double> value_{0.0};
-    bool enabled_ = true;
 };
 
 /**
@@ -176,8 +162,6 @@ class Histogram
     Snapshot snapshot() const;
 
   private:
-    friend class MetricsRegistry;
-
     std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
     std::atomic<std::uint64_t> count_{0};
     std::atomic<double> sumMs_{0.0};
@@ -185,7 +169,6 @@ class Histogram
      * at +infinity (snapshot maps an empty histogram back to 0). */
     std::atomic<double> minMs_{std::numeric_limits<double>::infinity()};
     std::atomic<double> maxMs_{0.0};
-    bool enabled_ = true;
 };
 
 /**
@@ -197,15 +180,9 @@ class Histogram
 class MetricsRegistry
 {
   public:
-    /** @p enabled=false turns every metric into a no-op recorder: the
-     * bench overhead probe's baseline. Operationally metrics are
-     * always-on. */
-    explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
-
+    MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-    bool enabled() const { return enabled_; }
 
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
@@ -220,7 +197,6 @@ class MetricsRegistry
     service::Json toJson() const;
 
   private:
-    bool enabled_;
     mutable std::mutex mu_; // registration + snapshot only
     std::map<std::string, Counter *> counters_;
     std::map<std::string, Gauge *> gauges_;

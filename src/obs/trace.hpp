@@ -17,7 +17,7 @@
  * tracing on, recording reads the clock and appends to a job-private
  * vector; it never touches seeds, scheduling, or solver state, so
  * solver outputs are bit-identical with tracing on or off (a tested
- * property and bench_service's trace probe).
+ * property: Observability.TracingIsBitIdentical).
  *
  * Threading: a Trace is written by one thread at a time — the
  * front-end, then the worker that runs the job, then the thread that

@@ -196,7 +196,7 @@ std::string distHashHex(std::uint64_t hash);
  * Serialize a job to one JSONL request object (the inverse of
  * jobFromJson: every field is emitted, seeds above 2^53 as decimal
  * strings, so the request round-trips exactly). Used by the socket
- * tests and bench_service's socket probe — one serializer, so both
+ * tests and bench_load's arrival schedule — one serializer, so both
  * exercise the same wire fields.
  */
 Json jobToJsonRequest(const SolveJob &job);

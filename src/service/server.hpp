@@ -417,8 +417,8 @@ class Server
     SolveService &service_;
     ServerOptions opts_;
     /** Connection-setup and first-response latency, recorded into the
-     * service's metrics registry so the stats probe and bench_service's
-     * socket suite read one source of truth. accept_ms is accept() to
+     * service's metrics registry so the stats probe and bench_load's
+     * server section read one source of truth. accept_ms is accept() to
      * registration in the loop (server-controlled, near zero);
      * idle_before_first_request_ms is accept() to the connection's
      * first received byte — the client's connect-to-send turnaround,
@@ -472,8 +472,8 @@ class Server
 
 /**
  * Minimal blocking JSONL client over loopback, for the socket tests,
- * bench_service's socket-mode measurement, and ad-hoc tooling. Not part
- * of the serving data path.
+ * bench_load's stats probe, and ad-hoc tooling. Not part of the
+ * serving data path.
  */
 class JsonlClient
 {

@@ -68,6 +68,24 @@ configureEngine(core::EngineOptions &engine, const SolveJob &job,
         };
 }
 
+/** Fill a cancelled/expired result from a fired token. */
+void
+finishCancelled(SolveResult &r, CancelReason reason, bool started)
+{
+    if (reason == CancelReason::Deadline) {
+        r.status = "expired";
+        r.error = started
+                      ? std::string("deadline exceeded during execution")
+                      : std::string(
+                            "queueing deadline exceeded before execution");
+    } else {
+        r.status = "cancelled";
+        r.error = std::string("cancelled ")
+                  + (started ? "during execution" : "before execution")
+                  + " (" + cancelReasonName(reason) + ")";
+    }
+}
+
 /** FNV-1a over the exact bits of the output distribution. */
 std::uint64_t
 hashDistribution(const std::map<Basis, double> &dist)
@@ -91,8 +109,7 @@ hashDistribution(const std::map<Basis, double> &dist)
 } // namespace
 
 SolveService::SolveService(ServiceOptions opts)
-    : opts_(opts), metrics_(opts.metricsEnabled),
-      jobsSubmitted_(metrics_.counter("jobs.submitted")),
+    : opts_(opts), jobsSubmitted_(metrics_.counter("jobs.submitted")),
       jobsStarted_(metrics_.counter("jobs.started")),
       jobsCompleted_(metrics_.counter("jobs.completed")),
       jobsOk_(metrics_.counter("jobs.ok")),
@@ -221,26 +238,6 @@ SolveService::resolveProblem(const SolveJob &job, SolveResult &r)
         problems::makeCase(*scale, job.caseIndex));
 }
 
-void
-SolveService::finishCancelled(SolveResult &r, CancelReason reason,
-                              bool started) const
-{
-    const char *where = started ? "during execution" : "before execution";
-    if (reason == CancelReason::Deadline) {
-        r.status = "expired";
-        r.error = started
-                      ? std::string("deadline exceeded during execution")
-                      : std::string(
-                            "queueing deadline exceeded before execution");
-        expiredJobs_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        r.status = "cancelled";
-        r.error = std::string("cancelled ") + where + " ("
-                  + cancelReasonName(reason) + ")";
-        cancelledJobs_.fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
 SolveResult
 SolveService::execute(const SolveJob &job, WorkerContext &ctx,
                       CancelToken *token, obs::Trace *trace)
@@ -253,12 +250,8 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
     // Per-job kernel-mix sink. One sink per job: workers execute one
     // job at a time and every kernel records on the calling thread
     // before its OpenMP region opens, so plain (non-atomic) tallies are
-    // race-free. Detached (null) when neither metrics nor tracing want
-    // it — that configuration is the bench_service observability
-    // baseline, so the <2% overhead gate covers the sink-off path.
+    // race-free.
     obs::KernelCounterSink sink;
-    obs::KernelCounterSink *const sinkPtr =
-        (metrics_.enabled() || trace) ? &sink : nullptr;
     // Index of the currently open trace span, so the error paths can
     // close whatever stage the job died in (kNoSpan = none open).
     constexpr std::size_t kNoSpan = static_cast<std::size_t>(-1);
@@ -297,7 +290,7 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
             if (job.layers > 0)
                 o.layers = job.layers;
             configureEngine(o.engine, job, opts_.defaultIterations, ctx,
-                            token, trace, sinkPtr);
+                            token, trace, &sink);
             const core::ChocoQSolver solver(o);
             if (trace)
                 openSpan = trace->begin("compile");
@@ -319,7 +312,7 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
             if (job.layers > 0)
                 o.layers = job.layers;
             configureEngine(o.engine, job, opts_.defaultIterations, ctx,
-                            token, trace, sinkPtr);
+                            token, trace, &sink);
             if (trace)
                 openSpan = trace->begin("solve");
             outcome = solvers::PenaltyQaoaSolver(o).solve(p);
@@ -331,7 +324,7 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
             if (job.layers > 0)
                 o.layers = job.layers;
             configureEngine(o.engine, job, opts_.defaultIterations, ctx,
-                            token, trace, sinkPtr);
+                            token, trace, &sink);
             if (trace)
                 openSpan = trace->begin("solve");
             outcome = solvers::CyclicQaoaSolver(o).solve(p);
@@ -342,7 +335,7 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
                 o.layers = job.layers;
             o.seed = deriveSeed(job.seed, 2);
             configureEngine(o.engine, job, opts_.defaultIterations, ctx,
-                            token, trace, sinkPtr);
+                            token, trace, &sink);
             if (trace)
                 openSpan = trace->begin("solve");
             outcome = solvers::HeaSolver(o).solve(p);
@@ -389,7 +382,7 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
                 trace->end(openSpan, "error");
         }
     }
-    if (sinkPtr && !sink.empty()) {
+    if (!sink.empty()) {
         recordKernels(sink);
         // Echo the job's kernel mix into its timeline as a zero-width
         // annotation span, so chocoq_trace renders the per-job calls,
@@ -412,8 +405,8 @@ SolveService::recordKernels(const obs::KernelCounterSink &sink)
             sink.tally(static_cast<obs::KernelId>(k));
         if (t.calls == 0)
             continue;
-        kernelCounters_[k].calls->add(static_cast<double>(t.calls));
-        kernelCounters_[k].amps->add(static_cast<double>(t.amps));
+        kernelCounters_[k].calls->add(t.calls);
+        kernelCounters_[k].amps->add(t.amps);
     }
     kernelBytes_.add(sink.totalBytes());
     kernelFlops_.add(sink.totalFlops());
@@ -471,8 +464,8 @@ SolveService::health() const
             ++h.stalledNow;
     }
     h.stallsFlagged = stallsFlagged_.load(std::memory_order_relaxed);
-    h.cancelledJobs = cancelledJobs_.load(std::memory_order_relaxed);
-    h.expiredJobs = expiredJobs_.load(std::memory_order_relaxed);
+    h.cancelledJobs = jobsCancelled_.value();
+    h.expiredJobs = jobsExpired_.value();
     return h;
 }
 

@@ -74,13 +74,6 @@ struct ServiceOptions
      * a build without the harness.
      */
     FaultInjector *fault = nullptr;
-    /**
-     * Metrics are always-on operationally (<2% jobs/sec overhead,
-     * measured by bench_service's observability probe); false turns
-     * every recorder into a no-op and exists only as that probe's
-     * baseline.
-     */
-    bool metricsEnabled = true;
 };
 
 /** Concurrent solve service over the registry problems. */
@@ -105,7 +98,8 @@ class SolveService
         int stalledNow = 0;
         /** Stuck-task episodes the watchdog has flagged (cumulative). */
         std::uint64_t stallsFlagged = 0;
-        /** Jobs that finished as "cancelled" / "expired". */
+        /** Jobs that finished as "cancelled" / "expired": the
+         * jobs.cancelled / jobs.expired counters. */
         std::uint64_t cancelledJobs = 0;
         std::uint64_t expiredJobs = 0;
         std::vector<Scheduler::WorkerSnapshot> perWorker;
@@ -191,9 +185,6 @@ class SolveService
                        const std::shared_ptr<CancelToken> &token);
     void unregisterToken(const std::string &id, const CancelToken *token);
     void watchdogLoop();
-    /** Fill a cancelled/expired result from a fired token. */
-    void finishCancelled(SolveResult &r, CancelReason reason,
-                         bool started) const;
     /**
      * Resolve the problem a job names: the registered instance for
      * inline specs (registering on first sight) and problem_refs, a
@@ -249,8 +240,6 @@ class SolveService
         active_;
 
     mutable std::atomic<std::uint64_t> stallsFlagged_{0};
-    mutable std::atomic<std::uint64_t> cancelledJobs_{0};
-    mutable std::atomic<std::uint64_t> expiredJobs_{0};
 
     std::mutex watchdogMu_;
     std::condition_variable watchdogCv_;

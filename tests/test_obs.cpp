@@ -3,8 +3,8 @@
  * Observability-subsystem tests: histogram bucket-boundary exactness
  * and quantile readout, counter/histogram correctness under concurrent
  * writers (exercised by the TSan CI job), the registry's JSON shape,
- * the disabled-registry no-op contract, and the per-job Trace's
- * ordering, iteration folding, and idempotent serialization.
+ * and the per-job Trace's ordering, iteration folding, and idempotent
+ * serialization.
  */
 
 #include <gtest/gtest.h>
@@ -207,19 +207,6 @@ TEST(ObsRegistry, OverflowBucketSerializesAsSentinel)
     // Infinity cannot ride JSON; -1 is the documented sentinel.
     EXPECT_DOUBLE_EQ(bucket.items()[0].asNumber(0.0), -1.0);
     EXPECT_DOUBLE_EQ(bucket.items()[1].asNumber(0.0), 1.0);
-}
-
-TEST(ObsRegistry, DisabledRegistryRecordsNothing)
-{
-    obs::MetricsRegistry registry(/*enabled=*/false);
-    EXPECT_FALSE(registry.enabled());
-    registry.counter("c").add(10);
-    registry.gauge("g").set(5.0);
-    registry.gauge("g").add(2.0);
-    registry.histogram("h").record(1.0);
-    EXPECT_EQ(registry.counter("c").value(), 0u);
-    EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 0.0);
-    EXPECT_EQ(registry.histogram("h").snapshot().count, 0u);
 }
 
 // ---------------------------------------------------------------- Trace

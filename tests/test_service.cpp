@@ -1894,6 +1894,10 @@ TEST(Observability, CountersReconcileUnderConcurrentLoad)
     EXPECT_EQ(m.histogram("stage.solve_ms").snapshot().count,
               m.counter("jobs.started").value());
     EXPECT_DOUBLE_EQ(m.gauge("jobs.inflight").value(), 0.0);
+    // The health probe reads the same books, not a second tally.
+    const auto health = svc.health();
+    EXPECT_EQ(health.cancelledJobs, m.counter("jobs.cancelled").value());
+    EXPECT_EQ(health.expiredJobs, m.counter("jobs.expired").value());
 }
 
 TEST(Observability, KernelMixFlowsIntoMetricsAndTrace)

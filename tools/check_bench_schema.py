@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""Schema check for the benchmark JSON outputs.
+"""Schema check for bench_load's JSON output.
 
-Validates BENCH_service.json and BENCH_load.json against the key sets
-documented in docs/benchmarks.md, so a rename (like the old
-conn_setup_ms_avg -> accept_ms_avg / first_byte_ms_avg split) can never
-silently ship half-applied: the moment a producer and this contract
-disagree, CI fails.
+Validates BENCH_load.json against the key set documented in
+docs/benchmarks.md, so a rename (like the old conn_setup_ms_avg ->
+accept_ms_avg / first_byte_ms_avg split) can never silently ship
+half-applied: the moment the producer and this contract disagree, CI
+fails.
 
 Usage:
-    check_bench_schema.py [--service BENCH_service.json]
-                          [--load BENCH_load.json]
+    check_bench_schema.py [--load BENCH_load.json]
 
-Files that are not given and do not exist in the working directory are
-skipped with a note; a file that exists but does not match the contract
-is an error. Exit 0 only if everything present validates.
+A file that does not exist is skipped with a note; a file that exists
+but does not match the contract is an error. Exit 0 only if the file
+validates or is absent.
 """
 
 import argparse
@@ -25,32 +24,6 @@ FORBIDDEN_KEYS = {
     # Replaced by the accept/first-byte split; must never reappear.
     "conn_setup_ms_avg",
     "conn_setup_ms",
-}
-
-SERVICE_TOP = {
-    "bench",
-    "mode",
-    "jobs",
-    "hardware_concurrency",
-    "deterministic_across_worker_counts",
-    "speedup_max_vs_min_workers",
-    "runs",
-    "socket",
-    "inline_spec",
-    "observability",
-}
-
-SERVICE_SOCKET = {
-    "workers",
-    "connections",
-    "accept_ms_avg",
-    "idle_before_first_request_ms_avg",
-    "first_byte_ms_avg",
-    "wall_seconds",
-    "jobs_per_sec",
-    "latency_p50_ms",
-    "latency_p99_ms",
-    "matches_in_process",
 }
 
 LOAD_TOP = {
@@ -107,19 +80,6 @@ def check_keys(errors, where, obj, required):
         fail(errors, where, f"forbidden legacy keys present: {', '.join(banned)}")
 
 
-def check_service(path, errors):
-    with open(path) as fh:
-        doc = json.load(fh)
-    check_keys(errors, f"{path}", doc, SERVICE_TOP)
-    if isinstance(doc, dict):
-        if doc.get("bench") != "service":
-            fail(errors, path, f"bench != 'service' (got {doc.get('bench')!r})")
-        check_keys(errors, f"{path}:socket", doc.get("socket"), SERVICE_SOCKET)
-        runs = doc.get("runs")
-        if not isinstance(runs, list) or not runs:
-            fail(errors, path, "runs must be a non-empty array")
-
-
 def check_load(path, errors):
     with open(path) as fh:
         doc = json.load(fh)
@@ -143,29 +103,23 @@ def check_load(path, errors):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--service", default="BENCH_service.json")
     parser.add_argument("--load", default="BENCH_load.json")
     args = parser.parse_args()
 
+    if not os.path.exists(args.load):
+        print(f"check_bench_schema: {args.load} not present, skipped")
+        return 0
     errors = []
-    checked = 0
-    targets = [(args.service, check_service),
-               (args.load, check_load)]
-    for path, checker in targets:
-        if not os.path.exists(path):
-            print(f"check_bench_schema: {path} not present, skipped")
-            continue
-        try:
-            checker(path, errors)
-            checked += 1
-        except (json.JSONDecodeError, OSError) as exc:
-            fail(errors, path, f"unreadable: {exc}")
+    try:
+        check_load(args.load, errors)
+    except (json.JSONDecodeError, OSError) as exc:
+        fail(errors, args.load, f"unreadable: {exc}")
 
     if errors:
         for err in errors:
             print(f"check_bench_schema: FAIL {err}", file=sys.stderr)
         return 1
-    print(f"check_bench_schema: ok ({checked} file(s) validated)")
+    print(f"check_bench_schema: ok ({args.load} validated)")
     return 0
 
 
