@@ -468,14 +468,27 @@ BM_ChocoLayerOracle(benchmark::State &state)
 }
 BENCHMARK(BM_ChocoLayerOracle)->Arg(9)->Arg(6)->Arg(10)->Arg(2);
 
+/** A registry structure's first sub-instance (case 0) as the noisy
+ * probes run it: its Choco-Q ansatz at fixed angles, lowered for IBM
+ * Fez. */
+circuit::Circuit
+fezLoweredAnsatz(benchmark::State &state)
+{
+    const core::CompiledSub &cs = layerProbeSub(state);
+    circuit::TranspileOptions lowering;
+    lowering.nativeCz = device::fez().nativeCz;
+    return circuit::transpile(core::chocoAnsatz(cs.numQubits, cs.init,
+                                                *cs.objective, *cs.terms,
+                                                {0.4, 0.7}),
+                              lowering);
+}
+
 /**
- * One device-noise trajectory of a registry structure's first
- * sub-instance (case 0): its Choco-Q ansatz at fixed angles, lowered
- * for IBM Fez, run from |0> under Fez noise through executeNoisy's
- * tracked support and through the dense oracle naive::executeNoisy.
- * The generator carries across iterations, so the probes average over
- * error patterns. CI gates the oracle/tracked real_time ratio on G1
- * and K2.
+ * One device-noise trajectory of fezLoweredAnsatz, run from |0> under
+ * Fez noise through executeNoisy's tracked support and through the
+ * dense oracle naive::executeNoisy. The generator carries across
+ * iterations, so the probes average over error patterns. CI gates the
+ * oracle/tracked real_time ratio on G1 and K2.
  */
 using Trajectory = void (*)(sim::StateVector &, const circuit::Circuit &,
                             const sim::NoiseModel &, Rng &);
@@ -483,13 +496,7 @@ using Trajectory = void (*)(sim::StateVector &, const circuit::Circuit &,
 void
 noisyTrajectoryProbe(benchmark::State &state, Trajectory run)
 {
-    const core::CompiledSub &cs = layerProbeSub(state);
-    circuit::TranspileOptions lowering;
-    lowering.nativeCz = device::fez().nativeCz;
-    const circuit::Circuit c = circuit::transpile(
-        core::chocoAnsatz(cs.numQubits, cs.init, *cs.objective, *cs.terms,
-                          {0.4, 0.7}),
-        lowering);
+    const circuit::Circuit c = fezLoweredAnsatz(state);
     const sim::NoiseModel noise = device::noiseOf(device::fez());
     sim::StateVector sv(c.numQubits());
     Rng rng(17);
@@ -516,6 +523,45 @@ BM_NoisyTrajectoryOracle(benchmark::State &state)
     noisyTrajectoryProbe(state, &sim::naive::executeNoisy);
 }
 BENCHMARK(BM_NoisyTrajectoryOracle)->Arg(4)->Arg(9);
+
+/**
+ * One sub-instance's final sample under Fez noise, as a `device` job
+ * with `shots` 256 draws it (128 trajectories of 2 shots), on
+ * fezLoweredAnsatz: through NoisySampler's shared prefix and through
+ * the per-trajectory oracle naive::sampleNoisy. The generator carries
+ * across iterations. CI gates the oracle/sampler real_time ratio at 2x
+ * on F1 and prints K1's.
+ */
+template <class Sample>
+void
+noisySampleProbe(benchmark::State &state, Sample &&sample)
+{
+    const circuit::Circuit c = fezLoweredAnsatz(state);
+    const sim::NoiseModel noise = device::noiseOf(device::fez());
+    Rng rng(17);
+    for (auto _ : state) {
+        const std::map<Basis, int> counts = sample(c, noise, 128, 2, rng);
+        benchmark::DoNotOptimize(counts);
+    }
+    state.counters["gates"] = static_cast<double>(c.gates().size());
+}
+
+void
+BM_NoisySample(benchmark::State &state)
+{
+    sim::NoisySampler sampler;
+    noisySampleProbe(state, [&sampler](auto &&...args) {
+        return sampler.sample(args...);
+    });
+}
+BENCHMARK(BM_NoisySample)->Arg(0)->Arg(8);
+
+void
+BM_NoisySampleOracle(benchmark::State &state)
+{
+    noisySampleProbe(state, &sim::naive::sampleNoisy);
+}
+BENCHMARK(BM_NoisySampleOracle)->Arg(0)->Arg(8);
 
 // ---- compiler / solver paths ----
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "obs/trace.hpp"
 #include "sim/statevector.hpp"
 
 namespace chocoq::core
@@ -15,6 +17,31 @@ namespace
 {
 
 using sim::StateVector;
+
+/** A span of the job's trace, open until end() or the end of its
+ * scope (an exception included); none when the job is untraced. */
+class ScopedSpan
+{
+  public:
+    ScopedSpan(obs::Trace *trace, const char *name)
+        : trace_(trace), index_(trace ? trace->begin(name) : 0)
+    {
+    }
+    ~ScopedSpan() { end(); }
+    void
+    end()
+    {
+        if (trace_)
+            trace_->end(index_);
+        trace_ = nullptr;
+    }
+    ScopedSpan(const ScopedSpan &) = delete;
+    ScopedSpan &operator=(const ScopedSpan &) = delete;
+
+  private:
+    obs::Trace *trace_;
+    std::size_t index_;
+};
 
 /**
  * Evolve @p state to the subrun's output at @p theta. The state is
@@ -64,10 +91,12 @@ subrunCost(StateVector &scratch, const SubRun &run,
 /** Multi-start minimization; totals evaluations/iterations, keeps the
  * result of the winning start (the earliest start wins ties). With
  * multiStartKeep > 0, every start is evaluated once and only the most
- * promising multiStartKeep receive a full optimizer run. */
+ * promising multiStartKeep receive a full optimizer run. Every
+ * optimizer run polls @p poll at its iteration boundaries. */
 optimize::OptResult
 optimizeMultiStart(const optimize::ObjectiveFn &objective,
-                   const EngineOptions &opts)
+                   const EngineOptions &opts,
+                   const std::function<void()> &poll)
 {
     std::vector<std::vector<double>> starts{opts.theta0};
     for (const auto &s : opts.extraStarts)
@@ -99,8 +128,8 @@ optimizeMultiStart(const optimize::ObjectiveFn &objective,
     }
 
     optimize::OptOptions opt = opts.opt;
-    if (opts.checkpoint)
-        opt.checkpoint = opts.checkpoint;
+    if (poll)
+        opt.checkpoint = poll;
     optimize::OptResult best;
     int total_evals = screen_evals;
     int total_iters = 0;
@@ -118,7 +147,7 @@ optimizeMultiStart(const optimize::ObjectiveFn &objective,
 
 /** Noisy-sampled distribution of one subrun lifted to the full space. */
 void
-accumulateNoisy(std::map<Basis, double> &into, StateVector &scratch,
+accumulateNoisy(std::map<Basis, double> &into, sim::NoisySampler &sampler,
                 const SubRun &run, const circuit::Circuit &lowered,
                 const EngineOptions &opts, double weight, Rng &rng)
 {
@@ -127,19 +156,14 @@ accumulateNoisy(std::map<Basis, double> &into, StateVector &scratch,
     const int shots_per_traj = (shots + trajectories - 1) / trajectories;
     const Basis data_mask = (Basis{1} << run.numQubits) - 1;
 
+    // Drop the transpiler's ancilla bits, then lift.
     std::map<Basis, int> counts;
     long total = 0;
-    for (int t = 0; t < trajectories; ++t) {
-        if (opts.checkpoint)
-            opts.checkpoint();
-        scratch.prepare(lowered.numQubits());
-        sim::executeNoisy(scratch, lowered, opts.noise, rng);
-        const auto hist =
-            scratch.sample(rng, shots_per_traj, opts.noise.readout);
-        for (const auto &[x, cnt] : hist) {
-            counts[x & data_mask] += cnt;
-            total += cnt;
-        }
+    for (const auto &[x, cnt] :
+         sampler.sample(lowered, opts.noise, trajectories, shots_per_traj,
+                        rng, opts.kernelCounters, opts.checkpoint)) {
+        counts[x & data_mask] += cnt;
+        total += cnt;
     }
     for (const auto &[x, cnt] : counts)
         into[run.lift(x)] +=
@@ -188,6 +212,16 @@ runQaoa(const std::vector<SubRun> &subruns,
     } sink_guard{scratch};
     scratch.setCounterSink(opts.kernelCounters);
 
+    // Optimizer-phase poll: the caller's checkpoint plus one iteration
+    // mark on the job's trace, folded into its "optimize" span.
+    std::function<void()> poll = opts.checkpoint;
+    if (opts.trace)
+        poll = [&opts] {
+            if (opts.checkpoint)
+                opts.checkpoint();
+            opts.trace->markIteration();
+        };
+
     // One parameter vector per subrun (identical when shared).
     std::vector<std::vector<double>> theta_star(subruns.size());
 
@@ -199,14 +233,14 @@ runQaoa(const std::vector<SubRun> &subruns,
         std::vector<optimize::TracePoint> merged_trace;
         for (std::size_t i = 0; i < subruns.size(); ++i) {
             auto objective = [&](const std::vector<double> &theta) {
-                if (opts.checkpoint)
-                    opts.checkpoint();
+                if (poll)
+                    poll();
                 Timer t;
                 const double v = subrunCost(scratch, subruns[i], cost, theta);
                 sim_seconds += t.seconds();
                 return v;
             };
-            const auto res = optimizeMultiStart(objective, opts);
+            const auto res = optimizeMultiStart(objective, opts, poll);
             theta_star[i] = res.best;
             best_acc += subruns[i].weight / weight_total * res.bestValue;
             iters = std::max(iters, res.iterations);
@@ -233,8 +267,8 @@ runQaoa(const std::vector<SubRun> &subruns,
         out.opt.trace = std::move(merged_trace);
     } else {
         auto objective = [&](const std::vector<double> &theta) {
-            if (opts.checkpoint)
-                opts.checkpoint();
+            if (poll)
+                poll();
             Timer t;
             double acc = 0.0;
             for (const auto &run : subruns)
@@ -243,7 +277,7 @@ runQaoa(const std::vector<SubRun> &subruns,
             sim_seconds += t.seconds();
             return acc;
         };
-        out.opt = optimizeMultiStart(objective, opts);
+        out.opt = optimizeMultiStart(objective, opts, poll);
         for (auto &theta : theta_star)
             theta = out.opt.best;
     }
@@ -251,8 +285,11 @@ runQaoa(const std::vector<SubRun> &subruns,
     const double loop_seconds = total_timer.seconds();
     out.simSeconds = sim_seconds;
     out.classicalSeconds = std::max(0.0, loop_seconds - sim_seconds);
+    if (opts.trace)
+        opts.trace->closeIterations();
 
     // Deployment artifacts at the optimum: transpiled depth and counts.
+    ScopedSpan transpile_span(opts.trace, "transpile");
     Timer compile_timer;
     std::vector<circuit::Circuit> finals;
     finals.reserve(subruns.size());
@@ -271,10 +308,19 @@ runQaoa(const std::vector<SubRun> &subruns,
         finals.push_back(std::move(lowered));
     }
     out.compileSeconds = compile_timer.seconds();
+    transpile_span.end();
 
     // Final distribution.
+    const ScopedSpan sample_span(opts.trace, "sample");
     Rng rng(opts.seed);
     const bool noisy = !opts.noise.isNoiseless();
+    // The worker's sampler, else a call-local one built for noisy runs.
+    std::unique_ptr<sim::NoisySampler> local_sampler;
+    sim::NoisySampler *sampler = opts.sampler;
+    if (noisy && !sampler) {
+        local_sampler = std::make_unique<sim::NoisySampler>();
+        sampler = local_sampler.get();
+    }
     for (std::size_t i = 0; i < subruns.size(); ++i) {
         if (opts.checkpoint)
             opts.checkpoint();
@@ -286,7 +332,7 @@ runQaoa(const std::vector<SubRun> &subruns,
             return run.compactStates ? (*run.compactStates)[x] : x;
         };
         if (noisy) {
-            accumulateNoisy(out.distribution, scratch, run, finals[i], opts,
+            accumulateNoisy(out.distribution, *sampler, run, finals[i], opts,
                             w, rng);
         } else if (opts.shots > 0) {
             evolveInto(scratch, run, theta_star[i]);

@@ -27,6 +27,11 @@
 #include "sim/executor.hpp"
 #include "sim/statevector.hpp"
 
+namespace chocoq::obs
+{
+class Trace;
+} // namespace chocoq::obs
+
 namespace chocoq::core
 {
 
@@ -110,6 +115,13 @@ struct EngineOptions
      */
     sim::StateVector *scratch = nullptr;
     /**
+     * Optional external noisy sampler (one per worker thread, like
+     * scratch) for the final distribution under noise: its states and
+     * draw storage are reused across jobs. When null, the engine uses
+     * a call-local sampler.
+     */
+    sim::NoisySampler *sampler = nullptr;
+    /**
      * Layer fusion. Choco-Q applies each layer through its compile-time
      * FusedLayerPlan (value-compressed objective phase + grouped commute
      * sweeps — bit-identical to the unfused kernels, see
@@ -153,6 +165,16 @@ struct EngineOptions
      * preserving the bitwise determinism contract (tested property).
      */
     std::function<void()> checkpoint;
+    /**
+     * Optional job trace (see obs/trace.hpp). The engine marks one
+     * iteration per optimizer-phase poll (objective evaluations and
+     * the optimizer's iteration boundaries), closes that fold into the
+     * "optimize" span when the optimizer is done, and opens a
+     * "transpile" span around the final circuits and a "sample" span
+     * around the final distribution. Null costs nothing; recording
+     * never perturbs a result bit.
+     */
+    obs::Trace *trace = nullptr;
 };
 
 /** Engine output. */

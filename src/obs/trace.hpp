@@ -4,8 +4,10 @@
  *
  * A job submitted with "trace":true carries one Trace from the
  * front-end through the scheduler and the worker to the result line:
- * parse -> queue -> resolve -> compile -> solve (with the optimizer's
- * checkpoint marks folded into a nested "optimize" span) -> respond.
+ * parse -> queue -> resolve -> compile -> solve -> respond. Inside
+ * solve the engine (core::runQaoa) records "optimize" (its optimizer
+ * polls, folded into one span), then "transpile" (the final circuits)
+ * and "sample" (the final distribution, noisy trajectories included).
  * Each span records its start offset (ms since the trace origin) and
  * duration, plus a free-form note ("cache_hit", "checkpoints=40", a
  * cancel reason). tools/trace_view.py renders the timeline;
@@ -79,9 +81,10 @@ class Trace
     void end(std::size_t index, std::string note = std::string());
 
     /**
-     * One optimizer/engine checkpoint fired. The marks fold into a
-     * single "optimize" span from the first mark to the last (emitted
-     * by closeIterations()) rather than one span per iteration — a
+     * One optimizer poll fired (an objective evaluation or an
+     * iteration boundary). The marks fold into a single "optimize"
+     * span from the first mark to the last (emitted by
+     * closeIterations()) rather than one span per iteration — a
      * 10^4-iteration job must not produce a 10^4-span timeline.
      */
     void markIteration()

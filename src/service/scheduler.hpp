@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/executor.hpp"
 #include "sim/statevector.hpp"
 
 namespace chocoq::service
@@ -41,6 +42,9 @@ struct WorkerContext
     /** The worker's private scratch state (reused across its jobs; the
      * engine re-dimensions it per run). */
     sim::StateVector scratch{1};
+    /** The worker's noisy sampler: the clean and work states and the
+     * draw storage of device-noise jobs, reused the same way. */
+    sim::NoisySampler sampler;
 };
 
 /** Fixed-size thread pool over one FIFO task queue. */

@@ -52,20 +52,18 @@ configureEngine(core::EngineOptions &engine, const SolveJob &job,
     engine.multiStartKeep = job.keepStarts;
     engine.fusion = job.fusion;
     engine.scratch = &ctx.scratch;
+    engine.sampler = &ctx.sampler;
+    // The engine records its own spans (optimize, transpile, sample)
+    // on a traced job; recording only reads the clock, so outputs stay
+    // bit-identical with trace on.
+    engine.trace = trace;
     // The cooperative-cancellation hook: the engine polls it at
     // iteration boundaries (optimizer loops, every objective evaluation,
     // the final distribution). Calling it never perturbs results — a
     // job that is never cancelled is bit-identical with or without a
-    // token, and a traced job only timestamps the checkpoint (folded
-    // into one "optimize" span), so outputs stay bit-identical with
-    // trace on.
-    if (token || trace)
-        engine.checkpoint = [token, trace] {
-            if (token)
-                token->throwIfCancelled();
-            if (trace)
-                trace->markIteration();
-        };
+    // token.
+    if (token)
+        engine.checkpoint = [token] { token->throwIfCancelled(); };
 }
 
 /** Fill a cancelled/expired result from a fired token. */
@@ -344,7 +342,6 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
             CHOCOQ_FATAL("unknown solver '" << job.solver << "'");
         }
         if (trace) {
-            trace->closeIterations();
             trace->end(openSpan);
             openSpan = kNoSpan;
         }

@@ -1,7 +1,9 @@
 #include "sim/executor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
@@ -48,26 +50,38 @@ const Pauli kPaulis[3] = {
 constexpr std::size_t kDenseSwitchDivisor = 8;
 
 /**
- * Support tracking for one noisy trajectory on a caller-owned dense
- * state. The list holds every index whose amplitude may be nonzero
- * (every amplitude off it is +0 or -0), and a byte per index marks
- * membership. Each update evaluates the matching StateVector kernel's
- * per-amplitude expression on the same amplitudes, so every amplitude
- * equals the dense path's as a double (only the sign of a zero can
- * differ) and every probability is bit-identical.
+ * Support tracking for one noisy trajectory on a dense state, through a
+ * caller-owned index list and membership map (a sampler reuses both
+ * across trajectories). The list holds every index whose amplitude may
+ * be nonzero (every amplitude off it is +0 or -0), and a byte per
+ * index marks membership. Each update evaluates the matching
+ * StateVector kernel's per-amplitude expression on the same
+ * amplitudes, so every amplitude equals the dense path's as a double
+ * (only the sign of a zero can differ) and every probability is
+ * bit-identical.
  */
 class TrackedSupport
 {
   public:
-    /** List the nonzero amplitudes of @p state; past the dense switch
-     * the whole trajectory runs on the dense kernels. */
-    explicit TrackedSupport(StateVector &state)
-        : state_(state), limit_(state.dim() / kDenseSwitchDivisor)
+    /** Track @p state through @p list and @p listed. Nothing is listed
+     * yet: scan() or zero() sets the trajectory up. */
+    TrackedSupport(StateVector &state, std::vector<std::uint32_t> &list,
+                   std::vector<std::uint8_t> &listed)
+        : state_(state), limit_(state.dim() / kDenseSwitchDivisor),
+          list_(list), listed_(listed)
     {
-        const CVec &amp = state.amplitudes();
         // A pair gate at most doubles the list before compaction, so
         // this capacity serves the whole trajectory.
+        list_.clear();
         list_.reserve(2 * limit_);
+    }
+
+    /** List the nonzero amplitudes of the state; past the dense switch
+     * the whole trajectory runs on the dense kernels. */
+    void
+    scan()
+    {
+        const CVec &amp = state_.amplitudes();
         for (std::size_t i = 0; i < amp.size(); ++i)
             if (amp[i] != Cplx{}) {
                 if (list_.size() == limit_)
@@ -80,9 +94,93 @@ class TrackedSupport
         active_ = true;
     }
 
-    /** False once the trajectory runs on the dense kernels. */
-    bool active() const { return active_; }
+    /**
+     * Zero every amplitude and unlist every index, leaving the blank a
+     * fork starts from. While tracked only the listed indices are
+     * touched, since every other amplitude is already a zero.
+     */
+    void
+    zero()
+    {
+        Cplx *amp = state_.amplitudes().data();
+        if (active_) {
+            for (const std::uint32_t i : list_) {
+                amp[i] = Cplx{};
+                listed_[i] = 0;
+            }
+        } else {
+            std::fill(amp, amp + state_.dim(), Cplx{});
+            listed_.assign(state_.dim(), 0);
+        }
+        list_.clear();
+        active_ = true;
+    }
 
+    /**
+     * Become a copy of @p clean, a trajectory on a state of the same
+     * width; this one must be zero(). While @p clean is tracked only
+     * its listed amplitudes are copied, in its list order.
+     */
+    void
+    forkFrom(const TrackedSupport &clean)
+    {
+        active_ = clean.active_;
+        if (!active_) {
+            state_.amplitudes() = clean.state_.amplitudes();
+            return;
+        }
+        Cplx *amp = state_.amplitudes().data();
+        const Cplx *from = clean.state_.amplitudes().data();
+        list_ = clean.list_;
+        for (const std::uint32_t i : list_) {
+            amp[i] = from[i];
+            listed_[i] = 1;
+        }
+    }
+
+    /** Apply @p g: on the list while tracked and @p g is a lowered
+     * gate, else on the dense kernels. */
+    void
+    step(const Gate &g)
+    {
+        if (!active_ || !tryApply(g))
+            applyGate(state_, g);
+    }
+
+    /** Apply the Pauli error @p e. */
+    void
+    error(const PauliError &e)
+    {
+        const Pauli &m = kPaulis[e.pauli];
+        const int q = static_cast<int>(e.qubit);
+        if (active_)
+            pair(0, q, m.m00, m.m01, m.m10, m.m11, obs::KernelId::Apply1q);
+        else
+            state_.apply1q(q, m.m00, m.m01, m.m10, m.m11);
+    }
+
+    /**
+     * Refill @p cdf as StateVector::cumulate would: from the list in
+     * ascending index order while tracked (every amplitude off it is a
+     * zero, which that dense scan skips), else by the dense scan. The
+     * sums meet the same terms in the same order, so the table is
+     * bit-identical. Sorts the list.
+     */
+    void
+    cumulate(Cdf &cdf)
+    {
+        if (!active_) {
+            state_.cumulate(cdf);
+            return;
+        }
+        std::sort(list_.begin(), list_.end());
+        cdf.clear();
+        const Cplx *amp = state_.amplitudes().data();
+        for (const std::uint32_t i : list_)
+            cdf.add(i, std::norm(amp[i]));
+    }
+
+  private:
     /**
      * Apply @p g on the list if it is one of the lowered gate types
      * (H, X, RZ, CX, CZ) or a barrier. Any other gate returns false
@@ -159,7 +257,6 @@ class TrackedSupport
             dropZeros();
     }
 
-  private:
     /** applyDiagonal1q on the listed amplitudes. */
     void
     diagonal1q(int q, Cplx d0, Cplx d1)
@@ -217,9 +314,68 @@ class TrackedSupport
     StateVector &state_;
     std::size_t limit_;
     bool active_ = false;
-    std::vector<std::uint32_t> list_;
-    std::vector<std::uint8_t> listed_;
+    std::vector<std::uint32_t> &list_;
+    std::vector<std::uint8_t> &listed_;
 };
+
+/**
+ * Refill @p out with the places a Pauli error can strike on @p c, in
+ * the order the per-gate loop draws them: each operand of each gate
+ * other than a barrier whose error probability is positive.
+ */
+void
+errorSites(const circuit::Circuit &c, const NoiseModel &noise,
+           std::vector<ErrorSite> &out)
+{
+    out.clear();
+    const auto &gates = c.gates();
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        if (gates[g].type == GateType::BARRIER)
+            continue;
+        const double p =
+            gates[g].qubits.size() >= 2 ? noise.p2q : noise.p1q;
+        if (p <= 0.0)
+            continue;
+        for (const int q : gates[g].qubits)
+            out.push_back({static_cast<std::uint32_t>(g),
+                           static_cast<std::uint32_t>(q), p});
+    }
+}
+
+/** Append one trajectory's Pauli errors to @p out: one chance(p) per
+ * site and one intIn(0, 2) per hit. */
+void
+drawErrors(const std::vector<ErrorSite> &sites, Rng &rng,
+           std::vector<PauliError> &out)
+{
+    for (const ErrorSite &s : sites)
+        if (rng.chance(s.p))
+            out.push_back({s.gate, s.qubit,
+                           static_cast<std::uint32_t>(rng.intIn(0, 2))});
+}
+
+/** The errors of [e, end) drawn at gate @p g, applied to @p s; returns
+ * the first error past them. */
+const PauliError *
+applyErrors(TrackedSupport &s, std::uint32_t g, const PauliError *e,
+            const PauliError *end)
+{
+    for (; e != end && e->gate == g; ++e)
+        s.error(*e);
+    return e;
+}
+
+/** Gates [from, to) on @p s, each followed by its errors from
+ * [e, end), which are in gate order and none drawn before @p from. */
+void
+run(TrackedSupport &s, const std::vector<Gate> &gates, std::uint32_t from,
+    std::uint32_t to, const PauliError *e, const PauliError *end)
+{
+    for (std::uint32_t g = from; g < to; ++g) {
+        s.step(gates[g]);
+        e = applyErrors(s, g, e, end);
+    }
+}
 
 } // namespace
 
@@ -334,26 +490,113 @@ executeNoisy(StateVector &state, const circuit::Circuit &c,
 {
     CHOCOQ_ASSERT(state.numQubits() >= c.numQubits(),
                   "state narrower than circuit");
-    TrackedSupport support(state);
-    for (const auto &g : c.gates()) {
-        if (!support.active() || !support.tryApply(g))
-            applyGate(state, g);
-        if (g.type == circuit::GateType::BARRIER)
-            continue;
-        const double p = g.qubits.size() >= 2 ? noise.p2q : noise.p1q;
-        if (p <= 0.0)
-            continue;
-        for (int q : g.qubits) {
-            if (!rng.chance(p))
-                continue;
-            const Pauli &e = kPaulis[rng.intIn(0, 2)];
-            if (support.active())
-                support.pair(0, q, e.m00, e.m01, e.m10, e.m11,
-                             obs::KernelId::Apply1q);
-            else
-                state.apply1q(q, e.m00, e.m01, e.m10, e.m11);
-        }
+    CHOCOQ_ASSERT(c.gates().size() < UINT32_MAX, "circuit too long");
+    std::vector<ErrorSite> sites;
+    errorSites(c, noise, sites);
+    std::vector<PauliError> errors;
+    drawErrors(sites, rng, errors);
+    std::vector<std::uint32_t> list;
+    std::vector<std::uint8_t> listed;
+    TrackedSupport support(state, list, listed);
+    support.scan();
+    run(support, c.gates(), 0, static_cast<std::uint32_t>(c.gates().size()),
+        errors.data(), errors.data() + errors.size());
+}
+
+std::map<Basis, int>
+NoisySampler::sample(const circuit::Circuit &c, const NoiseModel &noise,
+                     int trajectories, int shots, Rng &rng,
+                     obs::KernelCounterSink *sink,
+                     const std::function<void()> &checkpoint)
+{
+    const auto &gates = c.gates();
+    CHOCOQ_ASSERT(gates.size() < UINT32_MAX, "circuit too long");
+    const auto num_gates = static_cast<std::uint32_t>(gates.size());
+    const int n = c.numQubits();
+
+    // Draw pass, in the generator order of the per-trajectory loop. A
+    // trajectory's shots are skipped, not stored: a copy of the
+    // generator taken before them replays them, so memory stays
+    // O(trajectories + errors) whatever the shot count.
+    errorSites(c, noise, sites_);
+    errors_.clear();
+    draws_.clear();
+    for (int t = 0; t < trajectories; ++t) {
+        if (checkpoint)
+            checkpoint();
+        const auto begin = static_cast<std::uint32_t>(errors_.size());
+        drawErrors(sites_, rng, errors_);
+        const auto end = static_cast<std::uint32_t>(errors_.size());
+        draws_.push_back(
+            {begin < end ? errors_[begin].gate : num_gates, begin, end, rng});
+        drawShots(rng, shots, n, noise.readout, [](double, Basis) {});
     }
+    // Fork order: by first error gate, error-free trajectories last.
+    order_.resize(draws_.size());
+    std::iota(order_.begin(), order_.end(), std::uint32_t{0});
+    std::stable_sort(order_.begin(), order_.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                         return draws_[a].firstGate < draws_[b].firstGate;
+                     });
+
+    // The sink rides both states for this call only: the sampler
+    // outlives the job that lends it.
+    struct SinkGuard
+    {
+        StateVector &clean, &work;
+        ~SinkGuard()
+        {
+            clean.setCounterSink(nullptr);
+            work.setCounterSink(nullptr);
+        }
+    } sink_guard{clean_, work_};
+    clean_.prepare(n);
+    work_.prepare(n);
+    clean_.setCounterSink(sink);
+    work_.setCounterSink(sink);
+    TrackedSupport clean(clean_, cleanList_, cleanListed_);
+    clean.scan();
+    TrackedSupport work(work_, workList_, workListed_);
+    work.zero();
+
+    std::map<Basis, int> counts;
+    const auto shoot = [&](const Draws &d) {
+        CHOCOQ_ASSERT(cdf_.total() > 1e-9, "sampling a zero state");
+        Rng replay = d.shots;
+        drawShots(replay, shots, n, noise.readout,
+                  [&](double u, Basis flipped) {
+                      ++counts[cdf_.pick(u) ^ flipped];
+                  });
+    };
+    // The clean state has applied gates [0, at). Each trajectory forks
+    // from it right after the gate of its first error.
+    std::uint32_t at = 0;
+    std::size_t k = 0;
+    for (; k < order_.size(); ++k) {
+        const Draws &d = draws_[order_[k]];
+        if (d.firstGate == num_gates)
+            break;
+        if (checkpoint)
+            checkpoint();
+        run(clean, gates, at, d.firstGate + 1, nullptr, nullptr);
+        at = d.firstGate + 1;
+        work.forkFrom(clean);
+        const PauliError *end = errors_.data() + d.end;
+        run(work, gates, at, num_gates,
+            applyErrors(work, d.firstGate, errors_.data() + d.begin, end),
+            end);
+        work.cumulate(cdf_);
+        shoot(d);
+        work.zero();
+    }
+    // Error-free trajectories share the clean final state and its CDF.
+    if (k < order_.size()) {
+        run(clean, gates, at, num_gates, nullptr, nullptr);
+        clean.cumulate(cdf_);
+        for (; k < order_.size(); ++k)
+            shoot(draws_[order_[k]]);
+    }
+    return counts;
 }
 
 } // namespace chocoq::sim

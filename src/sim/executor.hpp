@@ -8,17 +8,21 @@
  * probability (distinct for 1q and multi-qubit gates, taken from each IBM
  * device's published fidelities), realised per trajectory as a uniformly
  * random Pauli on the gate's operands; measurement adds independent
- * readout bit flips.
+ * readout bit flips. NoisySampler samples many trajectories of one
+ * circuit, running their common error-free prefix once.
  */
 
 #ifndef CHOCOQ_SIM_EXECUTOR_HPP
 #define CHOCOQ_SIM_EXECUTOR_HPP
 
+#include <cstdint>
 #include <functional>
-#include <optional>
+#include <map>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
+#include "obs/roofline.hpp"
 #include "sim/statevector.hpp"
 
 namespace chocoq::sim
@@ -53,7 +57,9 @@ void execute(StateVector &state, const circuit::Circuit &c,
 
 /**
  * Execute one noisy trajectory: after each gate, each operand qubit is hit
- * by a uniformly random Pauli with the model's error probability.
+ * by a uniformly random Pauli with the model's error probability. The
+ * errors are drawn before the first gate runs, from the same pieces
+ * NoisySampler draws and runs its trajectories with.
  *
  * The trajectory tracks which basis states have a nonzero amplitude and
  * updates only those and their partners, until more than dim/8 of them
@@ -64,6 +70,78 @@ void execute(StateVector &state, const circuit::Circuit &c,
  */
 void executeNoisy(StateVector &state, const circuit::Circuit &c,
                   const NoiseModel &noise, Rng &rng);
+
+/** A place a Pauli error can strike: operand @p qubit of gate
+ * @p gate, with probability @p p. */
+struct ErrorSite
+{
+    std::uint32_t gate;
+    std::uint32_t qubit;
+    double p;
+};
+
+/** One Pauli error of a trajectory: X, Y or Z (@p pauli 0, 1, 2) on
+ * @p qubit, right after gate @p gate. */
+struct PauliError
+{
+    std::uint32_t gate;
+    std::uint32_t qubit;
+    std::uint32_t pauli;
+};
+
+/**
+ * Shots from many noisy trajectories of one circuit, each from |0>,
+ * that run the error-free prefix once. The draws never read the state,
+ * so every trajectory's Pauli errors and shots are drawn first, in the
+ * order of the per-trajectory loop naive::sampleNoisy. One clean state
+ * then steps through the gates, and each trajectory forks from it at
+ * its first error; error-free trajectories share its final state. The
+ * counts and the next generator output are bit-identical to
+ * naive::sampleNoisy (docs/simulator.md, "Shared prefix").
+ *
+ * Both states and the draw storage are reused across calls: a service
+ * worker keeps one sampler, so steady-state jobs allocate no state
+ * vector.
+ */
+class NoisySampler
+{
+  public:
+    /**
+     * Sample @p trajectories trajectories of @p c under @p noise,
+     * @p shots shots each with noise.readout flips, and return the
+     * histogram over c's register. @p sink, when set, records every
+     * kernel of the clean pass and the forks; @p checkpoint, when
+     * set, is polled once per trajectory in the draw pass and before
+     * each fork, and may throw to abort.
+     */
+    std::map<Basis, int>
+    sample(const circuit::Circuit &c, const NoiseModel &noise,
+           int trajectories, int shots, Rng &rng,
+           obs::KernelCounterSink *sink = nullptr,
+           const std::function<void()> &checkpoint = nullptr);
+
+  private:
+    /** One trajectory's draws: its errors errors_[begin, end), the
+     * gate of the first (the gate count when there is none), and the
+     * generator as its shots start, which replays them. */
+    struct Draws
+    {
+        std::uint32_t firstGate;
+        std::uint32_t begin;
+        std::uint32_t end;
+        Rng shots;
+    };
+
+    StateVector clean_{1};
+    StateVector work_{1};
+    std::vector<std::uint32_t> cleanList_, workList_;
+    std::vector<std::uint8_t> cleanListed_, workListed_;
+    std::vector<ErrorSite> sites_;
+    std::vector<PauliError> errors_;
+    std::vector<Draws> draws_;
+    std::vector<std::uint32_t> order_;
+    Cdf cdf_;
+};
 
 } // namespace chocoq::sim
 

@@ -5,13 +5,16 @@
  * the kernel property tests (amplitude-exactness against the fast
  * paths) and the micro-benchmarks (speedup baselines) — plus the dense
  * noisy-trajectory loop that sim::executeNoisy's tracked support is
- * checked against. Not used by the library itself.
+ * checked against, and the per-trajectory sampling loop that
+ * sim::NoisySampler's shared prefix is checked against. Not used by the
+ * library itself.
  */
 
 #ifndef CHOCOQ_SIM_NAIVE_HPP
 #define CHOCOQ_SIM_NAIVE_HPP
 
 #include <cmath>
+#include <map>
 #include <utility>
 
 #include "circuit/circuit.hpp"
@@ -142,6 +145,28 @@ executeNoisy(StateVector &state, const circuit::Circuit &c,
             }
         }
     }
+}
+
+/**
+ * Shots from @p trajectories noisy trajectories of @p c, each run from
+ * |0> by naive::executeNoisy and sampled for @p shots shots with
+ * noise.readout flips, one after the other on one generator. The
+ * histogram over c's register and the next generator output must
+ * equal sim::NoisySampler::sample's for the same arguments.
+ */
+inline std::map<Basis, int>
+sampleNoisy(const circuit::Circuit &c, const NoiseModel &noise,
+            int trajectories, int shots, Rng &rng)
+{
+    std::map<Basis, int> counts;
+    StateVector state(c.numQubits());
+    for (int t = 0; t < trajectories; ++t) {
+        state.prepare(c.numQubits());
+        naive::executeNoisy(state, c, noise, rng);
+        for (const auto &[x, cnt] : state.sample(rng, shots, noise.readout))
+            counts[x] += cnt;
+    }
+    return counts;
 }
 
 } // namespace chocoq::sim::naive

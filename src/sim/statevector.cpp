@@ -474,41 +474,39 @@ StateVector::distinctStates(double eps) const
     return count;
 }
 
+Basis
+Cdf::pick(double u) const
+{
+    const double r = u * total_;
+    const auto it =
+        std::lower_bound(cumulative_.begin(), cumulative_.end(), r);
+    const std::size_t pos = std::min<std::size_t>(
+        static_cast<std::size_t>(it - cumulative_.begin()),
+        states_.size() - 1);
+    return states_[pos];
+}
+
+void
+StateVector::cumulate(Cdf &cdf) const
+{
+    cdf.clear();
+    const std::size_t dim = amp_.size();
+    for (std::size_t i = 0; i < dim; ++i)
+        cdf.add(static_cast<Basis>(i), std::norm(amp_[i]));
+}
+
 std::map<Basis, int>
 StateVector::sample(Rng &rng, int shots, double readout_flip_prob) const
 {
     // Compressed cumulative distribution over the states that actually
     // carry probability — QAOA states are sharply peaked, so this is
     // usually far smaller than 2^n — then binary search per shot.
-    const std::size_t dim = amp_.size();
-    std::vector<double> cdf;
-    std::vector<Basis> states;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-        const double p = std::norm(amp_[i]);
-        if (p <= 0.0)
-            continue;
-        acc += p;
-        cdf.push_back(acc);
-        states.push_back(static_cast<Basis>(i));
-    }
-    CHOCOQ_ASSERT(acc > 1e-9, "sampling a zero state");
-
-    const bool flips = readout_flip_prob > 0.0;
+    Cdf cdf;
+    cumulate(cdf);
+    CHOCOQ_ASSERT(cdf.total() > 1e-9, "sampling a zero state");
     std::map<Basis, int> hist;
-    for (int s = 0; s < shots; ++s) {
-        const double r = rng.uniform() * acc;
-        const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
-        const std::size_t pos = std::min<std::size_t>(
-            static_cast<std::size_t>(it - cdf.begin()), states.size() - 1);
-        Basis idx = states[pos];
-        if (flips) {
-            for (int q = 0; q < n_; ++q)
-                if (rng.chance(readout_flip_prob))
-                    idx = flipBit(idx, q);
-        }
-        ++hist[idx];
-    }
+    drawShots(rng, shots, n_, readout_flip_prob,
+              [&](double u, Basis flipped) { ++hist[cdf.pick(u) ^ flipped]; });
     return hist;
 }
 

@@ -37,6 +37,73 @@ namespace chocoq::sim
 using linalg::Cplx;
 using linalg::CVec;
 
+/**
+ * Cumulative distribution over the basis states that carry
+ * probability, in the order they are added: the table
+ * StateVector::sample draws its shots from. clear() keeps the
+ * allocation, so one table serves many states.
+ */
+class Cdf
+{
+  public:
+    void
+    clear()
+    {
+        cumulative_.clear();
+        states_.clear();
+        total_ = 0.0;
+    }
+
+    /** Append @p idx with probability @p p; p <= 0 is skipped, so an
+     * amplitude of +0 or -0 never enters. */
+    void
+    add(Basis idx, double p)
+    {
+        if (p <= 0.0)
+            return;
+        total_ += p;
+        cumulative_.push_back(total_);
+        states_.push_back(idx);
+    }
+
+    /** Sum of the added probabilities. */
+    double total() const { return total_; }
+
+    /** The state a shot's uniform draw @p u selects: the first whose
+     * running sum reaches u * total() (the last on round-off). */
+    Basis pick(double u) const;
+
+  private:
+    std::vector<double> cumulative_;
+    std::vector<Basis> states_;
+    double total_ = 0.0;
+};
+
+/**
+ * The generator draws of StateVector::sample: per shot one uniform(),
+ * then one chance(@p readout_flip_prob) per qubit when that is
+ * positive. @p on_shot(u, flipped) receives the shot's draw and the
+ * mask of the bits its readout flipped; with a no-op @p on_shot this
+ * advances @p rng exactly as sample would. The draws never depend on
+ * the state, which is what lets sim::NoisySampler draw first.
+ */
+template <class OnShot>
+void
+drawShots(Rng &rng, int shots, int num_qubits, double readout_flip_prob,
+          OnShot &&on_shot)
+{
+    const bool flips = readout_flip_prob > 0.0;
+    for (int s = 0; s < shots; ++s) {
+        const double u = rng.uniform();
+        Basis flipped = 0;
+        if (flips)
+            for (int q = 0; q < num_qubits; ++q)
+                if (rng.chance(readout_flip_prob))
+                    flipped |= Basis{1} << q;
+        on_shot(u, flipped);
+    }
+}
+
 /** State vector over n qubits (amplitudes indexed by Basis, bit i = x_i). */
 class StateVector
 {
@@ -305,6 +372,10 @@ class StateVector
 
     /** Number of basis states with probability above @p eps (Fig. 9b). */
     std::size_t distinctStates(double eps = 1e-9) const;
+
+    /** Refill @p cdf with every amplitude's probability in ascending
+     * index order: the table sample() draws from. */
+    void cumulate(Cdf &cdf) const;
 
     /**
      * Sample measurement shots.

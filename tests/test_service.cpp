@@ -495,6 +495,13 @@ determinismSuite()
             job.keepStarts = 2;
             jobs.push_back(std::move(job));
         }
+    // One device-noise job, so the shared-prefix sampler is covered
+    // too (same structure as F1#0: a cache hit).
+    service::SolveJob noisy = jobs.front();
+    noisy.id = "F1#0@11-fez";
+    noisy.device = "fez";
+    noisy.shots = 256;
+    jobs.push_back(std::move(noisy));
     return jobs;
 }
 
@@ -548,9 +555,9 @@ TEST(SolveService, CacheDoesNotChangeResults)
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].distHash, b[i].distHash) << a[i].id;
     }
-    // 12 choco-q jobs over 3 distinct structures: 3 misses, 9 hits.
+    // 13 choco-q jobs over 3 distinct structures: 3 misses, 10 hits.
     EXPECT_EQ(cached.cacheStats().misses, 3u);
-    EXPECT_EQ(cached.cacheStats().hits, 9u);
+    EXPECT_EQ(cached.cacheStats().hits, 10u);
 }
 
 TEST(SolveService, RetiredBatchWidthIsIgnored)
@@ -972,7 +979,7 @@ rawReadLines(int fd, int nlines, int timeout_ms, int slowPrefixBytes = 0,
 
 TEST(SocketFrontEnd, BitIdenticalToBatchUnderConcurrentConnections)
 {
-    const auto jobs = determinismSuite(); // 12 jobs, 3 structures
+    const auto jobs = determinismSuite(); // 13 jobs, 3 structures
 
     // Batch-mode reference: the cross-checked ground truth.
     service::ServiceOptions so;
@@ -1953,13 +1960,14 @@ TEST(Observability, TraceSpansOrderedAndNestedOnTheWire)
     const auto &spans = trace->find("spans")->items();
     ASSERT_GE(spans.size(), 6u);
 
-    // Expected pipeline order; "optimize" nests inside "solve".
+    // Expected pipeline order; "optimize", "transpile" and "sample"
+    // nest inside "solve".
     std::vector<std::string> names;
     for (const auto &s : spans)
         names.push_back(s.getString("name", ""));
-    const char *expected[] = {"parse",   "queue",    "resolve",
-                              "compile", "solve",    "optimize",
-                              "respond"};
+    const char *expected[] = {"parse",     "queue",  "resolve",
+                              "compile",   "solve",  "optimize",
+                              "transpile", "sample", "respond"};
     std::size_t at = 0;
     for (const char *name : expected) {
         const auto it = std::find(names.begin() + at, names.end(), name);
@@ -1977,15 +1985,52 @@ TEST(Observability, TraceSpansOrderedAndNestedOnTheWire)
         prev_start = start;
         bounds[s.getString("name", "")] = {start, start + dur};
     }
-    // Nesting invariant: optimize inside solve, everything inside
-    // [0, respond].
+    // Nesting invariant: optimize, then transpile, then sample, one
+    // after the other inside solve; everything inside [0, respond].
     EXPECT_GE(bounds["optimize"].first, bounds["solve"].first);
-    EXPECT_LE(bounds["optimize"].second, bounds["solve"].second);
+    EXPECT_LE(bounds["optimize"].second, bounds["transpile"].first);
+    EXPECT_LE(bounds["transpile"].second, bounds["sample"].first);
+    EXPECT_LE(bounds["sample"].second, bounds["solve"].second);
     EXPECT_LE(bounds["solve"].second, bounds["respond"].first);
     // The compile span carries the cache annotation (cold cache: miss).
     for (const auto &s : spans)
         if (s.getString("name", "") == "compile")
             EXPECT_EQ(s.getString("note", ""), "cache_miss");
+}
+
+TEST(Observability, NoisyJobsFoldOnlyTheOptimizerIntoOptimize)
+{
+    // The optimize span folds the optimizer's checkpoints alone: the
+    // final circuits and the noisy trajectories run in their own
+    // transpile and sample spans, so device noise leaves the optimize
+    // note of an F1 job unchanged.
+    service::SolveService svc{service::ServiceOptions{}};
+    service::WorkerContext ctx;
+    const auto notesOf = [&](const service::SolveJob &job) {
+        obs::Trace trace(std::chrono::steady_clock::now());
+        const auto r = svc.execute(job, ctx, nullptr, &trace);
+        EXPECT_EQ(r.status, "ok") << r.error;
+        std::map<std::string, std::string> notes;
+        for (const auto &span : trace.spans())
+            notes[span.name] = span.note;
+        return notes;
+    };
+    service::SolveJob plain = quickJob("plain", 3);
+    plain.maxIterations = 20;
+    service::SolveJob noisy = plain;
+    noisy.id = "noisy";
+    noisy.device = "fez";
+    noisy.shots = 256;
+    const auto quiet = notesOf(plain);
+    const auto loud = notesOf(noisy);
+    ASSERT_EQ(quiet.count("optimize"), 1u);
+    ASSERT_EQ(loud.count("optimize"), 1u);
+    EXPECT_NE(quiet.at("optimize").find("checkpoints="), std::string::npos);
+    EXPECT_EQ(loud.at("optimize"), quiet.at("optimize"));
+    for (const char *name : {"transpile", "sample"}) {
+        EXPECT_EQ(quiet.count(name), 1u) << name;
+        EXPECT_EQ(loud.count(name), 1u) << name;
+    }
 }
 
 TEST(Observability, TracingIsBitIdentical)

@@ -3,11 +3,14 @@
  * State-vector simulator tests: every gate kernel against dense matrices,
  * fast paths, sampling statistics, and noise trajectories — including
  * the differential suite that pins sim::executeNoisy's tracked support
- * to the dense oracle naive::executeNoisy bit for bit.
+ * to the dense oracle naive::executeNoisy, and sim::NoisySampler's
+ * shared prefix to the per-trajectory oracle naive::sampleNoisy, bit
+ * for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -424,6 +427,19 @@ uniformNoise(double p)
     return noise;
 }
 
+/** A circuit the engine actually samples: @p cs's ansatz at fixed
+ * angles, lowered for @p dev. */
+Circuit
+loweredAnsatz(const core::CompiledSub &cs, const device::DeviceModel &dev)
+{
+    circuit::TranspileOptions lowering;
+    lowering.nativeCz = dev.nativeCz;
+    return circuit::transpile(core::chocoAnsatz(cs.numQubits, cs.init,
+                                                *cs.objective, *cs.terms,
+                                                {0.4, 0.7}),
+                              lowering);
+}
+
 } // namespace
 
 TEST(TrackedTrajectory, RandomLoweredCircuitsMatchOracle)
@@ -483,15 +499,10 @@ TEST(TrackedTrajectory, LoweredChocoQCircuitsMatchOracle)
         const auto art =
             core::ChocoQSolver().compile(problems::makeCase(scale, 0));
         for (const auto &dev : device::allDevices()) {
-            circuit::TranspileOptions lowering;
-            lowering.nativeCz = dev.nativeCz;
             const auto noise = device::noiseOf(dev);
             Rng draws(11);
             for (const auto &cs : art->subs) {
-                const Circuit c = circuit::transpile(
-                    core::chocoAnsatz(cs.numQubits, cs.init, *cs.objective,
-                                      *cs.terms, {0.4, 0.7}),
-                    lowering);
+                const Circuit c = loweredAnsatz(cs, dev);
                 for (int t = 0; t < 4; ++t)
                     EXPECT_EQ(trajectoryMismatch(
                                   c, basisState(c.numQubits(), 0), noise,
@@ -529,6 +540,179 @@ TEST(TrackedTrajectory, CountsTheAmplitudesItTouches)
     EXPECT_EQ(sink.tally(K::PhaseMask).amps, 2u);    // |011>, |111>
     EXPECT_NEAR(s.prob(0b011), 0.5, 1e-15);
     EXPECT_NEAR(s.prob(0b111), 0.5, 1e-15);
+}
+
+// ------------------------------- shared-prefix sampler vs oracle
+
+namespace
+{
+
+/**
+ * Sample @p trajectories trajectories of @p shots shots each through
+ * @p sampler and through the per-trajectory oracle
+ * naive::sampleNoisy, each with its own copy of @p rng, and return ""
+ * when the histograms are equal and the next generator outputs match.
+ * @p rng advances past the draws.
+ */
+std::string
+sampleMismatch(sim::NoisySampler &sampler, const Circuit &c,
+               const sim::NoiseModel &noise, int trajectories, int shots,
+               Rng &rng)
+{
+    Rng fast_rng = rng;
+    const auto fast =
+        sampler.sample(c, noise, trajectories, shots, fast_rng);
+    const auto oracle =
+        sim::naive::sampleNoisy(c, noise, trajectories, shots, rng);
+    if (fast != oracle) {
+        std::ostringstream out;
+        out << "histograms differ: " << fast.size() << " vs "
+            << oracle.size() << " states";
+        for (const auto &[x, cnt] : oracle) {
+            const auto it = fast.find(x);
+            const int got = it == fast.end() ? 0 : it->second;
+            if (got != cnt) {
+                out << "; first at |" << x << ">: " << got << " vs "
+                    << cnt;
+                break;
+            }
+        }
+        return out.str();
+    }
+    Rng fast_next = fast_rng;
+    Rng oracle_next = rng;
+    if (fast_next.next() != oracle_next.next())
+        return "generator streams diverged";
+    return "";
+}
+
+/** Shot totals and trajectory caps the service turns into
+ * (trajectories, shots per trajectory) as core::runQaoa does. */
+const int kShotTotals[] = {1, 7, 256, 1000};
+const int kTrajectoryCaps[] = {1, 128};
+
+} // namespace
+
+TEST(TrackedTrajectory, SharedPrefixSamplerMatchesOracleOnLoweredCircuits)
+{
+    // The lowered Choco-Q circuits of F1 and K1, every sub-instance, on
+    // all three devices, with and without readout flips, at the
+    // engine's trajectory split of every shot total. One sampler
+    // serves every call, as on a service worker.
+    sim::NoisySampler sampler;
+    for (const auto scale : {problems::Scale::F1, problems::Scale::K1}) {
+        const auto art =
+            core::ChocoQSolver().compile(problems::makeCase(scale, 0));
+        for (const auto &dev : device::allDevices()) {
+            Rng draws(13);
+            for (const auto &cs : art->subs) {
+                const Circuit c = loweredAnsatz(cs, dev);
+                for (const double readout : {device::noiseOf(dev).readout,
+                                             0.0}) {
+                    auto noise = device::noiseOf(dev);
+                    noise.readout = readout;
+                    for (const int shots : kShotTotals)
+                        for (const int cap : kTrajectoryCaps) {
+                            const int t = std::min(cap, shots);
+                            EXPECT_EQ(sampleMismatch(sampler, c, noise, t,
+                                                     (shots + t - 1) / t,
+                                                     draws),
+                                      "")
+                                << problems::scaleName(scale) << " on "
+                                << dev.name << " readout " << readout
+                                << " shots " << shots << " trajectories "
+                                << t;
+                        }
+                }
+            }
+        }
+    }
+}
+
+TEST(TrackedTrajectory, SharedPrefixSamplerMatchesOracleOnG1)
+{
+    // G1's dense oracle takes ~0.15 s per trajectory, so two
+    // trajectories of 7 shots per device.
+    sim::NoisySampler sampler;
+    const auto art = core::ChocoQSolver().compile(
+        problems::makeCase(problems::Scale::G1, 0));
+    for (const auto &dev : device::allDevices()) {
+        Rng draws(14);
+        const Circuit c = loweredAnsatz(art->subs.front(), dev);
+        EXPECT_EQ(sampleMismatch(sampler, c, device::noiseOf(dev), 2, 7,
+                                 draws),
+                  "")
+            << "G1 on " << dev.name;
+    }
+}
+
+TEST(TrackedTrajectory, SharedPrefixSamplerMatchesOracleOnRandomCircuits)
+{
+    // Random lowered circuits that spread past the dense switch, and
+    // circuits with a CCX or MCP in the middle, from 2 to 10 qubits:
+    // the clean pass and the forks leave the tracked support at
+    // different gates. One sampler serves every width.
+    sim::NoisySampler sampler;
+    Rng circuits(2025);
+    Rng draws(78);
+    for (int n = 2; n <= 10; ++n) {
+        std::vector<Circuit> cases{randomLoweredCircuit(circuits, n, 12 * n)};
+        if (n >= 3)
+            for (const GateType middle : {GateType::CCX, GateType::MCP}) {
+                Circuit c = randomLoweredCircuit(circuits, n, 4 * n);
+                c.add({middle, {0, n / 2, n - 1}, 0.6});
+                const Circuit tail = randomLoweredCircuit(circuits, n, 4 * n);
+                for (const auto &g : tail.gates())
+                    c.add(g);
+                cases.push_back(std::move(c));
+            }
+        for (const Circuit &c : cases)
+            for (const double p : {0.0, 1e-3, 0.05, 0.3})
+                for (const double readout : {0.0, 0.02}) {
+                    auto noise = uniformNoise(p);
+                    noise.readout = readout;
+                    EXPECT_EQ(sampleMismatch(sampler, c, noise, 24, 3,
+                                             draws),
+                              "")
+                        << "n=" << n << " gates=" << c.gates().size()
+                        << " p=" << p << " readout=" << readout;
+                }
+    }
+}
+
+TEST(TrackedTrajectory, SharedPrefixRunsTheCleanPassOnce)
+{
+    // Without gate errors every trajectory shares the clean final
+    // state: 64 trajectories record one trajectory's kernels.
+    Circuit c(10);
+    c.x(0);
+    c.cx(0, 1);
+    c.rz(1, 0.3);
+    c.h(2);
+    c.add({GateType::CZ, {0, 1}, 0.0});
+    sim::NoiseModel noise;
+    noise.readout = 0.01;
+    obs::KernelCounterSink one;
+    StateVector s(10);
+    s.setCounterSink(&one);
+    Rng rng(5);
+    sim::executeNoisy(s, c, noise, rng);
+
+    obs::KernelCounterSink all;
+    sim::NoisySampler sampler;
+    Rng draws(6);
+    const auto counts = sampler.sample(c, noise, 64, 4, draws, &all);
+    int total = 0;
+    for (const auto &[x, cnt] : counts)
+        total += cnt;
+    EXPECT_EQ(total, 64 * 4);
+    for (std::size_t k = 0; k < obs::kKernelCount; ++k) {
+        const auto id = static_cast<obs::KernelId>(k);
+        EXPECT_EQ(all.tally(id).calls, one.tally(id).calls)
+            << obs::kernelName(id);
+        EXPECT_EQ(all.tally(id).amps, one.tally(id).amps)
+            << obs::kernelName(id);
+    }
 }
 
 TEST(Unitary, HGateUnitary)
