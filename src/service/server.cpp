@@ -1,6 +1,5 @@
 #include "service/server.hpp"
 
-#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
@@ -75,7 +74,7 @@ sendAll(int fd, const char *data, std::size_t len)
 constexpr int kCloseLingerMs = 1000;
 
 /** Poll granularity of the event loop: bounds how stale the stop flag,
- * the idle and park clocks, and the accept backoff can get. */
+ * the idle clock, and the accept backoff can get. */
 constexpr int kPollTickMs = 20;
 
 /** Write backpressure: once a connection's buffered unsent output
@@ -440,13 +439,8 @@ struct Server::Connection
     // ---- Event-loop state, owned by the loop thread except where a
     // comment says otherwise.
     LineFramer framer;
-    /** Jobs accepted from this connection (per-connection limit). */
-    long served = 0;
-    /** Per-connection request limit hit: remaining buffered lines get
-     * rejections, then the connection finishes. */
-    bool limitClose = false;
-    /** No more requests will be read (EOF, idle close, limit close, or
-     * drain); the connection finishes once in-flight results flush. */
+    /** No more requests will be read (EOF, idle close, or drain); the
+     * connection finishes once in-flight results flush. */
     bool readClosed = false;
     /** SHUT_WR sent; waiting (bounded by kCloseLingerMs) for the
      * peer's close so the flushed results are not RST-discarded. */
@@ -454,13 +448,6 @@ struct Server::Connection
     Clock::time_point closeDeadline;
     /** Idle-timeout clock. */
     Clock::time_point lastActivity;
-    /** Parked over-capacity request (--queue-wait): reading pauses so
-     * at most one request per connection waits and TCP backpressure
-     * reaches the sender. */
-    bool parked = false;
-    SolveJob parkedJob;
-    double parkedBudgetMs = 0.0;
-    Clock::time_point parkedAt;
     /** Outbound bytes send(2) could not take, resumed via POLLOUT.
      * Guarded by writeMu; outOff is the consumed prefix. */
     std::string outBuf;
@@ -641,7 +628,7 @@ Server::acceptPending()
         connectionsOpen_.fetch_add(1, std::memory_order_relaxed);
         connOpenGauge_.add(1.0);
         ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-        conn->framer = LineFramer(opts_.maxLineBytes);
+        conn->framer = LineFramer(opts_.limits.maxLineBytes);
         conn->lastActivity = Clock::now();
         // accept -> registration: the server-controlled half of
         // connection setup.
@@ -780,7 +767,6 @@ Server::handleControl(const std::shared_ptr<Connection> &conn,
         server.set("results_written",
                    static_cast<double>(ss.resultsWritten));
         server.set("rejected", static_cast<double>(ss.rejected));
-        server.set("queue_waited", static_cast<double>(ss.queueWaited));
         server.set("line_errors", static_cast<double>(ss.lineErrors));
         server.set("idle_closes", static_cast<double>(ss.idleCloses));
         server.set("cancel_requests",
@@ -823,38 +809,7 @@ Server::rejectCapacity(const std::shared_ptr<Connection> &conn,
     r.id = id;
     r.status = "rejected";
     r.error = "server at capacity (" + std::to_string(opts_.maxInflight)
-              + " jobs in flight"
-              + (opts_.queueWaitMs > 0 ? ", wait queue timed out" : "")
-              + "); retry later";
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    writeLine(conn, resultToJson(r).dump());
-}
-
-void
-Server::rejectAtLimit(const std::shared_ptr<Connection> &conn,
-                      const std::string &line, long lineno)
-{
-    // Echo the request id when the over-limit line parses, so the
-    // client can correlate the rejection. Only the id is read — this is
-    // the load-shedding path, so it must not pay full request
-    // validation (in particular not inline-problem parsing and
-    // canonicalization) for a line it is about to reject.
-    std::string id;
-    if (utf8Valid(line)) { // never echo invalid bytes back out
-        try {
-            id = Json::parse(line).getString("id", "");
-            if (id.empty())
-                id = "job-" + std::to_string(lineno);
-        } catch (const std::exception &) {
-            // fall through to the synthesized line id
-        }
-    }
-    SolveResult r;
-    r.id = id.empty() ? "line-" + std::to_string(lineno) : id;
-    r.status = "rejected";
-    r.error = "per-connection request limit ("
-              + std::to_string(opts_.maxRequestsPerConn)
-              + ") reached; open a new connection";
+              + " jobs in flight); retry later";
     rejected_.fetch_add(1, std::memory_order_relaxed);
     writeLine(conn, resultToJson(r).dump());
 }
@@ -883,8 +838,8 @@ Server::submitAccepted(const std::shared_ptr<Connection> &conn,
                         conn->inflight.fetch_sub(1,
                                                  std::memory_order_release);
                         inflight_.fetch_sub(1, std::memory_order_relaxed);
-                        // Completion changes the finish/park calculus;
-                        // don't leave it to the next tick.
+                        // Completion can finish the connection; don't
+                        // leave it to the next tick.
                         wake();
                     },
                     token);
@@ -897,8 +852,7 @@ Server::submitAccepted(const std::shared_ptr<Connection> &conn,
 // docs/service.md#event-loop-connection-state-machine has the
 // operator-facing version):
 //
-//   OPEN --(EOF / idle / limit / drain)--> READ_CLOSED
-//   OPEN --(full server + --queue-wait)--> PARKED --> OPEN
+//   OPEN --(EOF / idle / drain)--> READ_CLOSED
 //   READ_CLOSED --(inflight==0 && outBuf empty)--> WR_SHUTDOWN
 //   WR_SHUTDOWN --(peer EOF | linger deadline)--> CLOSED
 //   any --(recv error / failed write / write stall)--> BROKEN --> CLOSED
@@ -962,11 +916,10 @@ Server::eventHandleReadable(const std::shared_ptr<Connection> &conn)
 void
 Server::eventProcessBuffer(const std::shared_ptr<Connection> &conn)
 {
-    if (conn->fd < 0 || conn->broken.load(std::memory_order_relaxed)
-        || conn->parked)
+    if (conn->fd < 0)
         return;
     LineFramer::Line ln;
-    while (!conn->parked && !conn->broken.load(std::memory_order_relaxed)
+    while (!conn->broken.load(std::memory_order_relaxed)
            && conn->framer.next(ln)) {
         if (ln.oversized) {
             lineErrors_.fetch_add(1, std::memory_order_relaxed);
@@ -979,99 +932,39 @@ Server::eventProcessBuffer(const std::shared_ptr<Connection> &conn)
         }
         eventDispatchLine(conn, std::move(ln));
     }
-    if (conn->limitClose)
-        conn->readClosed = true;
 }
 
 void
 Server::eventDispatchLine(const std::shared_ptr<Connection> &conn,
                           LineFramer::Line &&ln)
 {
-    if (isSkippableLine(ln.text))
-        return;
-    if (conn->limitClose
-        || (opts_.maxRequestsPerConn > 0
-            && conn->served >= opts_.maxRequestsPerConn)) {
-        // Never silence: every request at or behind the limit gets its
-        // own rejection before the close.
-        rejectAtLimit(conn, ln.text, ln.lineno);
-        conn->limitClose = true;
-        return;
-    }
     ParsedLine parsed =
-        parseRequestLine(ln.text, ln.lineno, false, opts_.specLimits);
+        parseRequestLine(ln.text, ln.lineno, false, opts_.limits.spec);
+    if (parsed.skip)
+        return;
     if (!parsed.ok) {
         lineErrors_.fetch_add(1, std::memory_order_relaxed);
         writeLine(conn, resultToJson(parsed.error).dump());
         return;
     }
     if (parsed.control != ControlKind::None) {
-        // Control requests never consume an in-flight slot or the
-        // per-connection budget: they must work on a loaded server.
+        // Control requests never consume an in-flight slot: they must
+        // work on a loaded server.
         handleControl(conn, parsed);
         return;
     }
-    if (tryReserveInflight()) {
-        ++conn->served;
+    if (tryReserveInflight())
         submitAccepted(conn, std::move(parsed.job));
-        return;
-    }
-    if (opts_.queueWaitMs > 0 && !stop_.load(std::memory_order_relaxed)) {
-        // Park: reading pauses so at most one request per connection is
-        // in limbo (TCP backpressure reaches the sender), and the loop
-        // retries every tick.
-        conn->parked = true;
-        conn->parkedBudgetMs = opts_.queueWaitMs;
-        if (parsed.job.deadlineMs > 0.0)
-            conn->parkedBudgetMs =
-                std::min(conn->parkedBudgetMs, parsed.job.deadlineMs);
-        conn->parkedJob = std::move(parsed.job);
-        conn->parkedAt = Clock::now();
-        return;
-    }
-    rejectCapacity(conn, parsed.job.id);
+    else
+        rejectCapacity(conn, parsed.job.id);
 }
 
 void
 Server::eventAnswerTail(const std::shared_ptr<Connection> &conn)
 {
-    // A parked request precedes any tail bytes; they stay buffered
-    // until the park resolves (EOF is then re-observed by the loop).
     LineFramer::Line tail;
-    if (!conn->parked && conn->framer.tail(tail))
+    if (conn->framer.tail(tail))
         eventDispatchLine(conn, std::move(tail));
-}
-
-void
-Server::eventResolveParked(const std::shared_ptr<Connection> &conn,
-                           bool draining)
-{
-    const double waited = millisSince(conn->parkedAt);
-    bool admit = !draining && waited < conn->parkedBudgetMs;
-    if (admit && !tryReserveInflight())
-        return; // budget left: keep waiting
-    SolveJob job = std::move(conn->parkedJob);
-    conn->parked = false;
-    conn->parkedJob = SolveJob{};
-    if (admit && job.deadlineMs > 0.0) {
-        // Queue time counts against the deadline; a slot that frees
-        // exactly as the deadline passes is still a timeout.
-        job.deadlineMs -= waited;
-        if (job.deadlineMs <= 0.0) {
-            inflight_.fetch_sub(1, std::memory_order_relaxed);
-            admit = false;
-        }
-    }
-    if (admit) {
-        queueWaited_.fetch_add(1, std::memory_order_relaxed);
-        ++conn->served;
-        submitAccepted(conn, std::move(job));
-    } else {
-        // Budget exhausted (or drain): the bounded wait ends in
-        // rejection.
-        rejectCapacity(conn, job.id);
-    }
-    eventProcessBuffer(conn); // resume lines queued behind the park
 }
 
 void
@@ -1091,9 +984,6 @@ Server::eventHousekeep(const std::shared_ptr<Connection> &conn,
     if (draining && !conn->readClosed)
         conn->readClosed = true;
 
-    if (conn->parked)
-        eventResolveParked(conn, draining);
-
     // Write-stall detection: pending output making no progress for the
     // send timeout means the client stopped reading (kernel send
     // timeouts don't apply to non-blocking sends).
@@ -1108,12 +998,11 @@ Server::eventHousekeep(const std::shared_ptr<Connection> &conn,
         return;
     }
 
-    // Idle timeout, only while still reading. A running or parked job
-    // counts as activity: the idle window starts from (at most one
-    // tick after) its last result.
+    // Idle timeout, only while still reading. A running job counts as
+    // activity: the idle window starts from (at most one tick after)
+    // its last result.
     if (!conn->readClosed) {
-        if (conn->inflight.load(std::memory_order_acquire) > 0
-            || conn->parked) {
+        if (conn->inflight.load(std::memory_order_acquire) > 0) {
             conn->lastActivity = now;
         } else if (opts_.idleTimeoutMs > 0
                    && millisSince(conn->lastActivity)
@@ -1138,7 +1027,7 @@ Server::eventHousekeep(const std::shared_ptr<Connection> &conn,
         std::lock_guard<std::mutex> lock(conn->writeMu);
         pending_out = conn->pendingOutLocked() > 0;
     }
-    if (conn->readClosed && !conn->parked && !pending_out
+    if (conn->readClosed && !pending_out
         && conn->inflight.load(std::memory_order_acquire) == 0) {
         ::shutdown(conn->fd, SHUT_WR);
         conn->wrShutdown = true;
@@ -1164,7 +1053,6 @@ Server::eventFinalize(const std::shared_ptr<Connection> &conn)
         ::close(conn->fd);
         conn->fd = -1;
     }
-    conn->parked = false;
     connectionsOpen_.fetch_sub(1, std::memory_order_relaxed);
     connOpenGauge_.add(-1.0);
 }
@@ -1219,14 +1107,14 @@ Server::eventLoop()
             const bool paused = pending >= kMaxWriteBufferBytes;
             if (conn->wrShutdown) {
                 ev |= POLLIN; // close handshake: read to peer EOF
-            } else if (!conn->readClosed && !conn->parked && !paused) {
+            } else if (!conn->readClosed && !paused) {
                 ev |= POLLIN;
             }
             if (ev != 0) {
                 // A connection wanting nothing stays out of the poll
                 // set entirely: poll(2) reports POLLHUP/POLLERR even
                 // for events=0 entries, which would busy-spin the loop
-                // on a dropped-but-parked peer.
+                // on a dropped peer whose reads are paused.
                 pfds.push_back(pollfd{conn->fd, ev, 0});
                 polled.push_back(conn);
             }
@@ -1302,7 +1190,6 @@ Server::stats() const
     s.jobsFailed = jobsFailed_.load(std::memory_order_relaxed);
     s.resultsWritten = resultsWritten_.load(std::memory_order_relaxed);
     s.rejected = rejected_.load(std::memory_order_relaxed);
-    s.queueWaited = queueWaited_.load(std::memory_order_relaxed);
     s.connectionsRejected =
         connectionsRejected_.load(std::memory_order_relaxed);
     s.lineErrors = lineErrors_.load(std::memory_order_relaxed);

@@ -16,10 +16,10 @@
  * SolveService scheduler; each result is serialized back on the
  * connection that submitted it, in completion order, under a
  * per-connection write lock. Overload protection is explicit: when the
- * server-wide in-flight bound is reached, a request is answered with a
- * "rejected" line instead of queueing without bound — immediately, or
- * after the bounded --queue-wait park (the client owns the retry
- * policy; see docs/protocol.md).
+ * server-wide in-flight bound is reached, a request is answered at once
+ * with a "rejected" line instead of queueing without bound (the client
+ * owns the retry policy, e.g. tools/socket_client.py --max-retries; see
+ * docs/protocol.md).
  *
  * Shutdown contract (graceful drain): requestStop() — or the SIGINT /
  * SIGTERM handler in chocoq_serve that calls it — closes the listener,
@@ -210,20 +210,10 @@ struct ServerOptions
      * without bound). 0 = unbounded.
      */
     int maxInflight = 256;
-    /**
-     * Bounded wait-queue for over-capacity requests (--queue-wait): a
-     * request arriving at the maxInflight bound is parked for up to
-     * this long — or until its own deadline_ms would expire in queue,
-     * whichever is sooner — before the "rejected" answer. Parking is
-     * per connection: the connection stops reading further requests
-     * while one waits, so TCP backpressure propagates to the sender and
-     * at most one request per connection is in limbo. Time spent
-     * waiting counts against the job's deadline_ms. Drain ends every
-     * wait with the rejection. 0 = reject immediately.
-     */
-    int queueWaitMs = 0;
-    /** Resource guards for inline problem specs on this server. */
-    spec::SpecLimits specLimits;
+    /** Line and inline-spec bounds, shared with the batch front-end. A
+     * maxLineBytes of 0 falls back to the 1 MiB default: the socket
+     * path always enforces a bound. */
+    StreamLimits limits;
     /**
      * Close a connection after this long with no bytes received and no
      * job of its own in flight. 0 = never. Results of in-flight jobs
@@ -231,21 +221,11 @@ struct ServerOptions
      */
     int idleTimeoutMs = 0;
     /**
-     * Requests accepted per connection before the server answers with a
-     * "rejected" line and closes it (after flushing in-flight results).
-     * 0 = unlimited.
-     */
-    int maxRequestsPerConn = 0;
-    /**
      * Concurrently open connections. A connection accepted past the
      * bound is answered with a single "rejected" line and closed
      * immediately. 0 = unbounded.
      */
     int maxConnections = 1024;
-    /** Longest accepted request line on a connection, in bytes
-     * (0 falls back to the 1 MiB default — the socket path always
-     * enforces a bound). */
-    std::size_t maxLineBytes = 1 << 20;
     /**
      * Write-stall bound. A client that stops reading fills its socket
      * buffer and then the connection's output buffer; once pending
@@ -282,12 +262,8 @@ struct ServerStats
     long jobsFailed = 0;
     /** Results written back (includes per-line error responses). */
     long resultsWritten = 0;
-    /** Requests answered with status "rejected" (overload or
-     * per-connection limit). */
+    /** Requests answered with status "rejected" (over maxInflight). */
     long rejected = 0;
-    /** Over-capacity requests that waited in the bounded queue
-     * (--queue-wait) and were then accepted when a slot freed. */
-    long queueWaited = 0;
     /** Connections refused at the maxConnections bound. */
     long connectionsRejected = 0;
     /** Per-line error responses (malformed input). */
@@ -371,11 +347,6 @@ class Server
     /** Answer a status "rejected" over-capacity line for @p id. */
     void rejectCapacity(const std::shared_ptr<Connection> &conn,
                         const std::string &id);
-    /** Answer a per-connection request-limit rejection, echoing the
-     * request id when @p line parses (load shedding: id only, never
-     * full validation). */
-    void rejectAtLimit(const std::shared_ptr<Connection> &conn,
-                       const std::string &line, long lineno);
     void writeLine(const std::shared_ptr<Connection> &conn,
                    const std::string &line);
 
@@ -386,24 +357,20 @@ class Server
     /** Accept until EAGAIN and register each connection. False when
      * accept(2) failed for lack of resources (the caller backs off). */
     bool acceptPending();
-    /** Frame and dispatch every complete buffered line; stops early
-     * when the connection parks on a full server. */
+    /** Frame and dispatch every complete buffered line. */
     void eventProcessBuffer(const std::shared_ptr<Connection> &conn);
-    /** Classify and dispatch one framed line (skip / limit rejection /
-     * per-line error / control / submit / park / capacity rejection). */
+    /** Classify and dispatch one framed line (skip / per-line error /
+     * control / submit / capacity rejection). */
     void eventDispatchLine(const std::shared_ptr<Connection> &conn,
                            LineFramer::Line &&ln);
     /** Answer the truncated final line at EOF / idle close. */
     void eventAnswerTail(const std::shared_ptr<Connection> &conn);
     /** One recv(2) worth of progress on a readable connection. */
     void eventHandleReadable(const std::shared_ptr<Connection> &conn);
-    /** Timers + state transitions: parked-job retry, idle timeout,
-     * write-stall detection, finish (half-close) and close deadlines. */
+    /** Timers + state transitions: idle timeout, write-stall
+     * detection, finish (half-close) and close deadlines. */
     void eventHousekeep(const std::shared_ptr<Connection> &conn,
                         bool draining);
-    /** Retry / expire a parked over-capacity request. */
-    void eventResolveParked(const std::shared_ptr<Connection> &conn,
-                            bool draining);
     /** Close the fd and undo the open-connection accounting. */
     void eventFinalize(const std::shared_ptr<Connection> &conn);
     /** Flush buffered output; writeMu must be held. False = peer gone
@@ -454,7 +421,6 @@ class Server
     std::atomic<long> jobsFailed_{0};
     std::atomic<long> resultsWritten_{0};
     std::atomic<long> rejected_{0};
-    std::atomic<long> queueWaited_{0};
     std::atomic<long> connectionsRejected_{0};
     std::atomic<long> lineErrors_{0};
     std::atomic<long> idleCloses_{0};

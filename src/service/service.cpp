@@ -294,14 +294,10 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
                 openSpan = trace->begin("compile");
             Timer compileTimer;
             std::shared_ptr<const core::ChocoQArtifacts> artifacts =
-                opts_.useCache ? cache_.get(p, solver, &r.cacheHit)
-                               : solver.compile(p);
+                cache_.get(p, solver, &r.cacheHit);
             stageCompileMs_.record(compileTimer.seconds() * 1e3);
             if (trace) {
-                trace->end(openSpan,
-                           !opts_.useCache  ? "cache_off"
-                           : r.cacheHit     ? "cache_hit"
-                                            : "cache_miss");
+                trace->end(openSpan, r.cacheHit ? "cache_hit" : "cache_miss");
                 openSpan = trace->begin("solve");
             }
             outcome = solver.solveCompiled(p, *artifacts);

@@ -47,8 +47,6 @@ struct ServiceOptions
     /** Concurrent solve workers. Composes with CHOCOQ_THREADS: total
      * CPU demand is roughly workers x CHOCOQ_THREADS (see README). */
     int workers = 1;
-    /** Share compilation artifacts across structurally equal jobs. */
-    bool useCache = true;
     /** Artifact-retention byte budget for the compilation cache
      * (CompileCacheOptions::maxBytes; 0 = unbounded). */
     std::size_t cacheMaxBytes = CompileCacheOptions{}.maxBytes;

@@ -7,8 +7,7 @@
  * the protocol promises — an inline spec and the equivalent registry
  * case produce bitwise-identical results, row-permuted resubmissions
  * are compile-cache hits, and problem_ref misses fail cleanly — in
- * both batch and socket modes, plus the socket front-end's bounded
- * wait queue (--queue-wait).
+ * both batch and socket modes.
  */
 
 #include <gtest/gtest.h>
@@ -716,7 +715,7 @@ TEST(SocketServerSpec, SpecLimitsRejectPerLineOnTheWire)
 {
     service::SolveService svc{service::ServiceOptions{}};
     service::ServerOptions opts;
-    opts.specLimits.maxQubits = 3;
+    opts.limits.spec.maxQubits = 3;
     service::Server server(svc, opts);
     server.start();
 
@@ -737,58 +736,4 @@ TEST(SocketServerSpec, SpecLimitsRejectPerLineOnTheWire)
     ASSERT_TRUE(client.readLine(line, 60000));
     EXPECT_EQ(service::Json::parse(line).getString("status", ""), "ok");
     server.drain();
-}
-
-TEST(SocketServerSpec, QueueWaitHoldsOverCapacityJobsUntilDeadline)
-{
-    // One worker, in-flight bound 1, wait queue on: while the slow job
-    // occupies the worker, a patient request waits for the slot and
-    // runs; a request whose deadline would expire in queue is rejected
-    // after (only) that deadline.
-    service::ServiceOptions so;
-    so.workers = 1;
-    service::SolveService svc(so);
-    service::ServerOptions opts;
-    opts.maxInflight = 1;
-    opts.queueWaitMs = 60000;
-    service::Server server(svc, opts);
-    server.start();
-
-    service::JsonlClient client(server.port());
-    std::string burst;
-    // patient shares slow's structure (cached compile) and runs long
-    // enough that it cannot finish before the server reads hasty (the
-    // connection stops reading while patient is parked) — otherwise
-    // hasty would race into the freed slot and expire mid-admission
-    // instead of in the wait queue. Both run on the dense unfused
-    // oracle ("fusion":false) so their ~1 s holds do not depend on
-    // kernel speed.
-    burst += R"({"id":"slow","scale":"K3","iters":200,"fusion":false})"
-             "\n";
-    burst += R"({"id":"patient","scale":"K3","iters":1000,"fusion":false})"
-             "\n";
-    burst += R"({"id":"hasty","scale":"F1","iters":5,"deadline_ms":0.01})"
-             "\n";
-    client.sendRaw(burst);
-    client.shutdownWrite();
-
-    std::map<std::string, std::string> status;
-    for (int i = 0; i < 3; ++i) {
-        std::string line;
-        ASSERT_TRUE(client.readLine(line, 120000)) << "response " << i;
-        const auto v = service::Json::parse(line);
-        status[v.getString("id", "")] = v.getString("status", "");
-        if (v.getString("id", "") == "hasty")
-            EXPECT_NE(v.getString("error", "").find("wait queue timed out"),
-                      std::string::npos);
-    }
-    EXPECT_EQ(status.at("slow"), "ok");
-    EXPECT_EQ(status.at("patient"), "ok")
-        << "a patient over-capacity job must wait for the slot, not be "
-           "rejected";
-    EXPECT_EQ(status.at("hasty"), "rejected")
-        << "a job whose deadline expires in queue is rejected after it";
-    server.drain();
-    EXPECT_EQ(server.stats().queueWaited, 1);
-    EXPECT_EQ(server.stats().rejected, 1);
 }

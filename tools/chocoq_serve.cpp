@@ -60,12 +60,13 @@ usage(const char *argv0)
         << "usage: " << argv0 << " [options]\n"
         << "  --input FILE   read JSONL job requests from FILE (default: "
            "stdin)\n"
-        << "  --workers N    concurrent solve workers (default: 1)\n"
+        << "  --workers N    concurrent solve workers, 1 to 1024 "
+           "(default: 1)\n"
         << "  --iters N      default optimizer iteration budget for jobs "
            "that\n"
-        << "                 don't set \"iters\" (default: solver "
-           "defaults)\n"
-        << "  --no-cache     disable the compilation cache\n"
+        << "                 don't set \"iters\", 0 to 2^30 (default: 0 = "
+           "solver\n"
+        << "                 defaults)\n"
         << "  --cache-mb N   compilation-cache byte budget in MiB "
            "(default: 256,\n"
         << "                 0 = unbounded); coldest artifacts are "
@@ -106,21 +107,11 @@ usage(const char *argv0)
         << "  --idle-timeout-ms N close a connection idle for N ms with "
            "no job\n"
         << "                      in flight (default: 0 = never)\n"
-        << "  --max-conn-requests N  per-connection request limit "
-           "(default: 0 = off)\n"
         << "  --max-conns N       concurrently open connections; over "
            "the bound a\n"
         << "                      connection gets one rejected line and "
            "closes\n"
-        << "                      (default: 1024, 0 = unbounded). "
-           "--max-connections\n"
-        << "                      is an alias\n"
-        << "  --queue-wait MS     park an over-capacity request up to MS "
-           "ms (or\n"
-        << "                      until its deadline_ms would expire in "
-           "queue)\n"
-        << "                      before rejecting (default: 0 = reject "
-           "at once)\n"
+        << "                      (default: 1024, 0 = unbounded)\n"
         << "  --port-file FILE    write the bound port to FILE once "
            "listening\n"
         << "\nRobustness (both modes; see docs/service.md):\n"
@@ -162,15 +153,16 @@ onSignal(int)
     g_stop = 1;
 }
 
-/** Parse a bounded non-negative integer CLI value or exit 2. */
+/** Parse a CLI integer in [@p lo, @p hi] (lo >= 0) or exit 2. */
 long long
-parsedNonNegative(const char *raw, const char *flag, long long hi)
+parsedNonNegative(const char *raw, const char *flag, long long hi,
+                  long long lo = 0)
 {
     char *end = nullptr;
     const long long v = std::strtoll(raw, &end, 10);
-    if (end == raw || *end != '\0' || v < 0 || v > hi) {
-        std::cerr << flag << " expects a non-negative integer, got '" << raw
-                  << "'\n";
+    if (end == raw || *end != '\0' || v < lo || v > hi) {
+        std::cerr << flag << " expects an integer in [" << lo << ", " << hi
+                  << "], got '" << raw << "'\n";
         std::exit(2);
     }
     return v;
@@ -324,7 +316,8 @@ main(int argc, char **argv)
     chocoq::service::ServerOptions server_options;
     bool quiet = false;
     bool listen = false;
-    chocoq::service::StreamLimits stream_limits;
+    // Line and spec bounds, shared by both front-ends.
+    chocoq::service::StreamLimits &limits = server_options.limits;
     std::string fault_spec_text;
     // Server-only flags are meaningless in batch mode; accepting them
     // silently would let an operator believe a bound is in effect.
@@ -347,11 +340,12 @@ main(int argc, char **argv)
         if (arg == "--input") {
             input_path = next();
         } else if (arg == "--workers") {
-            options.workers = std::atoi(next());
+            options.workers = static_cast<int>(
+                parsedNonNegative(next(), "--workers", 1024, 1));
         } else if (arg == "--iters") {
-            options.defaultIterations = std::atoi(next());
-        } else if (arg == "--no-cache") {
-            options.useCache = false;
+            // The wire "iters" range: every default a job could carry.
+            options.defaultIterations = static_cast<int>(
+                parsedNonNegative(next(), "--iters", 1 << 30));
         } else if (arg == "--cache-mb") {
             // Untrusted CLI input: a typo or negative value must not
             // silently wrap into a near-unbounded budget.
@@ -370,41 +364,24 @@ main(int argc, char **argv)
             server_only_flag = arg;
             server_options.idleTimeoutMs = static_cast<int>(
                 parsedNonNegative(next(), "--idle-timeout-ms", 1 << 30));
-        } else if (arg == "--max-conn-requests") {
-            server_only_flag = arg;
-            server_options.maxRequestsPerConn = static_cast<int>(
-                parsedNonNegative(next(), "--max-conn-requests", 1 << 30));
-        } else if (arg == "--max-conns" || arg == "--max-connections") {
+        } else if (arg == "--max-conns") {
             server_only_flag = arg;
             server_options.maxConnections = static_cast<int>(
-                parsedNonNegative(next(), arg.c_str(), 1 << 30));
+                parsedNonNegative(next(), "--max-conns", 1 << 30));
         } else if (arg == "--max-line-bytes") {
             // Applies to both modes (0 = unbounded batch; the socket
             // path clamps 0 to its 1 MiB default).
-            const long long bytes =
-                parsedNonNegative(next(), "--max-line-bytes", 1ll << 40);
-            stream_limits.maxLineBytes = static_cast<std::size_t>(bytes);
-            server_options.maxLineBytes = static_cast<std::size_t>(bytes);
+            limits.maxLineBytes = static_cast<std::size_t>(
+                parsedNonNegative(next(), "--max-line-bytes", 1ll << 40));
         } else if (arg == "--max-qubits") {
             // Both modes: the spec guards are part of the protocol, not
             // a socket-only defense. 0 would reject every inline
             // problem with an impossible [1, 0] range — refuse it here.
-            const int qubits = static_cast<int>(
-                parsedNonNegative(next(), "--max-qubits", 62));
-            if (qubits < 1) {
-                std::cerr << "--max-qubits expects an integer in "
-                             "[1, 62]\n";
-                return 2;
-            }
-            stream_limits.spec.maxQubits = qubits;
-            server_options.specLimits.maxQubits = qubits;
+            limits.spec.maxQubits = static_cast<int>(
+                parsedNonNegative(next(), "--max-qubits", 62, 1));
         } else if (arg == "--max-spec-bytes") {
-            const long long bytes =
-                parsedNonNegative(next(), "--max-spec-bytes", 1ll << 40);
-            stream_limits.spec.maxSpecBytes =
-                static_cast<std::size_t>(bytes);
-            server_options.specLimits.maxSpecBytes =
-                static_cast<std::size_t>(bytes);
+            limits.spec.maxSpecBytes = static_cast<std::size_t>(
+                parsedNonNegative(next(), "--max-spec-bytes", 1ll << 40));
         } else if (arg == "--registry-mb") {
             const long long mb =
                 parsedNonNegative(next(), "--registry-mb", 1ll << 40);
@@ -414,10 +391,6 @@ main(int argc, char **argv)
                 parsedNonNegative(next(), "--stall-threshold-ms", 1 << 30));
         } else if (arg == "--fault-spec") {
             fault_spec_text = next();
-        } else if (arg == "--queue-wait") {
-            server_only_flag = arg;
-            server_options.queueWaitMs = static_cast<int>(
-                parsedNonNegative(next(), "--queue-wait", 1 << 30));
         } else if (arg == "--dump-spec") {
             // Operator/CI helper: transcribe a registry case into the
             // inline-problem wire format (see docs/protocol.md).
@@ -445,12 +418,7 @@ main(int argc, char **argv)
             metrics_file = next();
         } else if (arg == "--metrics-interval-ms") {
             metrics_interval_ms = static_cast<int>(parsedNonNegative(
-                next(), "--metrics-interval-ms", 1 << 30));
-            if (metrics_interval_ms < 1) {
-                std::cerr << "--metrics-interval-ms expects a positive "
-                             "integer\n";
-                return 2;
-            }
+                next(), "--metrics-interval-ms", 1 << 30, 1));
         } else if (arg == "--port-file") {
             server_only_flag = arg;
             port_file = next();
@@ -558,8 +526,7 @@ main(int argc, char **argv)
                       << " connections (" << stats.connectionsRejected
                       << " refused), " << stats.resultsWritten
                       << " results written, " << stats.rejected
-                      << " rejected (" << stats.queueWaited
-                      << " accepted after queue wait), " << stats.lineErrors
+                      << " rejected, " << stats.lineErrors
                       << " malformed lines, " << stats.idleCloses
                       << " idle closes; drained\n";
             // Control-plane traffic gets its own line only when any
@@ -591,8 +558,7 @@ main(int argc, char **argv)
     std::istream &in = input_path.empty() ? std::cin : file;
 
     const auto stats =
-        chocoq::service::runJsonlStream(in, std::cout, service,
-                                        stream_limits);
+        chocoq::service::runJsonlStream(in, std::cout, service, limits);
     if (metrics_writer)
         metrics_writer->stop(); // final snapshot sees drained counts
     if (!quiet)
