@@ -511,10 +511,7 @@ runStage(const Config &cfg, int conns)
             histField(after, "server.first_byte_ms", "avg_ms");
         report.queueMsP50 = histField(after, "stage.queue_ms", "p50_ms");
         report.solveMsP50 = histField(after, "stage.solve_ms", "p50_ms");
-        const auto *server_section = after.find("server");
-        if (server_section != nullptr)
-            report.partialWrites =
-                server_section->getNumber("partial_writes", 0.0);
+        report.partialWrites = counterOf(after, "server.partial_writes");
         // Reconciliation on deltas (an external server may carry prior
         // traffic): everything submitted during the stage completed,
         // and the terminal statuses partition the completions.

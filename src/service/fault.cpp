@@ -159,40 +159,19 @@ parseFaultSpec(const std::string &text)
                              &spec.stallMs);
         } else if (key == "alloc_fail") {
             parseClauseValue(key, value, spec.allocFailProbability, nullptr);
-        } else if (key == "conn_reset") {
-            parseClauseValue(key, value, spec.connResetProbability, nullptr);
-        } else if (key == "read_delay") {
-            parseClauseValue(key, value, spec.readDelayProbability,
-                             &spec.readDelayMs);
         } else {
-            CHOCOQ_FATAL("unknown fault-spec site '" << key
-                         << "' (expected stall, alloc_fail, conn_reset, "
-                            "read_delay, or seed)");
+            CHOCOQ_FATAL("unknown fault-spec site '"
+                         << key << "' (expected stall, alloc_fail, or seed)");
         }
     }
     return spec;
 }
 
-double
-FaultInjector::probabilityOf(Site site) const
-{
-    switch (site) {
-      case Site::WorkerStall:
-        return spec_.stallProbability;
-      case Site::AllocFail:
-        return spec_.allocFailProbability;
-      case Site::ConnReset:
-        return spec_.connResetProbability;
-      case Site::ReadDelay:
-        return spec_.readDelayProbability;
-    }
-    return 0.0;
-}
-
 bool
 FaultInjector::fire(Site site)
 {
-    const double p = probabilityOf(site);
+    const double p = site == Site::WorkerStall ? spec_.stallProbability
+                                               : spec_.allocFailProbability;
     const auto idx = static_cast<std::size_t>(site);
     // Count the check even when p == 0 so enabling a site mid-analysis
     // (same seed, higher probability) keeps decision indices aligned.
@@ -206,38 +185,7 @@ FaultInjector::fire(Site site)
     // Top 53 bits -> uniform double in [0, 1).
     const double u =
         static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
-    const bool fired = u < p;
-    if (fired)
-        fired_[idx].fetch_add(1, std::memory_order_relaxed);
-    return fired;
-}
-
-int
-FaultInjector::durationMs(Site site) const
-{
-    switch (site) {
-      case Site::WorkerStall:
-        return spec_.stallMs;
-      case Site::ReadDelay:
-        return spec_.readDelayMs;
-      default:
-        return 0;
-    }
-}
-
-FaultInjector::Counts
-FaultInjector::counts() const
-{
-    Counts c;
-    c.stalls = fired_[static_cast<std::size_t>(Site::WorkerStall)].load(
-        std::memory_order_relaxed);
-    c.allocFails = fired_[static_cast<std::size_t>(Site::AllocFail)].load(
-        std::memory_order_relaxed);
-    c.connResets = fired_[static_cast<std::size_t>(Site::ConnReset)].load(
-        std::memory_order_relaxed);
-    c.readDelays = fired_[static_cast<std::size_t>(Site::ReadDelay)].load(
-        std::memory_order_relaxed);
-    return c;
+    return u < p;
 }
 
 } // namespace chocoq::service

@@ -127,24 +127,17 @@ struct FaultSpec
     int stallMs = 100;
     /** Simulated allocation failure while preparing a job. */
     double allocFailProbability = 0.0;
-    /** Accepted connection reset (RST) before serving it. */
-    double connResetProbability = 0.0;
-    /** Delay inserted after each socket read: probability + duration. */
-    double readDelayProbability = 0.0;
-    int readDelayMs = 20;
 
     bool enabled() const
     {
-        return stallProbability > 0.0 || allocFailProbability > 0.0
-               || connResetProbability > 0.0 || readDelayProbability > 0.0;
+        return stallProbability > 0.0 || allocFailProbability > 0.0;
     }
 };
 
 /**
  * Parse the --fault-spec grammar: comma-separated `site=prob[:ms]`
- * clauses plus an optional `seed=N`. Sites: stall, alloc_fail,
- * conn_reset, read_delay; the `:ms` duration applies to stall and
- * read_delay. Example: "stall=0.5:400,conn_reset=0.1,seed=9".
+ * clauses plus an optional `seed=N`. Sites: stall, alloc_fail; the
+ * `:ms` duration applies to stall. Example: "stall=0.5:400,seed=9".
  * Throws FatalError on malformed input.
  */
 FaultSpec parseFaultSpec(const std::string &text);
@@ -162,38 +155,20 @@ class FaultInjector
     {
         WorkerStall = 0,
         AllocFail,
-        ConnReset,
-        ReadDelay,
     };
-    static constexpr int kNumSites = 4;
-
-    /** Injection counters, for summaries and the health probe. */
-    struct Counts
-    {
-        std::uint64_t stalls = 0;
-        std::uint64_t allocFails = 0;
-        std::uint64_t connResets = 0;
-        std::uint64_t readDelays = 0;
-    };
+    static constexpr int kNumSites = 2;
 
     explicit FaultInjector(FaultSpec spec) : spec_(spec) {}
 
-    /** Decide (deterministically) whether this check injects a fault. */
+    /** Decide (deterministically) whether this check injects a fault.
+     * The caller counts what fired (the service's faults.* counters). */
     bool fire(Site site);
-
-    /** Injected duration for the timed sites (stall, read_delay). */
-    int durationMs(Site site) const;
 
     const FaultSpec &spec() const { return spec_; }
 
-    Counts counts() const;
-
   private:
-    double probabilityOf(Site site) const;
-
     FaultSpec spec_;
     std::atomic<std::uint64_t> checks_[kNumSites] = {};
-    std::atomic<std::uint64_t> fired_[kNumSites] = {};
 };
 
 } // namespace chocoq::service

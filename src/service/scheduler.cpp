@@ -73,22 +73,26 @@ Scheduler::inflightTasks() const
     return inflight_;
 }
 
+Scheduler::WorkerSnapshot
+Scheduler::workerSnapshot(int id) const
+{
+    const Worker &w = *workers_[static_cast<std::size_t>(id)];
+    WorkerSnapshot s;
+    s.id = id;
+    s.busySinceMs = w.busySinceMs.load(std::memory_order_acquire);
+    s.busy = s.busySinceMs >= 0;
+    s.busyMs = s.busy ? static_cast<double>(nowMs() - s.busySinceMs) : 0.0;
+    s.tasksDone = w.tasksDone.load(std::memory_order_relaxed);
+    return s;
+}
+
 std::vector<Scheduler::WorkerSnapshot>
 Scheduler::workerSnapshots() const
 {
-    const long long now = nowMs();
     std::vector<WorkerSnapshot> out;
     out.reserve(workers_.size());
-    for (const auto &w : workers_) {
-        WorkerSnapshot s;
-        s.id = w->context.id;
-        s.busySinceMs = w->busySinceMs.load(std::memory_order_acquire);
-        s.busy = s.busySinceMs >= 0;
-        s.busyMs =
-            s.busy ? static_cast<double>(now - s.busySinceMs) : 0.0;
-        s.tasksDone = w->tasksDone.load(std::memory_order_relaxed);
-        out.push_back(s);
-    }
+    for (int id = 0; id < workers(); ++id)
+        out.push_back(workerSnapshot(id));
     return out;
 }
 

@@ -54,11 +54,12 @@ class Scheduler
     using Task = std::function<void(WorkerContext &)>;
 
     /**
-     * Liveness snapshot of one worker, for the service watchdog and the
-     * health probe. busySinceMs is the scheduler-relative start time of
-     * the task currently running (-1 when idle); it doubles as an
-     * episode id — the watchdog flags each stuck task at most once by
-     * remembering the busySinceMs value it already reported.
+     * Liveness snapshot of one worker, for the service's stall
+     * accounting and the health probe. busySinceMs is the
+     * scheduler-relative start time of the task currently running (-1
+     * when idle); it doubles as a task id — the service counts each
+     * stuck task at most once by remembering the busySinceMs value it
+     * already counted.
      */
     struct WorkerSnapshot
     {
@@ -92,7 +93,11 @@ class Scheduler
     /** Tasks submitted and not yet finished (queued + running). */
     std::size_t inflightTasks() const;
 
-    /** Point-in-time liveness of every worker (lock-free reads). */
+    /** Point-in-time liveness of worker @p id in [0, workers())
+     * (lock-free reads, no allocation). */
+    WorkerSnapshot workerSnapshot(int id) const;
+
+    /** workerSnapshot() of every worker. */
     std::vector<WorkerSnapshot> workerSnapshots() const;
 
   private:

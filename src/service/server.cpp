@@ -224,12 +224,16 @@ statsToJson(const SolveService &service)
 namespace
 {
 
-/** The reply to a control request, shared by both front-ends: runs a
- * cancel and acknowledges it, or builds the health or stats body. */
+/** The reply to a control request, shared by both front-ends: counts
+ * it into requests.*, then runs a cancel and acknowledges it, or builds
+ * the health or stats body. Counted before the reply is built, so a
+ * stats probe sees itself. */
 Json
 controlReply(SolveService &service, const ParsedLine &parsed)
 {
+    obs::MetricsRegistry &books = service.metrics();
     if (parsed.control == ControlKind::Cancel) {
+        books.counter("requests.cancel").add();
         const int n = service.cancel(parsed.cancelId);
         Json ack = Json::object();
         ack.set("type", std::string("cancel"));
@@ -238,8 +242,11 @@ controlReply(SolveService &service, const ParsedLine &parsed)
         ack.set("cancelled", n);
         return ack;
     }
-    if (parsed.control == ControlKind::Health)
+    if (parsed.control == ControlKind::Health) {
+        books.counter("requests.health").add();
         return healthToJson(service.health());
+    }
+    books.counter("requests.stats").add();
     return statsToJson(service);
 }
 
@@ -355,11 +362,12 @@ LineFramer::tail(Line &out)
     return true;
 }
 
-StreamStats
+void
 runJsonlStream(std::istream &in, std::ostream &out, SolveService &service,
                const StreamLimits &limits)
 {
-    StreamStats stats;
+    obs::Counter &line_errors =
+        service.metrics().counter("requests.line_errors");
     std::mutex out_mu;
     std::string line;
     long lineno = 0;
@@ -374,34 +382,24 @@ runJsonlStream(std::istream &in, std::ostream &out, SolveService &service,
             std::lock_guard<std::mutex> lock(out_mu);
             out << resultToJson(parsed.error).dump() << "\n";
             out.flush();
-            ++stats.failed;
+            line_errors.add();
             continue;
         }
         if (parsed.control != ControlKind::None) {
-            if (parsed.control == ControlKind::Cancel)
-                ++stats.cancelRequests;
-            else if (parsed.control == ControlKind::Health)
-                ++stats.healthProbes;
-            else
-                ++stats.statsProbes;
             const Json reply = controlReply(service, parsed);
             std::lock_guard<std::mutex> lock(out_mu);
             out << reply.dump() << "\n";
             out.flush();
             continue;
         }
-        ++stats.submitted;
         service.submit(std::move(parsed.job),
                        [&](const SolveResult &r) {
                            std::lock_guard<std::mutex> lock(out_mu);
                            out << resultToJson(r).dump() << "\n";
                            out.flush();
-                           if (r.status != "ok")
-                               ++stats.failed;
                        });
     }
     service.drain();
-    return stats;
 }
 
 // --------------------------------------------------------------- Server
@@ -431,9 +429,9 @@ struct Server::Connection
     std::atomic<long> inflight{0};
     /** Set when a write hit a dead peer; stops further writes early. */
     std::atomic<bool> broken{false};
-    /** disconnectCancels already counted for this connection? Both the
-     * read-error and failed-write paths can observe the same drop; the
-     * stat is exactly-once per connection. */
+    /** server.disconnect_cancels already counted for this connection?
+     * Both the read-error and failed-write paths can observe the same
+     * drop; the count is exactly-once per connection. */
     std::atomic<bool> disconnectCounted{false};
 
     // ---- Event-loop state, owned by the loop thread except where a
@@ -498,7 +496,18 @@ Server::Server(SolveService &service, ServerOptions opts)
       idleBeforeFirstRequestMs_(service.metrics().histogram(
           "server.idle_before_first_request_ms")),
       firstByteMs_(service.metrics().histogram("server.first_byte_ms")),
-      connOpenGauge_(service.metrics().gauge("server.connections_open"))
+      connectionsOpen_(service.metrics().gauge("server.connections_open")),
+      connectionsAccepted_(
+          service.metrics().counter("server.connections_accepted")),
+      connectionsRejected_(
+          service.metrics().counter("server.connections_rejected")),
+      rejected_(service.metrics().counter("server.rejected")),
+      resultsWritten_(service.metrics().counter("server.results_written")),
+      idleCloses_(service.metrics().counter("server.idle_closes")),
+      disconnectCancels_(
+          service.metrics().counter("server.disconnect_cancels")),
+      partialWrites_(service.metrics().counter("server.partial_writes")),
+      lineErrors_(service.metrics().counter("requests.line_errors"))
 {}
 
 Server::~Server()
@@ -580,18 +589,6 @@ Server::acceptPending()
             // caller must back off rather than poll it again at once.
             return errno == EAGAIN || errno == EWOULDBLOCK;
         }
-        // Fault site conn_reset: the accepted connection is reset (RST,
-        // via zero-linger close) before serving anything, modeling a
-        // flaky network path or a proxy dropping connections.
-        if (opts_.fault
-            && opts_.fault->fire(FaultInjector::Site::ConnReset)) {
-            linger lg{1, 0};
-            ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
-            ::close(fd);
-            faultConnResets_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-
         // Result lines are small and latency-sensitive; don't batch them.
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -601,8 +598,7 @@ Server::acceptPending()
 
         // Past the connection bound, answer with one rejection and close.
         if (opts_.maxConnections > 0
-            && connectionsOpen_.load(std::memory_order_relaxed)
-                   >= static_cast<long>(opts_.maxConnections)) {
+            && connectionsOpen_.value() >= opts_.maxConnections) {
             SolveResult r;
             r.status = "rejected";
             r.error = "server at connection capacity ("
@@ -617,16 +613,15 @@ Server::acceptPending()
             char sink[4096];
             while (::recv(fd, sink, sizeof sink, MSG_DONTWAIT) > 0) {}
             ::close(fd);
-            connectionsRejected_.fetch_add(1, std::memory_order_relaxed);
+            connectionsRejected_.add();
             continue;
         }
 
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
         conn->acceptedAt = Clock::now();
-        connectionsAccepted_.fetch_add(1, std::memory_order_relaxed);
-        connectionsOpen_.fetch_add(1, std::memory_order_relaxed);
-        connOpenGauge_.add(1.0);
+        connectionsAccepted_.add();
+        connectionsOpen_.add(1.0);
         ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
         conn->framer = LineFramer(opts_.limits.maxLineBytes);
         conn->lastActivity = Clock::now();
@@ -698,7 +693,7 @@ Server::writeLine(const std::shared_ptr<Connection> &conn,
     const bool hadPending = conn->outOff < conn->outBuf.size();
     conn->outBuf.append(line);
     conn->outBuf.push_back('\n');
-    resultsWritten_.fetch_add(1, std::memory_order_relaxed);
+    resultsWritten_.add();
     if (!conn->sawFirstWrite && conn->firstByteStamped) {
         conn->sawFirstWrite = true;
         firstByteMs_.record(millisSince(conn->firstByteAt));
@@ -708,7 +703,7 @@ Server::writeLine(const std::shared_ptr<Connection> &conn,
         if (!flushOutputLocked(conn))
             return;
         if (conn->outOff < conn->outBuf.size()) {
-            partialWrites_.fetch_add(1, std::memory_order_relaxed);
+            partialWrites_.add();
             wake(); // start polling POLLOUT
         }
     }
@@ -732,59 +727,16 @@ void
 Server::handleControl(const std::shared_ptr<Connection> &conn,
                       const ParsedLine &parsed)
 {
-    // Counted before the reply is built, so a stats probe sees itself.
     // Cancellation is server-wide by id, not per-connection: an
     // operator can open a second connection to cancel a job a wedged
     // first connection submitted.
-    if (parsed.control == ControlKind::Cancel)
-        cancelRequests_.fetch_add(1, std::memory_order_relaxed);
-    else if (parsed.control == ControlKind::Health)
-        healthProbes_.fetch_add(1, std::memory_order_relaxed);
-    else
-        statsProbes_.fetch_add(1, std::memory_order_relaxed);
     Json reply = controlReply(service_, parsed);
-    const double inflight =
-        static_cast<double>(inflight_.load(std::memory_order_relaxed));
     if (parsed.control == ControlKind::Health) {
         // Server-level view rides along with the service's counters.
-        reply.set("connections_open",
+        reply.set("connections_open", connectionsOpen_.value());
+        reply.set("server_inflight",
                   static_cast<double>(
-                      connectionsOpen_.load(std::memory_order_relaxed)));
-        reply.set("server_inflight", inflight);
-    } else if (parsed.control == ControlKind::Stats) {
-        // Server-level section: the front-end's own counters, which the
-        // embedded service cannot see.
-        Json server = Json::object();
-        const ServerStats ss = stats();
-        server.set("connections_accepted",
-                   static_cast<double>(ss.connectionsAccepted));
-        server.set("connections_open",
-                   static_cast<double>(ss.connectionsOpen));
-        server.set("connections_rejected",
-                   static_cast<double>(ss.connectionsRejected));
-        server.set("requests_accepted",
-                   static_cast<double>(ss.requestsAccepted));
-        server.set("results_written",
-                   static_cast<double>(ss.resultsWritten));
-        server.set("rejected", static_cast<double>(ss.rejected));
-        server.set("line_errors", static_cast<double>(ss.lineErrors));
-        server.set("idle_closes", static_cast<double>(ss.idleCloses));
-        server.set("cancel_requests",
-                   static_cast<double>(ss.cancelRequests));
-        server.set("health_probes",
-                   static_cast<double>(ss.healthProbes));
-        server.set("stats_probes", static_cast<double>(ss.statsProbes));
-        server.set("jobs_failed", static_cast<double>(ss.jobsFailed));
-        server.set("jobs_cancelled",
-                   static_cast<double>(ss.jobsCancelled));
-        server.set("disconnect_cancels",
-                   static_cast<double>(ss.disconnectCancels));
-        server.set("fault_conn_resets",
-                   static_cast<double>(ss.faultConnResets));
-        server.set("partial_writes",
-                   static_cast<double>(ss.partialWrites));
-        server.set("inflight", inflight);
-        reply.set("server", std::move(server));
+                      inflight_.load(std::memory_order_relaxed)));
     }
     writeLine(conn, reply.dump());
 }
@@ -798,7 +750,7 @@ Server::cancelConnectionJobs(const std::shared_ptr<Connection> &conn)
     if (conn->cancelAll(CancelReason::Disconnected) > 0
         && !conn->disconnectCounted.exchange(true,
                                              std::memory_order_relaxed))
-        disconnectCancels_.fetch_add(1, std::memory_order_relaxed);
+        disconnectCancels_.add();
 }
 
 void
@@ -810,7 +762,7 @@ Server::rejectCapacity(const std::shared_ptr<Connection> &conn,
     r.status = "rejected";
     r.error = "server at capacity (" + std::to_string(opts_.maxInflight)
               + " jobs in flight); retry later";
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    rejected_.add();
     writeLine(conn, resultToJson(r).dump());
 }
 
@@ -818,7 +770,6 @@ void
 Server::submitAccepted(const std::shared_ptr<Connection> &conn,
                        SolveJob &&job)
 {
-    requestsAccepted_.fetch_add(1, std::memory_order_relaxed);
     conn->inflight.fetch_add(1, std::memory_order_relaxed);
     // Track the token before submitting so there is no window where the
     // job runs but a connection drop cannot reach it.
@@ -828,12 +779,6 @@ Server::submitAccepted(const std::shared_ptr<Connection> &conn,
                     [this, conn, raw_token = token.get()](
                         const SolveResult &r) {
                         conn->removeToken(raw_token);
-                        if (r.status != "ok")
-                            jobsFailed_.fetch_add(
-                                1, std::memory_order_relaxed);
-                        if (r.status == "cancelled")
-                            jobsCancelled_.fetch_add(
-                                1, std::memory_order_relaxed);
                         writeLine(conn, resultToJson(r).dump());
                         conn->inflight.fetch_sub(1,
                                                  std::memory_order_release);
@@ -894,13 +839,6 @@ Server::eventHandleReadable(const std::shared_ptr<Connection> &conn)
     }
     if (conn->readClosed)
         return; // no longer reading; late bytes die at close
-    // Fault site read_delay: a pause after the socket read, modeling a
-    // saturated or lossy link. It deliberately stalls the one loop —
-    // every connection and the accept path — which is exactly what
-    // saturation does to an event loop.
-    if (opts_.fault && opts_.fault->fire(FaultInjector::Site::ReadDelay))
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            opts_.fault->durationMs(FaultInjector::Site::ReadDelay)));
     conn->lastActivity = Clock::now();
     if (!conn->sawFirstByte) {
         conn->sawFirstByte = true;
@@ -922,7 +860,7 @@ Server::eventProcessBuffer(const std::shared_ptr<Connection> &conn)
     while (!conn->broken.load(std::memory_order_relaxed)
            && conn->framer.next(ln)) {
         if (ln.oversized) {
-            lineErrors_.fetch_add(1, std::memory_order_relaxed);
+            lineErrors_.add();
             writeLine(conn,
                       resultToJson(parseRequestLine("", ln.lineno,
                                                     /*oversized=*/true)
@@ -943,7 +881,7 @@ Server::eventDispatchLine(const std::shared_ptr<Connection> &conn,
     if (parsed.skip)
         return;
     if (!parsed.ok) {
-        lineErrors_.fetch_add(1, std::memory_order_relaxed);
+        lineErrors_.add();
         writeLine(conn, resultToJson(parsed.error).dump());
         return;
     }
@@ -1007,7 +945,7 @@ Server::eventHousekeep(const std::shared_ptr<Connection> &conn,
         } else if (opts_.idleTimeoutMs > 0
                    && millisSince(conn->lastActivity)
                           > opts_.idleTimeoutMs) {
-            idleCloses_.fetch_add(1, std::memory_order_relaxed);
+            idleCloses_.add();
             eventAnswerTail(conn);
             conn->readClosed = true;
         }
@@ -1053,8 +991,7 @@ Server::eventFinalize(const std::shared_ptr<Connection> &conn)
         ::close(conn->fd);
         conn->fd = -1;
     }
-    connectionsOpen_.fetch_sub(1, std::memory_order_relaxed);
-    connOpenGauge_.add(-1.0);
+    connectionsOpen_.add(-1.0);
 }
 
 void
@@ -1177,32 +1114,6 @@ Server::drain()
     ::close(wakeWr_);
     wakeRd_ = wakeWr_ = -1;
     drained_ = true;
-}
-
-ServerStats
-Server::stats() const
-{
-    ServerStats s;
-    s.connectionsAccepted =
-        connectionsAccepted_.load(std::memory_order_relaxed);
-    s.connectionsOpen = connectionsOpen_.load(std::memory_order_relaxed);
-    s.requestsAccepted = requestsAccepted_.load(std::memory_order_relaxed);
-    s.jobsFailed = jobsFailed_.load(std::memory_order_relaxed);
-    s.resultsWritten = resultsWritten_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
-    s.connectionsRejected =
-        connectionsRejected_.load(std::memory_order_relaxed);
-    s.lineErrors = lineErrors_.load(std::memory_order_relaxed);
-    s.idleCloses = idleCloses_.load(std::memory_order_relaxed);
-    s.cancelRequests = cancelRequests_.load(std::memory_order_relaxed);
-    s.healthProbes = healthProbes_.load(std::memory_order_relaxed);
-    s.statsProbes = statsProbes_.load(std::memory_order_relaxed);
-    s.jobsCancelled = jobsCancelled_.load(std::memory_order_relaxed);
-    s.disconnectCancels =
-        disconnectCancels_.load(std::memory_order_relaxed);
-    s.faultConnResets = faultConnResets_.load(std::memory_order_relaxed);
-    s.partialWrites = partialWrites_.load(std::memory_order_relaxed);
-    return s;
 }
 
 // ---------------------------------------------------------- JsonlClient

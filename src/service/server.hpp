@@ -110,20 +110,6 @@ ParsedLine parseRequestLine(const std::string &line, long lineno,
                             bool oversized = false,
                             const spec::SpecLimits &limits = {});
 
-/** Counters of one batch-stream run. */
-struct StreamStats
-{
-    long submitted = 0;
-    /** Failed results: per-line errors plus jobs whose status != ok. */
-    long failed = 0;
-    /** {"type":"cancel"} control requests processed. */
-    long cancelRequests = 0;
-    /** {"type":"health"} probes answered. */
-    long healthProbes = 0;
-    /** {"type":"stats"} probes answered. */
-    long statsProbes = 0;
-};
-
 /** One {"type":"health"} response body (shared by both front-ends). */
 Json healthToJson(const SolveService::Health &h);
 
@@ -187,13 +173,13 @@ class LineFramer
  * EOF (with a bounded line reader — oversized lines fail per-line, a
  * truncated final line without a newline is still processed), submit
  * them to @p service, and stream one JSON result per line to @p out in
- * completion order. Blocks until every job has completed. Used by
- * `chocoq_serve` without --listen and exercised directly by the
- * hostile-input tests.
+ * completion order. Blocks until every job has completed. Per-line
+ * errors and control requests count into the service's requests.*
+ * counters, as on the socket. Used by `chocoq_serve` without --listen
+ * and exercised directly by the hostile-input tests.
  */
-StreamStats runJsonlStream(std::istream &in, std::ostream &out,
-                           SolveService &service,
-                           const StreamLimits &limits = {});
+void runJsonlStream(std::istream &in, std::ostream &out,
+                    SolveService &service, const StreamLimits &limits = {});
 
 /** Server configuration (see docs/protocol.md for the wire contract). */
 struct ServerOptions
@@ -241,51 +227,6 @@ struct ServerOptions
      * used by the torture tests; rarely useful in production.
      */
     int sendBufferBytes = 0;
-    /**
-     * Optional fault injector shared with the service (non-owning).
-     * Wire-level sites: conn_reset (an accepted connection is RST
-     * before serving) and read_delay (a pause after each socket read).
-     * nullptr = no injection.
-     */
-    FaultInjector *fault = nullptr;
-};
-
-/** Monotonic counters over the server's lifetime. */
-struct ServerStats
-{
-    long connectionsAccepted = 0;
-    long connectionsOpen = 0;
-    /** Requests accepted into the scheduler (not skips or rejects). */
-    long requestsAccepted = 0;
-    /** Accepted jobs that completed with a non-ok status
-     * (error/expired), mirroring batch mode's failed count. */
-    long jobsFailed = 0;
-    /** Results written back (includes per-line error responses). */
-    long resultsWritten = 0;
-    /** Requests answered with status "rejected" (over maxInflight). */
-    long rejected = 0;
-    /** Connections refused at the maxConnections bound. */
-    long connectionsRejected = 0;
-    /** Per-line error responses (malformed input). */
-    long lineErrors = 0;
-    long idleCloses = 0;
-    /** {"type":"cancel"} requests processed. */
-    long cancelRequests = 0;
-    /** {"type":"health"} probes answered. */
-    long healthProbes = 0;
-    /** {"type":"stats"} probes answered. */
-    long statsProbes = 0;
-    /** Jobs that finished "cancelled" (explicit cancel or disconnect). */
-    long jobsCancelled = 0;
-    /** Connections dropped mid-job, cancelling their in-flight work.
-     * Counted at most once per connection, whichever of the read-error
-     * or failed-write paths observes the drop first. */
-    long disconnectCancels = 0;
-    /** Result writes send(2) could not complete in one call — the
-     * remainder was buffered and resumed via POLLOUT. */
-    long partialWrites = 0;
-    /** Accepted connections reset by fault injection (conn_reset). */
-    long faultConnResets = 0;
 };
 
 /**
@@ -325,8 +266,6 @@ class Server
      */
     void drain();
 
-    ServerStats stats() const;
-
   private:
     struct Connection;
 
@@ -336,12 +275,12 @@ class Server
                        const ParsedLine &parsed);
     /** Cancel every job this connection still has in flight (the
      * client dropped: nobody is left to read the results). Counts
-     * disconnectCancels at most once per connection. */
+     * server.disconnect_cancels at most once per connection. */
     void cancelConnectionJobs(const std::shared_ptr<Connection> &conn);
     /** One non-blocking attempt at an in-flight slot. */
     bool tryReserveInflight();
-    /** Counters + cancellation token + scheduler submit for a job that
-     * already holds an in-flight slot. */
+    /** Cancellation token + scheduler submit for a job that already
+     * holds an in-flight slot. */
     void submitAccepted(const std::shared_ptr<Connection> &conn,
                         SolveJob &&job);
     /** Answer a status "rejected" over-capacity line for @p id. */
@@ -397,14 +336,31 @@ class Server
     obs::Histogram &acceptMs_;
     obs::Histogram &idleBeforeFirstRequestMs_;
     obs::Histogram &firstByteMs_;
-    /** Live connection count as a gauge (mirrors connectionsOpen_). */
-    obs::Gauge &connOpenGauge_;
+    /** Open connections: the connection cap and the health probe read
+     * it. Only the loop thread moves it. */
+    obs::Gauge &connectionsOpen_;
+    /** The front-end's books, in the service's registry (server.* and
+     * requests.line_errors; see docs/observability.md). */
+    obs::Counter &connectionsAccepted_;
+    /** Connections refused at the maxConnections bound. */
+    obs::Counter &connectionsRejected_;
+    /** Requests answered with status "rejected" (over maxInflight). */
+    obs::Counter &rejected_;
+    /** Result lines written back, per-line errors included. */
+    obs::Counter &resultsWritten_;
+    obs::Counter &idleCloses_;
+    /** Connections dropped mid-job, at most once per connection. */
+    obs::Counter &disconnectCancels_;
+    /** Result writes send(2) could not finish in one call. */
+    obs::Counter &partialWrites_;
+    obs::Counter &lineErrors_;
     int listenFd_ = -1;
     int port_ = 0;
     std::atomic<bool> stop_{false};
     bool started_ = false;
     bool drained_ = false;
-    /** Jobs accepted into the scheduler, not yet completed. */
+    /** Jobs accepted into the scheduler, not yet completed: admission
+     * control state, not a book. */
     std::atomic<long> inflight_{0};
 
     /** Self-pipe: [0] polled by the loop, [1] written by wake(). Both
@@ -413,24 +369,6 @@ class Server
     int wakeWr_ = -1;
     /** Open connections. Loop thread only. */
     std::vector<std::shared_ptr<Connection>> conns_;
-
-    // Stats counters (relaxed: observability only).
-    std::atomic<long> connectionsAccepted_{0};
-    std::atomic<long> connectionsOpen_{0};
-    std::atomic<long> requestsAccepted_{0};
-    std::atomic<long> jobsFailed_{0};
-    std::atomic<long> resultsWritten_{0};
-    std::atomic<long> rejected_{0};
-    std::atomic<long> connectionsRejected_{0};
-    std::atomic<long> lineErrors_{0};
-    std::atomic<long> idleCloses_{0};
-    std::atomic<long> cancelRequests_{0};
-    std::atomic<long> healthProbes_{0};
-    std::atomic<long> statsProbes_{0};
-    std::atomic<long> jobsCancelled_{0};
-    std::atomic<long> disconnectCancels_{0};
-    std::atomic<long> faultConnResets_{0};
-    std::atomic<long> partialWrites_{0};
 
     /** The event loop; declared last, after everything it uses. */
     std::thread loop_;

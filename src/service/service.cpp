@@ -121,6 +121,9 @@ SolveService::SolveService(ServiceOptions opts)
       stageTotalMs_(metrics_.histogram("stage.total_ms")),
       kernelBytes_(metrics_.counter("kernels.bytes")),
       kernelFlops_(metrics_.counter("kernels.flops")),
+      faultStalls_(metrics_.counter("faults.stalls")),
+      faultAllocFails_(metrics_.counter("faults.alloc_fails")),
+      stallsFlagged_(metrics_.counter("scheduler.stalls_flagged")),
       cache_(CompileCacheOptions{
           opts.cacheMaxBytes, &metrics_.histogram("cache.compile_ms")}),
       registry_(spec::ProblemRegistryOptions{
@@ -135,49 +138,36 @@ SolveService::SolveService(ServiceOptions opts)
         kernelCounters_[k].calls = &metrics_.counter(base + ".calls");
         kernelCounters_[k].amps = &metrics_.counter(base + ".amps");
     }
-    if (opts_.stallThresholdMs > 0)
-        watchdog_ = std::thread([this] { watchdogLoop(); });
+    // The front-ends' request books (server.cpp bumps them from both
+    // the batch stream and the socket), registered with the service so
+    // every snapshot of either front-end carries them from the start.
+    for (const char *name : {"requests.line_errors", "requests.cancel",
+                             "requests.health", "requests.stats"})
+        metrics_.counter(name);
+    // No job has been submitted yet, so no worker reads the memo.
+    const auto workers = static_cast<std::size_t>(scheduler_.workers());
+    stallMemo_ = std::make_unique<std::atomic<long long>[]>(workers);
+    for (std::size_t i = 0; i < workers; ++i)
+        stallMemo_[i].store(-1, std::memory_order_relaxed);
 }
 
-SolveService::~SolveService()
+bool
+SolveService::flagStall(const Scheduler::WorkerSnapshot &w) const
 {
-    if (watchdog_.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(watchdogMu_);
-            watchdogStop_ = true;
-        }
-        watchdogCv_.notify_all();
-        watchdog_.join();
-    }
-}
-
-void
-SolveService::watchdogLoop()
-{
-    // One flag per stuck task: remember the busy-start timestamp
-    // already reported per worker so a long stall counts once, and a
-    // new task stalling on the same worker counts again.
-    std::vector<long long> flagged(
-        static_cast<std::size_t>(scheduler_.workers()), -1);
-    // Ten samples per threshold, at most 20 ms apart.
-    const std::chrono::milliseconds tick(
-        std::clamp(opts_.stallThresholdMs / 10, 1, 20));
-    std::unique_lock<std::mutex> lock(watchdogMu_);
-    while (!watchdogStop_) {
-        watchdogCv_.wait_for(lock, tick, [this] { return watchdogStop_; });
-        if (watchdogStop_)
+    if (opts_.stallThresholdMs <= 0 || !w.busy
+        || w.busyMs < opts_.stallThresholdMs)
+        return false;
+    std::atomic<long long> &memo =
+        stallMemo_[static_cast<std::size_t>(w.id)];
+    long long seen = memo.load(std::memory_order_relaxed);
+    while (seen < w.busySinceMs) {
+        if (memo.compare_exchange_weak(seen, w.busySinceMs,
+                                       std::memory_order_relaxed)) {
+            stallsFlagged_.add();
             break;
-        lock.unlock();
-        for (const auto &w : scheduler_.workerSnapshots()) {
-            const auto idx = static_cast<std::size_t>(w.id);
-            if (w.busy && w.busyMs >= opts_.stallThresholdMs
-                && flagged[idx] != w.busySinceMs) {
-                flagged[idx] = w.busySinceMs;
-                stallsFlagged_.fetch_add(1, std::memory_order_relaxed);
-            }
         }
-        lock.lock();
     }
+    return true;
 }
 
 std::shared_ptr<const model::Problem>
@@ -257,17 +247,19 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
     try {
         // Fault sites fire before any real work so an injected failure
         // never leaves half-built cache or registry state behind. The
-        // stall keeps the worker visibly busy (the watchdog sees it)
-        // while still honoring cancels and deadlines.
+        // stall keeps the worker visibly busy (stall accounting sees
+        // it) while still honoring cancels and deadlines.
         if (opts_.fault
-            && opts_.fault->fire(FaultInjector::Site::WorkerStall))
-            sleepCancellably(
-                opts_.fault->durationMs(FaultInjector::Site::WorkerStall),
-                token);
+            && opts_.fault->fire(FaultInjector::Site::WorkerStall)) {
+            faultStalls_.add();
+            sleepCancellably(opts_.fault->spec().stallMs, token);
+        }
         if (opts_.fault
-            && opts_.fault->fire(FaultInjector::Site::AllocFail))
+            && opts_.fault->fire(FaultInjector::Site::AllocFail)) {
+            faultAllocFails_.add();
             throw FatalError("injected allocation failure (fault-spec "
                              "alloc_fail)");
+        }
         if (token)
             token->throwIfCancelled();
 
@@ -447,16 +439,11 @@ SolveService::health() const
     h.workers = scheduler_.workers();
     h.queued = scheduler_.queuedTasks();
     h.inflight = scheduler_.inflightTasks();
-    h.perWorker = scheduler_.workerSnapshots();
-    for (const auto &w : h.perWorker) {
-        if (!w.busy)
-            continue;
-        ++h.running;
-        if (opts_.stallThresholdMs > 0
-            && w.busyMs >= opts_.stallThresholdMs)
-            ++h.stalledNow;
+    for (const auto &w : scheduler_.workerSnapshots()) {
+        h.running += w.busy ? 1 : 0;
+        h.stalledNow += flagStall(w) ? 1 : 0;
     }
-    h.stallsFlagged = stallsFlagged_.load(std::memory_order_relaxed);
+    h.stallsFlagged = stallsFlagged_.value();
     h.cancelledJobs = jobsCancelled_.value();
     h.expiredJobs = jobsExpired_.value();
     return h;
@@ -465,6 +452,11 @@ SolveService::health() const
 Json
 SolveService::metricsToJson() const
 {
+    // Stalls are counted where they are read: flag the running ones
+    // before the counters are copied out.
+    const auto workers = scheduler_.workerSnapshots();
+    for (const auto &w : workers)
+        flagStall(w);
     Json out = metrics_.toJson();
 
     const CompileCache::Stats cs = cache_.stats();
@@ -499,10 +491,9 @@ SolveService::metricsToJson() const
     sched.set("inflight",
               static_cast<double>(scheduler_.inflightTasks()));
     sched.set("stalls_flagged",
-              static_cast<double>(
-                  stallsFlagged_.load(std::memory_order_relaxed)));
+              static_cast<double>(stallsFlagged_.value()));
     Json per_worker = Json::array();
-    for (const auto &w : scheduler_.workerSnapshots()) {
+    for (const auto &w : workers) {
         Json ws = Json::object();
         ws.set("id", w.id);
         ws.set("busy", w.busy);
@@ -585,6 +576,11 @@ SolveService::submit(SolveJob job, Callback done,
         result.queueMs = queue_ms;
         result.trace = trace;
         unregisterToken(job.id, token.get());
+        // A job that ran past the stall threshold counts even when no
+        // probe saw it running; a job under it pays this comparison.
+        if (opts_.stallThresholdMs > 0
+            && result.solveMs >= opts_.stallThresholdMs)
+            flagStall(scheduler_.workerSnapshot(ctx.id));
         // Metrics land before the callback: a client acting on its
         // final result (the stats probe right after a drained load)
         // reads counts that already include this job.

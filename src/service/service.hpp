@@ -20,12 +20,10 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -57,14 +55,14 @@ struct ServiceOptions
      * 0 keeps each solver's default. */
     int defaultIterations = 0;
     /**
-     * Watchdog threshold: a worker busy on one job for longer than
-     * this is flagged as stalled (counted once per stuck task, surfaced
-     * by health() and the serve summary). The watchdog samples every
-     * threshold/10 ms, clamped to [1, 20]. 0 disables the watchdog
-     * thread entirely — the library default, so embedding callers pay
-     * nothing; chocoq_serve enables it.
+     * Stall threshold: a job that keeps its worker busy for at least
+     * this long is a stall, counted once per job into
+     * scheduler.stalls_flagged — when a health or stats read sees it
+     * running past the threshold, or when it finishes past it,
+     * whichever comes first. No thread samples the pool. 0 counts
+     * nothing.
      */
-    int stallThresholdMs = 0;
+    int stallThresholdMs = 30000;
     /**
      * Optional fault injector (non-owning; must outlive the service).
      * nullptr — the default — means no injection anywhere: the fault
@@ -94,18 +92,15 @@ class SolveService
         std::size_t inflight = 0;
         /** Workers busy past the stall threshold right now. */
         int stalledNow = 0;
-        /** Stuck-task episodes the watchdog has flagged (cumulative). */
+        /** Stalled jobs so far: the scheduler.stalls_flagged counter. */
         std::uint64_t stallsFlagged = 0;
         /** Jobs that finished as "cancelled" / "expired": the
          * jobs.cancelled / jobs.expired counters. */
         std::uint64_t cancelledJobs = 0;
         std::uint64_t expiredJobs = 0;
-        std::vector<Scheduler::WorkerSnapshot> perWorker;
     };
 
     explicit SolveService(ServiceOptions opts = {});
-
-    ~SolveService();
 
     int workers() const { return scheduler_.workers(); }
 
@@ -182,7 +177,13 @@ class SolveService
     void registerToken(const std::string &id,
                        const std::shared_ptr<CancelToken> &token);
     void unregisterToken(const std::string &id, const CancelToken *token);
-    void watchdogLoop();
+    /**
+     * Stall accounting for one worker: true when its current job has
+     * run past the stall threshold, and the first call to see that job
+     * so counts it into scheduler.stalls_flagged. Lock- and
+     * allocation-free; safe from probes and workers at once.
+     */
+    bool flagStall(const Scheduler::WorkerSnapshot &w) const;
     /**
      * Resolve the problem a job names: the registered instance for
      * inline specs (registering on first sight) and problem_refs, a
@@ -228,21 +229,26 @@ class SolveService
     std::array<KernelCounterPair, obs::kKernelCount> kernelCounters_;
     obs::Counter &kernelBytes_;
     obs::Counter &kernelFlops_;
+    obs::Counter &faultStalls_;
+    obs::Counter &faultAllocFails_;
+    obs::Counter &stallsFlagged_;
     CompileCache cache_;
     spec::ProblemRegistry registry_;
-    Scheduler scheduler_;
 
     /** Tokens of active (queued or executing) jobs, keyed by job id. */
     mutable std::mutex activeMu_;
     std::unordered_multimap<std::string, std::shared_ptr<CancelToken>>
         active_;
 
-    mutable std::atomic<std::uint64_t> stallsFlagged_{0};
+    /** Per worker, the busy-start stamp (Scheduler::WorkerSnapshot::
+     * busySinceMs) of the last job counted as a stall, -1 before any.
+     * Start stamps rise per worker, so a job counts only while its
+     * stamp is above the memo: once per job, whoever sees it first. */
+    std::unique_ptr<std::atomic<long long>[]> stallMemo_;
 
-    std::mutex watchdogMu_;
-    std::condition_variable watchdogCv_;
-    bool watchdogStop_ = false;
-    std::thread watchdog_;
+    /** Declared last, so destroyed first: ~Scheduler runs every job
+     * still queued, and those jobs use every member above. */
+    Scheduler scheduler_;
 };
 
 } // namespace chocoq::service

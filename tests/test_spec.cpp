@@ -636,10 +636,14 @@ TEST(BatchStreamSpec, InlineJobsRunAndAdversarialSpecsFailPerLine)
     std::istringstream in(input);
     std::ostringstream out;
     service::SolveService svc{service::ServiceOptions{}};
-    const auto stats = service::runJsonlStream(in, out, svc, {});
+    service::runJsonlStream(in, out, svc, {});
 
-    EXPECT_EQ(stats.submitted, 2); // good + ref-miss reach the scheduler
-    EXPECT_EQ(stats.failed, 4);
+    auto &m = svc.metrics();
+    // good + ref-miss reach the scheduler; ref-miss fails there, the
+    // other three fail their own lines.
+    EXPECT_EQ(m.counter("jobs.submitted").value(), 2u);
+    EXPECT_EQ(m.counter("jobs.error").value(), 1u);
+    EXPECT_EQ(m.counter("requests.line_errors").value(), 3u);
 
     std::map<std::string, service::Json> by_id;
     std::istringstream lines(out.str());
@@ -674,8 +678,8 @@ TEST(BatchStreamSpec, SpecByteCapRejectsPerLineUnderTheLineLimit)
                           + kBaseSpec + "}\n");
     std::ostringstream out;
     service::SolveService svc{service::ServiceOptions{}};
-    const auto stats = service::runJsonlStream(in, out, svc, limits);
-    EXPECT_EQ(stats.failed, 1);
+    service::runJsonlStream(in, out, svc, limits);
+    EXPECT_EQ(svc.metrics().counter("requests.line_errors").value(), 1u);
     EXPECT_NE(out.str().find("more than the cap of 64"), std::string::npos);
 }
 

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -115,20 +116,19 @@ usage(const char *argv0)
         << "  --port-file FILE    write the bound port to FILE once "
            "listening\n"
         << "\nRobustness (both modes; see docs/service.md):\n"
-        << "  --stall-threshold-ms N  flag a worker busy on one job for "
-           "over N ms\n"
-        << "                      as stalled (watchdog, surfaced by the "
-           "health\n"
-        << "                      probe and summary; default: 30000, 0 = "
-           "off)\n"
+        << "  --stall-threshold-ms N  count a job that keeps its worker "
+           "busy for\n"
+        << "                      N ms or more as a stall, once per job "
+           "(health\n"
+        << "                      probe, stats counter scheduler."
+           "stalls_flagged\n"
+        << "                      and summary; default: 30000, 0 = off)\n"
         << "  --fault-spec SPEC   deterministic fault injection: comma-"
            "separated\n"
         << "                      site=prob[:ms] clauses plus seed=N; "
            "sites are\n"
-        << "                      stall, alloc_fail, conn_reset, "
-           "read_delay\n"
-        << "                      (e.g. 'stall=0.5:400,conn_reset=0.1,"
-           "seed=9');\n"
+        << "                      stall and alloc_fail (e.g. "
+           "'stall=0.5:400,seed=9');\n"
         << "                      unset means no injection anywhere\n"
         << "\nObservability (both modes; see docs/observability.md):\n"
         << "  --metrics-file FILE     append one JSON metrics snapshot "
@@ -168,14 +168,22 @@ parsedNonNegative(const char *raw, const char *flag, long long hi,
     return v;
 }
 
+/** One counter off the service's books (every name the summaries read
+ * is registered when the service or server is built). */
+std::uint64_t
+books(chocoq::service::SolveService &service, const char *name)
+{
+    return service.metrics().counter(name).value();
+}
+
 /**
- * Robustness lines: watchdog/cancellation counters (only when any
- * fired — a clean run stays clean), and injection counts whenever a
- * fault spec was active (even all-zero counts are informative there:
- * they confirm the harness ran and injected nothing).
+ * Robustness lines: stall/cancellation counters (only when any fired —
+ * a clean run stays clean), and injection counts whenever a fault spec
+ * was active (even all-zero counts are informative there: they confirm
+ * the harness ran and injected nothing).
  */
 void
-printRobustnessSummary(const chocoq::service::SolveService &service,
+printRobustnessSummary(chocoq::service::SolveService &service,
                        const chocoq::service::FaultInjector *fault)
 {
     const auto health = service.health();
@@ -184,14 +192,12 @@ printRobustnessSummary(const chocoq::service::SolveService &service,
         std::cerr << "chocoq_serve: robustness " << health.stallsFlagged
                   << " stalls flagged / " << health.cancelledJobs
                   << " cancelled / " << health.expiredJobs << " expired\n";
-    if (fault) {
-        const auto counts = fault->counts();
+    if (fault)
         std::cerr << "chocoq_serve: fault injection (seed "
-                  << fault->spec().seed << ") " << counts.stalls
-                  << " stalls / " << counts.allocFails << " alloc fails / "
-                  << counts.connResets << " conn resets / "
-                  << counts.readDelays << " read delays\n";
-    }
+                  << fault->spec().seed << ") "
+                  << books(service, "faults.stalls") << " stalls / "
+                  << books(service, "faults.alloc_fails")
+                  << " alloc fails\n";
 }
 
 /** One registry line when inline problems were used at all. */
@@ -209,11 +215,11 @@ printRegistrySummary(const chocoq::service::SolveService &service)
 }
 
 void
-printSummary(const chocoq::service::SolveService &service, long submitted,
-             long failed, double seconds,
-             const chocoq::service::FaultInjector *fault)
+printSummary(chocoq::service::SolveService &service, std::uint64_t failed,
+             double seconds, const chocoq::service::FaultInjector *fault)
 {
     const auto cache = service.cacheStats();
+    const std::uint64_t submitted = books(service, "jobs.submitted");
     std::cerr << "chocoq_serve: " << submitted << " jobs on "
               << service.workers() << " workers in " << seconds << " s ("
               << (seconds > 0 ? static_cast<double>(submitted) / seconds
@@ -322,11 +328,6 @@ main(int argc, char **argv)
     // Server-only flags are meaningless in batch mode; accepting them
     // silently would let an operator believe a bound is in effect.
     std::string server_only_flag;
-
-    // The serve tool enables the watchdog by default (the library
-    // default is off): a worker stuck for half a minute on one job is
-    // operationally interesting in either front-end mode.
-    options.stallThresholdMs = 30000;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -457,16 +458,12 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    // The injector outlives the service/server (non-owning pointers);
-    // it is only wired in when a clause actually enables a site, so an
-    // unset or all-zero spec leaves every hot path untouched.
+    // The injector outlives the service (non-owning pointer); it is
+    // only wired in when a clause actually enables a site, so an unset
+    // or all-zero spec leaves every hot path untouched.
     chocoq::service::FaultInjector fault_injector(fault_spec);
-    if (fault_spec.enabled()) {
+    if (fault_spec.enabled())
         options.fault = &fault_injector;
-        server_options.fault = &fault_injector;
-    }
-    const chocoq::service::FaultInjector *fault_active =
-        fault_spec.enabled() ? &fault_injector : nullptr;
 
     chocoq::service::SolveService service(options);
     chocoq::Timer wall;
@@ -508,41 +505,47 @@ main(int argc, char **argv)
         server.drain();
         if (metrics_writer)
             metrics_writer->stop(); // final snapshot sees drained counts
-        const auto stats = server.stats();
         if (!quiet) {
             // No jobs/s here: lifetime-averaged throughput of a
             // long-lived (mostly idle) server would only mislead.
             const auto cache = service.cacheStats();
-            std::cerr << "chocoq_serve: " << stats.requestsAccepted
+            std::cerr << "chocoq_serve: " << books(service, "jobs.submitted")
                       << " jobs on " << service.workers()
                       << " workers over " << wall.seconds()
                       << " s lifetime, cache " << cache.hits << " hits / "
                       << cache.misses << " misses / " << cache.evictions
                       << " evictions (" << cache.bytes << " bytes held), "
-                      << stats.jobsFailed << " failed\n";
+                      << books(service, "jobs.completed")
+                             - books(service, "jobs.ok")
+                      << " failed\n";
             printRegistrySummary(service);
-            printRobustnessSummary(service, fault_active);
-            std::cerr << "chocoq_serve: " << stats.connectionsAccepted
-                      << " connections (" << stats.connectionsRejected
-                      << " refused), " << stats.resultsWritten
-                      << " results written, " << stats.rejected
-                      << " rejected, " << stats.lineErrors
-                      << " malformed lines, " << stats.idleCloses
+            printRobustnessSummary(service, options.fault);
+            std::cerr << "chocoq_serve: "
+                      << books(service, "server.connections_accepted")
+                      << " connections ("
+                      << books(service, "server.connections_rejected")
+                      << " refused), "
+                      << books(service, "server.results_written")
+                      << " results written, "
+                      << books(service, "server.rejected") << " rejected, "
+                      << books(service, "requests.line_errors")
+                      << " malformed lines, "
+                      << books(service, "server.idle_closes")
                       << " idle closes; drained\n";
             // Control-plane traffic gets its own line only when any
             // occurred; a server that never saw a cancel or a health
             // probe keeps the familiar two-line epilogue.
-            if (stats.cancelRequests > 0 || stats.healthProbes > 0
-                || stats.jobsCancelled > 0 || stats.disconnectCancels > 0
-                || stats.faultConnResets > 0)
-                std::cerr << "chocoq_serve: control " << stats.cancelRequests
-                          << " cancel requests / " << stats.healthProbes
-                          << " health probes, " << stats.jobsCancelled
-                          << " jobs cancelled ("
-                          << stats.disconnectCancels
-                          << " by disconnect), "
-                          << stats.faultConnResets
-                          << " injected conn resets\n";
+            const std::uint64_t cancels = books(service, "requests.cancel");
+            const std::uint64_t probes = books(service, "requests.health");
+            const std::uint64_t cancelled = books(service, "jobs.cancelled");
+            const std::uint64_t dropped =
+                books(service, "server.disconnect_cancels");
+            if (cancels > 0 || probes > 0 || cancelled > 0 || dropped > 0)
+                std::cerr << "chocoq_serve: control " << cancels
+                          << " cancel requests / " << probes
+                          << " health probes, " << cancelled
+                          << " jobs cancelled (" << dropped
+                          << " by disconnect)\n";
         }
         return 0;
     }
@@ -557,12 +560,15 @@ main(int argc, char **argv)
     }
     std::istream &in = input_path.empty() ? std::cin : file;
 
-    const auto stats =
-        chocoq::service::runJsonlStream(in, std::cout, service, limits);
+    chocoq::service::runJsonlStream(in, std::cout, service, limits);
     if (metrics_writer)
         metrics_writer->stop(); // final snapshot sees drained counts
+    // Failed: per-line errors plus jobs that finished with any status
+    // but ok.
+    const std::uint64_t failed = books(service, "requests.line_errors")
+                                 + books(service, "jobs.completed")
+                                 - books(service, "jobs.ok");
     if (!quiet)
-        printSummary(service, stats.submitted, stats.failed, wall.seconds(),
-                     fault_active);
-    return stats.failed == 0 ? 0 : 1;
+        printSummary(service, failed, wall.seconds(), options.fault);
+    return failed == 0 ? 0 : 1;
 }

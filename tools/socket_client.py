@@ -38,8 +38,9 @@ Observability flags (docs/observability.md):
     socket_client.py 7077 --stats
 
 sends one {"type":"stats"} probe and pretty-prints the server's
-cumulative metrics snapshot (counters, gauges, stage histograms,
-cache/registry/scheduler/server sections).
+cumulative metrics snapshot (counters, the front-end's server.* and
+requests.* counts among them; gauges; stage histograms;
+cache/registry/scheduler sections).
 
     printf '{"scale":"F1","seed":7}\n' | socket_client.py 7077 --trace
 
