@@ -222,65 +222,46 @@ runQaoa(const std::vector<SubRun> &subruns,
             opts.trace->markIteration();
         };
 
-    // One parameter vector per subrun (identical when shared).
+    // Each eliminated/frozen-assignment circuit is optimized on its own
+    // (Sec. IV-C: circuits are executed individually). With one subrun
+    // the weighted sums below reduce exactly to that run's own values:
+    // its weight ratio is 1.0, and 0.0 + x == x for every x an
+    // expectation returns (never -0.0).
     std::vector<std::vector<double>> theta_star(subruns.size());
-
-    if (subruns.size() > 1) {
-        // Each eliminated/frozen-assignment circuit is optimized on its
-        // own (Sec. IV-C: circuits are executed individually).
-        double best_acc = 0.0;
-        int iters = 0, evals = 0;
-        std::vector<optimize::TracePoint> merged_trace;
-        for (std::size_t i = 0; i < subruns.size(); ++i) {
-            auto objective = [&](const std::vector<double> &theta) {
-                if (poll)
-                    poll();
-                Timer t;
-                const double v = subrunCost(scratch, subruns[i], cost, theta);
-                sim_seconds += t.seconds();
-                return v;
-            };
-            const auto res = optimizeMultiStart(objective, opts, poll);
-            theta_star[i] = res.best;
-            best_acc += subruns[i].weight / weight_total * res.bestValue;
-            iters = std::max(iters, res.iterations);
-            evals += res.evaluations;
-            // Merge traces as the weighted best-so-far (padded).
-            if (merged_trace.size() < res.trace.size())
-                merged_trace.resize(res.trace.size(),
-                                    {0, 0.0});
-            for (std::size_t k = 0; k < merged_trace.size(); ++k) {
-                const double v =
-                    res.trace.empty()
-                        ? res.bestValue
-                        : res.trace[std::min(k, res.trace.size() - 1)]
-                              .best;
-                merged_trace[k].iteration = static_cast<int>(k) + 1;
-                merged_trace[k].best +=
-                    subruns[i].weight / weight_total * v;
-            }
-        }
-        out.opt.best = theta_star.front();
-        out.opt.bestValue = best_acc;
-        out.opt.iterations = iters;
-        out.opt.evaluations = evals;
-        out.opt.trace = std::move(merged_trace);
-    } else {
+    double best_acc = 0.0;
+    std::vector<optimize::TracePoint> merged_trace;
+    for (std::size_t i = 0; i < subruns.size(); ++i) {
         auto objective = [&](const std::vector<double> &theta) {
             if (poll)
                 poll();
             Timer t;
-            double acc = 0.0;
-            for (const auto &run : subruns)
-                acc += run.weight / weight_total
-                       * subrunCost(scratch, run, cost, theta);
+            const double v = subrunCost(scratch, subruns[i], cost, theta);
             sim_seconds += t.seconds();
-            return acc;
+            return v;
         };
-        out.opt = optimizeMultiStart(objective, opts, poll);
-        for (auto &theta : theta_star)
-            theta = out.opt.best;
+        const auto res = optimizeMultiStart(objective, opts, poll);
+        theta_star[i] = res.best;
+        const double w = subruns[i].weight / weight_total;
+        best_acc += w * res.bestValue;
+        out.opt.iterations = std::max(out.opt.iterations, res.iterations);
+        out.opt.evaluations += res.evaluations;
+        // Merge traces as the weighted best-so-far (padded). COBYLA
+        // numbers its entries 1, 2, ..., so one subrun's trace passes
+        // through unchanged.
+        if (merged_trace.size() < res.trace.size())
+            merged_trace.resize(res.trace.size(), {0, 0.0});
+        for (std::size_t k = 0; k < merged_trace.size(); ++k) {
+            const double v =
+                res.trace.empty()
+                    ? res.bestValue
+                    : res.trace[std::min(k, res.trace.size() - 1)].best;
+            merged_trace[k].iteration = static_cast<int>(k) + 1;
+            merged_trace[k].best += w * v;
+        }
     }
+    out.opt.best = theta_star.front();
+    out.opt.bestValue = best_acc;
+    out.opt.trace = std::move(merged_trace);
 
     const double loop_seconds = total_timer.seconds();
     out.simSeconds = sim_seconds;

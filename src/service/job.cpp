@@ -23,6 +23,26 @@ knownSolver(const std::string &name)
            || name == "hea";
 }
 
+/** A present field of another JSON type fails the request: taking the
+ * default instead would run a different job than the one sent. */
+const Json *
+typedField(const Json &v, const char *key, Json::Kind kind,
+           const char *expected)
+{
+    const Json *field = v.find(key);
+    if (field && field->kind() != kind)
+        CHOCOQ_FATAL("field '" << key << "' must be " << expected
+                     << ", got " << typeName(*field));
+    return field;
+}
+
+std::string
+checkedString(const Json &v, const char *key, std::string fallback)
+{
+    const Json *field = typedField(v, key, Json::Kind::String, "a string");
+    return field ? field->asString() : fallback;
+}
+
 /**
  * Range-checked integer field. Requests come from untrusted input, and
  * a float-to-integer cast whose truncated value doesn't fit the
@@ -33,10 +53,10 @@ long long
 checkedInt(const Json &v, const char *key, long long lo, long long hi,
            long long fallback)
 {
-    const Json *field = v.find(key);
+    const Json *field = typedField(v, key, Json::Kind::Number, "a number");
     if (!field)
         return fallback;
-    const double raw = field->asNumber(static_cast<double>(fallback));
+    const double raw = field->asNumber();
     if (!(raw >= static_cast<double>(lo) && raw <= static_cast<double>(hi))
         || raw != std::floor(raw))
         CHOCOQ_FATAL("field '" << key << "' must be an integer in ["
@@ -52,8 +72,8 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
     if (!v.isObject())
         CHOCOQ_FATAL("job request must be a JSON object");
     SolveJob job;
-    job.id = v.getString("id", "");
-    job.solver = v.getString("solver", job.solver);
+    job.id = checkedString(v, "id", "");
+    job.solver = checkedString(v, "solver", job.solver);
     if (!knownSolver(job.solver))
         CHOCOQ_FATAL("unknown solver '" << job.solver
                      << "' (expected choco-q, penalty, cyclic, or hea)");
@@ -82,7 +102,7 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
         job.problemRef = ref->asString();
     }
 
-    job.scale = v.getString("scale", job.scale);
+    job.scale = checkedString(v, "scale", job.scale);
     if (!problems::scaleByName(job.scale))
         CHOCOQ_FATAL("unknown scale '" << job.scale << "' (expected F1..K4)");
     job.caseIndex = static_cast<unsigned>(
@@ -107,7 +127,7 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
     }
     job.shots = static_cast<int>(
         checkedInt(v, "shots", 0, 1 << 30, job.shots));
-    job.device = v.getString("device", "");
+    job.device = checkedString(v, "device", "");
     if (!job.device.empty()) {
         device::deviceByName(job.device); // throws on an unknown name
         // A device job samples its final distribution from noisy
@@ -121,21 +141,19 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
         static_cast<int>(checkedInt(v, "iters", 0, 1 << 30, 0));
     job.keepStarts =
         static_cast<int>(checkedInt(v, "keep_starts", 0, 1 << 20, 0));
-    if (const Json *fusion = v.find("fusion")) {
-        if (fusion->kind() != Json::Kind::Bool)
-            CHOCOQ_FATAL("field 'fusion' must be a boolean");
-        job.fusion = fusion->asBool(true);
-    }
-    job.deadlineMs = v.getNumber("deadline_ms", 0.0);
+    if (const Json *fusion =
+            typedField(v, "fusion", Json::Kind::Bool, "a boolean"))
+        job.fusion = fusion->asBool();
+    if (const Json *deadline =
+            typedField(v, "deadline_ms", Json::Kind::Number, "a number"))
+        job.deadlineMs = deadline->asNumber();
     if (!(job.deadlineMs >= 0.0 && job.deadlineMs <= kMaxDeadlineMs))
         CHOCOQ_FATAL("field 'deadline_ms' must be in [0, 2147483648] "
                      "(2^31 ms, about 24.9 days), got "
                      << job.deadlineMs);
-    if (const Json *trace = v.find("trace")) {
-        if (trace->kind() != Json::Kind::Bool)
-            CHOCOQ_FATAL("field 'trace' must be a boolean");
-        job.trace = trace->asBool(false);
-    }
+    if (const Json *trace =
+            typedField(v, "trace", Json::Kind::Bool, "a boolean"))
+        job.trace = trace->asBool();
     return job;
 }
 

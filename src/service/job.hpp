@@ -195,9 +195,9 @@ std::string distHashHex(std::uint64_t hash);
 /**
  * Serialize a job to one JSONL request object (the inverse of
  * jobFromJson: every field is emitted, seeds above 2^53 as decimal
- * strings, so the request round-trips exactly). Used by the socket
- * tests and bench_load's arrival schedule — one serializer, so both
- * exercise the same wire fields.
+ * strings, so the request round-trips exactly). The socket tests
+ * build their requests with it, so they send exactly the fields
+ * jobFromJson reads.
  */
 Json jobToJsonRequest(const SolveJob &job);
 

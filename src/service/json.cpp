@@ -430,14 +430,8 @@ Json::set(const std::string &key, Json v)
 }
 
 void
-Json::write(std::string &out, int indent, int depth) const
+Json::write(std::string &out) const
 {
-    const auto newline = [&](int d) {
-        if (indent > 0) {
-            out.push_back('\n');
-            out.append(static_cast<std::size_t>(indent * d), ' ');
-        }
-    };
     switch (kind_) {
       case Kind::Null:
         out += "null";
@@ -456,11 +450,8 @@ Json::write(std::string &out, int indent, int depth) const
         for (std::size_t i = 0; i < array_.size(); ++i) {
             if (i > 0)
                 out.push_back(',');
-            newline(depth + 1);
-            array_[i].write(out, indent, depth + 1);
+            array_[i].write(out);
         }
-        if (!array_.empty())
-            newline(depth);
         out.push_back(']');
         break;
       case Kind::Object:
@@ -468,15 +459,10 @@ Json::write(std::string &out, int indent, int depth) const
         for (std::size_t i = 0; i < object_.size(); ++i) {
             if (i > 0)
                 out.push_back(',');
-            newline(depth + 1);
             writeEscaped(out, object_[i].first);
             out.push_back(':');
-            if (indent > 0)
-                out.push_back(' ');
-            object_[i].second.write(out, indent, depth + 1);
+            object_[i].second.write(out);
         }
-        if (!object_.empty())
-            newline(depth);
         out.push_back('}');
         break;
     }
@@ -486,16 +472,22 @@ std::string
 Json::dump() const
 {
     std::string out;
-    write(out, 0, 0);
+    write(out);
     return out;
 }
 
-std::string
-Json::pretty() const
+const char *
+typeName(const Json &v)
 {
-    std::string out;
-    write(out, 2, 0);
-    return out;
+    switch (v.kind()) {
+      case Json::Kind::Null: return "null";
+      case Json::Kind::Bool: return "a boolean";
+      case Json::Kind::Number: return "a number";
+      case Json::Kind::String: return "a string";
+      case Json::Kind::Array: return "an array";
+      case Json::Kind::Object: return "an object";
+    }
+    return "unknown";
 }
 
 } // namespace chocoq::service

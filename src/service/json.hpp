@@ -87,11 +87,9 @@ class Json
 
     /** Compact single-line serialization (JSONL-friendly). */
     std::string dump() const;
-    /** Pretty serialization with two-space indentation. */
-    std::string pretty() const;
 
   private:
-    void write(std::string &out, int indent, int depth) const;
+    void write(std::string &out) const;
 
     Kind kind_ = Kind::Null;
     bool bool_ = false;
@@ -100,6 +98,10 @@ class Json
     std::vector<Json> array_;
     std::vector<std::pair<std::string, Json>> object_;
 };
+
+/** @p v's JSON type with its article ("a string", "null"), for errors
+ * that say what a field got. */
+const char *typeName(const Json &v);
 
 } // namespace chocoq::service
 

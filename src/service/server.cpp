@@ -409,11 +409,7 @@ runJsonlStream(std::istream &in, std::ostream &out, SolveService &service,
 struct Server::Connection
 {
     int fd = -1;
-    /** When accept() returned this connection, anchoring accept_ms and
-     * idle_before_first_request_ms. */
-    Clock::time_point acceptedAt;
-    /** Idle-before-first-request recorded yet? Only the loop touches
-     * it. */
+    /** First request byte stamped yet? Only the loop touches it. */
     bool sawFirstByte = false;
     /** Serializes result lines (callbacks fire on worker threads) and
      * guards fd teardown, outBuf/outOff, and lastWriteProgress. */
@@ -493,8 +489,6 @@ struct Server::Connection
 Server::Server(SolveService &service, ServerOptions opts)
     : service_(service), opts_(opts),
       acceptMs_(service.metrics().histogram("server.accept_ms")),
-      idleBeforeFirstRequestMs_(service.metrics().histogram(
-          "server.idle_before_first_request_ms")),
       firstByteMs_(service.metrics().histogram("server.first_byte_ms")),
       connectionsOpen_(service.metrics().gauge("server.connections_open")),
       connectionsAccepted_(
@@ -617,17 +611,16 @@ Server::acceptPending()
             continue;
         }
 
+        const auto acceptedAt = Clock::now();
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
-        conn->acceptedAt = Clock::now();
         connectionsAccepted_.add();
         connectionsOpen_.add(1.0);
         ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
         conn->framer = LineFramer(opts_.limits.maxLineBytes);
         conn->lastActivity = Clock::now();
-        // accept -> registration: the server-controlled half of
-        // connection setup.
-        acceptMs_.record(millisSince(conn->acceptedAt));
+        // accept -> registration, all of it server-side.
+        acceptMs_.record(millisSince(acceptedAt));
         conns_.push_back(std::move(conn));
     }
 }
@@ -842,7 +835,6 @@ Server::eventHandleReadable(const std::shared_ptr<Connection> &conn)
     conn->lastActivity = Clock::now();
     if (!conn->sawFirstByte) {
         conn->sawFirstByte = true;
-        idleBeforeFirstRequestMs_.record(millisSince(conn->acceptedAt));
         std::lock_guard<std::mutex> lock(conn->writeMu);
         conn->firstByteAt = Clock::now();
         conn->firstByteStamped = true;

@@ -322,19 +322,13 @@ class Server
 
     SolveService &service_;
     ServerOptions opts_;
-    /** Connection-setup and first-response latency, recorded into the
-     * service's metrics registry so the stats probe and bench_load's
-     * server section read one source of truth. accept_ms is accept() to
-     * registration in the loop (server-controlled, near zero);
-     * idle_before_first_request_ms is accept() to the connection's
-     * first received byte — the client's connect-to-send turnaround,
-     * which open-loop harnesses stretch arbitrarily by holding idle
-     * connections; first_byte_ms is first received request byte to the
-     * first response byte written, the server-side latency that used
-     * to be polluted by that idle time when it was measured from
-     * accept(). */
+    /** Connection-setup and first-response latency, in the service's
+     * metrics registry. accept_ms is accept() to registration in the
+     * loop (server-controlled, near zero); first_byte_ms is the first
+     * received request byte to the first response byte written, so a
+     * client's connect-to-send idle time never counts against the
+     * server. */
     obs::Histogram &acceptMs_;
-    obs::Histogram &idleBeforeFirstRequestMs_;
     obs::Histogram &firstByteMs_;
     /** Open connections: the connection cap and the health probe read
      * it. Only the loop thread moves it. */
@@ -375,9 +369,8 @@ class Server
 };
 
 /**
- * Minimal blocking JSONL client over loopback, for the socket tests,
- * bench_load's stats probe, and ad-hoc tooling. Not part of the
- * serving data path.
+ * Minimal blocking JSONL client over loopback, for the socket tests.
+ * Not part of the serving data path.
  */
 class JsonlClient
 {

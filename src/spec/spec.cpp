@@ -19,20 +19,6 @@ namespace
  * free. */
 constexpr int kHardMaxVars = 62;
 
-const char *
-typeName(const service::Json &v)
-{
-    switch (v.kind()) {
-      case service::Json::Kind::Null: return "null";
-      case service::Json::Kind::Bool: return "a boolean";
-      case service::Json::Kind::Number: return "a number";
-      case service::Json::Kind::String: return "a string";
-      case service::Json::Kind::Array: return "an array";
-      case service::Json::Kind::Object: return "an object";
-    }
-    return "unknown";
-}
-
 /**
  * Integer field with a field-path error message: inline specs are
  * untrusted input, and a fractional or out-of-range value must fail the

@@ -216,6 +216,30 @@ TEST(JobModel, RejectsOutOfRangeNumericFields)
                 << e.what();
         }
     }
+    // A present field of the wrong JSON type is an error that names the
+    // field, never a job run with that field's default.
+    const std::pair<const char *, const char *> wrong_typed[] = {
+        {R"({"deadline_ms":"5"})", "'deadline_ms'"},
+        {R"({"scale":7})", "'scale'"},
+        {R"({"solver":5})", "'solver'"},
+        {R"({"iters":"abc"})", "'iters'"},
+        {R"({"device":3,"shots":5})", "'device'"},
+        {R"({"id":1})", "'id'"},
+        {R"({"case":"1"})", "'case'"},
+        {R"({"seed":true})", "'seed'"},
+        {R"({"shots":"5"})", "'shots'"},
+        {R"({"layers":null})", "'layers'"},
+        {R"({"keep_starts":[1]})", "'keep_starts'"},
+    };
+    for (const auto &[line, field] : wrong_typed) {
+        try {
+            service::jobFromJsonLine(line);
+            ADD_FAILURE() << line << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << line << ": " << e.what();
+        }
+    }
 }
 
 TEST(Suite, ScaleByName)
@@ -1132,6 +1156,7 @@ TEST(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
     }
     EXPECT_EQ(ok, 1);
     EXPECT_EQ(rejected, 2);
+    client.shutdownWrite(); // drain need not wait out the close linger
     server.drain();
     EXPECT_EQ(books(svc, "server.rejected"), 2.0);
 }
@@ -1166,6 +1191,7 @@ TEST(SocketFrontEnd, ConnectionCapRefusesWithARejectedLine)
     first.sendLine(R"({"id":"a","scale":"F1","iters":5})");
     ASSERT_TRUE(first.readLine(line, 60000));
     EXPECT_EQ(service::Json::parse(line).getString("status", ""), "ok");
+    first.shutdownWrite();
     server.drain();
     EXPECT_EQ(books(svc, "server.connections_rejected"), 1.0);
 }
@@ -1187,6 +1213,7 @@ TEST(SocketFrontEnd, IdleTimeoutClosesQuietConnections)
     // No further traffic: the server must close the connection (EOF on
     // our side), not hold it forever.
     EXPECT_FALSE(client.readLine(line, 10000));
+    client.shutdownWrite();
     server.drain();
     EXPECT_EQ(books(svc, "server.idle_closes"), 1.0);
     EXPECT_EQ(books(svc, "server.connections_open"), 0.0);
@@ -1215,6 +1242,7 @@ TEST(SocketFrontEnd, GracefulDrainCompletesAcceptedJobs)
            && std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     ASSERT_EQ(books(svc, "jobs.submitted"), 3.0);
+    client.shutdownWrite();
     server.requestStop();
     server.drain();
 
@@ -1637,6 +1665,8 @@ TEST(SocketFrontEnd, CancelAndHealthControlRequests)
     EXPECT_EQ(result.getString("id", ""), "slow");
     EXPECT_EQ(result.getString("status", ""), "cancelled");
 
+    submitter.shutdownWrite();
+    control.shutdownWrite();
     server.drain();
     EXPECT_EQ(books(svc, "requests.cancel"), 1.0);
     EXPECT_EQ(books(svc, "requests.health"), 1.0);
@@ -1671,6 +1701,7 @@ TEST(SocketFrontEnd, ClientDisconnectCancelsItsJobsAndFreesTheWorker)
     ASSERT_TRUE(next.readLine(line, 60000));
     EXPECT_EQ(service::Json::parse(line).getString("status", ""), "ok");
 
+    next.shutdownWrite();
     server.drain();
     EXPECT_GE(books(svc, "server.disconnect_cancels"), 1.0);
     EXPECT_EQ(books(svc, "jobs.cancelled"), 1.0);
@@ -1771,6 +1802,7 @@ TEST(SocketFrontEnd, StatsProbeJsonShapeOverSocket)
 
     EXPECT_DOUBLE_EQ(
         v.find("scheduler")->getNumber("workers", -1.0), 2.0);
+    probe.shutdownWrite();
     server.drain();
     EXPECT_EQ(books(svc, "requests.stats"), 1.0);
 }
@@ -1804,6 +1836,8 @@ TEST(SocketFrontEnd, StatsProbeNeverConsumesAnInflightSlot)
 
     probe.sendLine(R"({"type":"cancel","id":"slow"})");
     ASSERT_TRUE(probe.readLine(line, 30000));
+    submitter.shutdownWrite();
+    probe.shutdownWrite();
     server.drain();
     EXPECT_EQ(books(svc, "server.rejected"), 0.0)
         << "the probe must not have been counted against maxInflight";
@@ -2221,6 +2255,9 @@ TEST(SocketFrontEnd, MassDisconnectCancelsExactlyOncePerConnection)
         EXPECT_EQ(v.getString("id", ""), "m" + std::to_string(i));
         EXPECT_EQ(v.getString("status", ""), "ok") << line;
     }
+    control.shutdownWrite();
+    for (int i = kDropped; i < kConns; ++i)
+        conns[static_cast<std::size_t>(i)]->shutdownWrite();
     server.drain();
 
     EXPECT_EQ(books(svc, "server.disconnect_cancels"), kDropped)

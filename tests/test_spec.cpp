@@ -712,6 +712,7 @@ TEST(SocketServerSpec, InlineThenRefIsBitIdenticalAndSharesCompile)
     EXPECT_EQ(second.getString("dist_hash", ""),
               first.getString("dist_hash", ""));
     EXPECT_TRUE(second.getBool("cache_hit", false));
+    client.shutdownWrite(); // drain need not wait out the close linger
     server.drain();
 }
 
@@ -739,5 +740,6 @@ TEST(SocketServerSpec, SpecLimitsRejectPerLineOnTheWire)
         R"("constraints":{"A":[[1,1]],"b":[1]}},"iters":5})");
     ASSERT_TRUE(client.readLine(line, 60000));
     EXPECT_EQ(service::Json::parse(line).getString("status", ""), "ok");
+    client.shutdownWrite();
     server.drain();
 }

@@ -491,8 +491,14 @@ main(int argc, char **argv)
             return 2;
         }
         if (!port_file.empty()) {
+            // Whoever waits for this file would wait out its own
+            // timeout; fail now instead (the Server destructor drains).
             std::ofstream pf(port_file);
-            pf << server.port() << "\n";
+            if (!(pf << server.port() << "\n" << std::flush)) {
+                std::cerr << "chocoq_serve: cannot write --port-file "
+                          << port_file << "\n";
+                return 2;
+            }
         }
         std::cerr << "chocoq_serve: listening on "
                   << server_options.bindAddress << ":" << server.port()
