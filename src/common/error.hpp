@@ -38,16 +38,20 @@ class InternalError : public std::logic_error
 
 } // namespace chocoq
 
-/** Throw a chocoq::FatalError with a streamed message. User's fault. */
+/**
+ * Throw a chocoq::FatalError with a streamed message. User's fault, so
+ * the text is the message alone: it reaches remote clients verbatim
+ * (wire error lines) and must read the same from every build.
+ */
 #define CHOCOQ_FATAL(msg)                                                   \
     do {                                                                    \
         std::ostringstream chocoq_oss_;                                     \
-        chocoq_oss_ << "fatal: " << msg << " (" << __FILE__ << ":"          \
-                    << __LINE__ << ")";                                     \
+        chocoq_oss_ << "fatal: " << msg;                                    \
         throw chocoq::FatalError(chocoq_oss_.str());                        \
     } while (0)
 
-/** Check an internal invariant; throws chocoq::InternalError on failure. */
+/** Check an internal invariant; throws chocoq::InternalError on failure.
+ * A bug report, so it names the source location. */
 #define CHOCOQ_ASSERT(cond, msg)                                            \
     do {                                                                    \
         if (!(cond)) {                                                      \

@@ -121,8 +121,6 @@ SolveService::SolveService(ServiceOptions opts)
       stageTotalMs_(metrics_.histogram("stage.total_ms")),
       kernelBytes_(metrics_.counter("kernels.bytes")),
       kernelFlops_(metrics_.counter("kernels.flops")),
-      faultStalls_(metrics_.counter("faults.stalls")),
-      faultAllocFails_(metrics_.counter("faults.alloc_fails")),
       stallsFlagged_(metrics_.counter("scheduler.stalls_flagged")),
       cache_(CompileCacheOptions{
           opts.cacheMaxBytes, &metrics_.histogram("cache.compile_ms")}),
@@ -245,21 +243,6 @@ SolveService::execute(const SolveJob &job, WorkerContext &ctx,
     constexpr std::size_t kNoSpan = static_cast<std::size_t>(-1);
     std::size_t openSpan = kNoSpan;
     try {
-        // Fault sites fire before any real work so an injected failure
-        // never leaves half-built cache or registry state behind. The
-        // stall keeps the worker visibly busy (stall accounting sees
-        // it) while still honoring cancels and deadlines.
-        if (opts_.fault
-            && opts_.fault->fire(FaultInjector::Site::WorkerStall)) {
-            faultStalls_.add();
-            sleepCancellably(opts_.fault->spec().stallMs, token);
-        }
-        if (opts_.fault
-            && opts_.fault->fire(FaultInjector::Site::AllocFail)) {
-            faultAllocFails_.add();
-            throw FatalError("injected allocation failure (fault-spec "
-                             "alloc_fail)");
-        }
         if (token)
             token->throwIfCancelled();
 

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -31,7 +32,7 @@
 #include "obs/roofline.hpp"
 #include "obs/trace.hpp"
 #include "service/compile_cache.hpp"
-#include "service/fault.hpp"
+#include "service/cancel.hpp"
 #include "service/job.hpp"
 #include "service/scheduler.hpp"
 #include "spec/registry.hpp"
@@ -63,13 +64,6 @@ struct ServiceOptions
      * nothing.
      */
     int stallThresholdMs = 30000;
-    /**
-     * Optional fault injector (non-owning; must outlive the service).
-     * nullptr — the default — means no injection anywhere: the fault
-     * paths are never consulted and execution is bitwise identical to
-     * a build without the harness.
-     */
-    FaultInjector *fault = nullptr;
 };
 
 /** Concurrent solve service over the registry problems. */
@@ -229,8 +223,6 @@ class SolveService
     std::array<KernelCounterPair, obs::kKernelCount> kernelCounters_;
     obs::Counter &kernelBytes_;
     obs::Counter &kernelFlops_;
-    obs::Counter &faultStalls_;
-    obs::Counter &faultAllocFails_;
     obs::Counter &stallsFlagged_;
     CompileCache cache_;
     spec::ProblemRegistry registry_;

@@ -180,7 +180,7 @@ TEST(Timer, MeasuresElapsed)
     Timer t;
     volatile double sink = 0;
     for (int i = 0; i < 100000; ++i)
-        sink += std::sqrt(static_cast<double>(i));
+        sink = sink + std::sqrt(static_cast<double>(i));
     EXPECT_GT(t.seconds(), 0.0);
     EXPECT_EQ(t.seconds() * 1e3 > 0, t.ms() > 0);
 }
@@ -191,8 +191,7 @@ TEST(Error, FatalCarriesMessage)
         CHOCOQ_FATAL("bad input " << 42);
         FAIL() << "should have thrown";
     } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("bad input 42"),
-                  std::string::npos);
+        EXPECT_EQ(std::string(e.what()), "fatal: bad input 42");
     }
 }
 

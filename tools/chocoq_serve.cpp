@@ -42,7 +42,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "problems/suite.hpp"
-#include "service/fault.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "spec/spec.hpp"
@@ -123,13 +122,6 @@ usage(const char *argv0)
         << "                      probe, stats counter scheduler."
            "stalls_flagged\n"
         << "                      and summary; default: 30000, 0 = off)\n"
-        << "  --fault-spec SPEC   deterministic fault injection: comma-"
-           "separated\n"
-        << "                      site=prob[:ms] clauses plus seed=N; "
-           "sites are\n"
-        << "                      stall and alloc_fail (e.g. "
-           "'stall=0.5:400,seed=9');\n"
-        << "                      unset means no injection anywhere\n"
         << "\nObservability (both modes; see docs/observability.md):\n"
         << "  --metrics-file FILE     append one JSON metrics snapshot "
            "per line\n"
@@ -176,15 +168,10 @@ books(chocoq::service::SolveService &service, const char *name)
     return service.metrics().counter(name).value();
 }
 
-/**
- * Robustness lines: stall/cancellation counters (only when any fired —
- * a clean run stays clean), and injection counts whenever a fault spec
- * was active (even all-zero counts are informative there: they confirm
- * the harness ran and injected nothing).
- */
+/** Robustness line: stall/cancellation counters, only when any fired
+ * (a clean run stays clean). */
 void
-printRobustnessSummary(chocoq::service::SolveService &service,
-                       const chocoq::service::FaultInjector *fault)
+printRobustnessSummary(chocoq::service::SolveService &service)
 {
     const auto health = service.health();
     if (health.stallsFlagged > 0 || health.cancelledJobs > 0
@@ -192,12 +179,6 @@ printRobustnessSummary(chocoq::service::SolveService &service,
         std::cerr << "chocoq_serve: robustness " << health.stallsFlagged
                   << " stalls flagged / " << health.cancelledJobs
                   << " cancelled / " << health.expiredJobs << " expired\n";
-    if (fault)
-        std::cerr << "chocoq_serve: fault injection (seed "
-                  << fault->spec().seed << ") "
-                  << books(service, "faults.stalls") << " stalls / "
-                  << books(service, "faults.alloc_fails")
-                  << " alloc fails\n";
 }
 
 /** One registry line when inline problems were used at all. */
@@ -216,7 +197,7 @@ printRegistrySummary(const chocoq::service::SolveService &service)
 
 void
 printSummary(chocoq::service::SolveService &service, std::uint64_t failed,
-             double seconds, const chocoq::service::FaultInjector *fault)
+             double seconds)
 {
     const auto cache = service.cacheStats();
     const std::uint64_t submitted = books(service, "jobs.submitted");
@@ -229,7 +210,7 @@ printSummary(chocoq::service::SolveService &service, std::uint64_t failed,
               << " evictions (" << cache.bytes << " bytes held), " << failed
               << " failed\n";
     printRegistrySummary(service);
-    printRobustnessSummary(service, fault);
+    printRobustnessSummary(service);
 }
 
 /**
@@ -324,7 +305,6 @@ main(int argc, char **argv)
     bool listen = false;
     // Line and spec bounds, shared by both front-ends.
     chocoq::service::StreamLimits &limits = server_options.limits;
-    std::string fault_spec_text;
     // Server-only flags are meaningless in batch mode; accepting them
     // silently would let an operator believe a bound is in effect.
     std::string server_only_flag;
@@ -390,8 +370,6 @@ main(int argc, char **argv)
         } else if (arg == "--stall-threshold-ms") {
             options.stallThresholdMs = static_cast<int>(
                 parsedNonNegative(next(), "--stall-threshold-ms", 1 << 30));
-        } else if (arg == "--fault-spec") {
-            fault_spec_text = next();
         } else if (arg == "--dump-spec") {
             // Operator/CI helper: transcribe a registry case into the
             // inline-problem wire format (see docs/protocol.md).
@@ -446,24 +424,6 @@ main(int argc, char **argv)
         std::cerr << server_only_flag << " requires --listen\n";
         return 2;
     }
-
-    // Fault-spec grammar errors are operator errors: exit 2 before
-    // anything is bound or any worker starts.
-    chocoq::service::FaultSpec fault_spec;
-    if (!fault_spec_text.empty()) {
-        try {
-            fault_spec = chocoq::service::parseFaultSpec(fault_spec_text);
-        } catch (const std::exception &e) {
-            std::cerr << "chocoq_serve: --fault-spec: " << e.what() << "\n";
-            return 2;
-        }
-    }
-    // The injector outlives the service (non-owning pointer); it is
-    // only wired in when a clause actually enables a site, so an unset
-    // or all-zero spec leaves every hot path untouched.
-    chocoq::service::FaultInjector fault_injector(fault_spec);
-    if (fault_spec.enabled())
-        options.fault = &fault_injector;
 
     chocoq::service::SolveService service(options);
     chocoq::Timer wall;
@@ -525,7 +485,7 @@ main(int argc, char **argv)
                              - books(service, "jobs.ok")
                       << " failed\n";
             printRegistrySummary(service);
-            printRobustnessSummary(service, options.fault);
+            printRobustnessSummary(service);
             std::cerr << "chocoq_serve: "
                       << books(service, "server.connections_accepted")
                       << " connections ("
@@ -575,6 +535,6 @@ main(int argc, char **argv)
                                  + books(service, "jobs.completed")
                                  - books(service, "jobs.ok");
     if (!quiet)
-        printSummary(service, failed, wall.seconds(), options.fault);
+        printSummary(service, failed, wall.seconds());
     return failed == 0 ? 0 : 1;
 }
