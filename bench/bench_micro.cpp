@@ -624,6 +624,8 @@ BM_ExactSolve(benchmark::State &state)
 }
 BENCHMARK(BM_ExactSolve)->Arg(0)->Arg(4)->Arg(8);
 
+/** ChocoQSolver::compile on case 0 of a scale: what a compile-cache
+ * miss costs. */
 void
 BM_ChocoCompile(benchmark::State &state)
 {
@@ -632,8 +634,8 @@ BM_ChocoCompile(benchmark::State &state)
     const auto p = problems::makeCase(scale, 0);
     const core::ChocoQSolver solver;
     for (auto _ : state) {
-        auto comp = solver.compileOnly(p);
-        benchmark::DoNotOptimize(comp.terms.data());
+        auto art = solver.compile(p);
+        benchmark::DoNotOptimize(art.get());
     }
     state.SetLabel(problems::scaleName(scale));
 }

@@ -8,8 +8,8 @@
  * recency list (front = most recently used), per-entry byte estimates
  * summed against a budget, and an eviction sweep that walks the cold
  * end. What differs between them stays in the caller: the compile
- * cache's single-flight futures and generation checks, the registry's
- * tombstones and eviction generation. This class is deliberately not
+ * cache's single-flight futures, the registry's tombstones and
+ * eviction generation. This class is deliberately not
  * thread-safe — each owner already serializes access under its own
  * mutex, and the policies they layer on top (skip-in-flight eviction,
  * tombstoning inside the sweep) need to run under that same lock.
@@ -54,7 +54,7 @@ class LruMap
     /** Sum of the per-entry byte estimates currently held. */
     std::size_t bytes() const { return bytes_; }
     std::size_t maxBytes() const { return opts_.maxBytes; }
-    /** Entries dropped by evictOverBudget since construction/clear(). */
+    /** Entries dropped by evictOverBudget since construction. */
     std::uint64_t evictions() const { return evictions_; }
 
     /** Keys in recency order, front = most recently used. */
@@ -171,16 +171,6 @@ class LruMap
         return evictOverBudget(
             [](const Key &, const Value &) { return true; },
             [](const Key &, const Value &) {});
-    }
-
-    /** Drop everything and reset byte/eviction accounting. */
-    void
-    clear()
-    {
-        map_.clear();
-        lru_.clear();
-        bytes_ = 0;
-        evictions_ = 0;
     }
 
   private:

@@ -12,21 +12,6 @@
 namespace chocoq::core
 {
 
-namespace
-{
-
-/** Precompute a polynomial's value on every basis state of k qubits. */
-std::shared_ptr<std::vector<double>>
-tabulate(const model::Polynomial &f, int k)
-{
-    auto table = std::make_shared<std::vector<double>>(std::size_t{1} << k);
-    for (std::size_t i = 0; i < table->size(); ++i)
-        (*table)[i] = f.evaluate(i);
-    return table;
-}
-
-} // namespace
-
 std::size_t
 ChocoQArtifacts::memoryBytes() const
 {
@@ -60,31 +45,6 @@ ChocoQSolver::ChocoQSolver(ChocoQOptions opts) : opts_(std::move(opts))
     CHOCOQ_ASSERT(opts_.eliminate >= 0, "negative elimination count");
 }
 
-ChocoQCompilation
-ChocoQSolver::compileOnly(const model::Problem &p) const
-{
-    Timer timer;
-    ChocoQCompilation out;
-    out.basis = computeMoveBasis(p);
-    const int e = std::min(opts_.eliminate, p.numVars() - 1);
-    out.plan = chooseElimination(p, e);
-    const auto subs = buildSubInstances(p, out.plan);
-    for (const auto &sub : subs) {
-        if (!model::findFeasible(sub.reduced))
-            continue;
-        ++out.subInstances;
-        if (out.terms.empty()) {
-            const MoveBasis rb = computeMoveBasis(sub.reduced);
-            out.terms = makeCommuteTerms(expandMoveSet(
-                rb, sub.reduced.constraints(),
-                std::max<std::size_t>(opts_.moveSetFactor, 1)
-                    * std::max<std::size_t>(rb.moves.size(), 1)));
-        }
-    }
-    out.seconds = timer.seconds();
-    return out;
-}
-
 std::shared_ptr<const ChocoQArtifacts>
 ChocoQSolver::compile(const model::Problem &p) const
 {
@@ -114,7 +74,8 @@ ChocoQSolver::compile(const model::Problem &p) const
             makeCommuteTerms(moves));
         cs.objective = std::make_shared<const model::Polynomial>(
             sub.reduced.minimizedObjective());
-        cs.costTable = tabulate(*cs.objective, k);
+        cs.costTable = std::make_shared<const std::vector<double>>(
+            cs.objective->tabulate(k));
         // Layer fusion is compile-relevant (the plan ships with the
         // artifacts and the cache key carries the flag); with fusion
         // off the artifacts stay plan-free and the run uses the
@@ -149,7 +110,7 @@ ChocoQSolver::compile(const model::Problem &p) const
 }
 
 SolverOutcome
-ChocoQSolver::solveCompiled(const model::Problem &p,
+ChocoQSolver::solveCompiled(const model::Problem &,
                             const ChocoQArtifacts &art) const
 {
     // SubRun closures capture only shared_ptr-to-const artifact pieces
@@ -169,7 +130,6 @@ ChocoQSolver::solveCompiled(const model::Problem &p,
 
         SubRun run;
         run.numQubits = k;
-        run.init = x0;
         run.costTable = table;
         run.build = [k, x0, f, terms,
                      pad_pairs](const std::vector<double> &theta) {
@@ -266,25 +226,8 @@ ChocoQSolver::solveCompiled(const model::Problem &p,
                               tile(1.2, 3.0)};
     }
 
-    const EngineResult res =
-        runQaoa(runs, [&](Basis x) { return p.minimizedObjectiveOf(x); },
-                engine);
-
-    SolverOutcome out;
-    out.distribution = res.distribution;
-    out.iterations = res.opt.iterations;
-    out.evaluations = res.opt.evaluations;
-    out.bestCost = res.opt.bestValue;
-    out.trace = res.opt.trace;
-    out.logicalDepth = res.logicalDepth;
-    out.basisDepth = res.basisDepth;
-    out.basisGateCount = res.basisGateCount;
-    out.basisTwoQubitCount = res.basisTwoQubitCount;
-    out.qubitsUsed = res.qubitsUsed;
-    out.circuitsPerIteration = static_cast<int>(runs.size());
-    out.compileSeconds = art.seconds + res.compileSeconds;
-    out.simSeconds = res.simSeconds;
-    out.classicalSeconds = res.classicalSeconds;
+    SolverOutcome out = runQaoa(runs, engine);
+    out.compileSeconds += art.seconds;
     return out;
 }
 

@@ -103,18 +103,6 @@ struct ChocoQArtifacts
     std::size_t memoryBytes() const;
 };
 
-/** Compilation artifacts exposed for analysis benches (Fig. 12/13). */
-struct ChocoQCompilation
-{
-    MoveBasis basis;
-    EliminationPlan plan;
-    /** Commute terms of the first (representative) sub-instance. */
-    std::vector<CommuteTerm> terms;
-    /** Number of executable sub-instances (feasible assignments). */
-    int subInstances = 0;
-    double seconds = 0.0;
-};
-
 /** Commute-Hamiltonian QAOA solver. */
 class ChocoQSolver : public Solver
 {
@@ -140,13 +128,11 @@ class ChocoQSolver : public Solver
      * (eliminate, moveSetFactor, genericSynthesisPadding) — the
      * service's compilation cache guarantees this by keying on exactly
      * those inputs. solve(p) == solveCompiled(p, *compile(p)) bit for
-     * bit.
+     * bit. The run reads only @p art: every sub-run is measured against
+     * its compiled cost table.
      */
     SolverOutcome solveCompiled(const model::Problem &p,
                                 const ChocoQArtifacts &art) const;
-
-    /** Run only the compilation pipeline (benchmarking hook). */
-    ChocoQCompilation compileOnly(const model::Problem &p) const;
 
     const ChocoQOptions &options() const { return opts_; }
 

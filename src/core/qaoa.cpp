@@ -69,10 +69,9 @@ evolveInto(StateVector &state, const SubRun &run,
     }
 }
 
-/** Expectation of the configured cost for one subrun at theta. */
+/** Expectation of the subrun's cost table at theta. */
 double
 subrunCost(StateVector &scratch, const SubRun &run,
-           const std::function<double(Basis)> &cost,
            const std::vector<double> &theta)
 {
     evolveInto(scratch, run, theta);
@@ -82,10 +81,7 @@ subrunCost(StateVector &scratch, const SubRun &run,
     if (run.costDistinct && run.costIndex)
         return scratch.expectationTableCompressed(*run.costDistinct,
                                                   *run.costIndex);
-    if (run.costTable)
-        return scratch.expectationTable(*run.costTable);
-    return scratch.expectationDiagonal(
-        [&](Basis x) { return cost(run.lift(x)); });
+    return scratch.expectationTable(*run.costTable);
 }
 
 /** Multi-start minimization; totals evaluations/iterations, keeps the
@@ -172,23 +168,22 @@ accumulateNoisy(std::map<Basis, double> &into, sim::NoisySampler &sampler,
 
 } // namespace
 
-EngineResult
-runQaoa(const std::vector<SubRun> &subruns,
-        const std::function<double(Basis)> &cost, const EngineOptions &opts)
+SolverOutcome
+runQaoa(const std::vector<SubRun> &subruns, const EngineOptions &opts)
 {
     CHOCOQ_ASSERT(!subruns.empty(), "engine needs at least one subrun");
     CHOCOQ_ASSERT(!opts.theta0.empty(), "engine needs initial parameters");
-
-    EngineResult out;
-    double weight_total = 0.0;
     for (const auto &r : subruns) {
-        weight_total += r.weight;
-        CHOCOQ_ASSERT(!r.compactStates
-                          || (r.evolve && r.costDistinct && r.costIndex),
-                      "a compact subrun needs evolve() and a compressed "
-                      "cost over its set");
+        if (r.compactStates)
+            CHOCOQ_ASSERT(r.evolve && r.costDistinct && r.costIndex,
+                          "a compact subrun needs evolve() and a "
+                          "compressed cost over its set");
+        else
+            CHOCOQ_ASSERT(r.costTable, "a subrun needs its cost table");
     }
-    CHOCOQ_ASSERT(weight_total > 0.0, "subrun weights must be positive");
+
+    SolverOutcome out;
+    out.circuitsPerIteration = static_cast<int>(subruns.size());
 
     double sim_seconds = 0.0;
     Timer total_timer;
@@ -223,10 +218,11 @@ runQaoa(const std::vector<SubRun> &subruns,
         };
 
     // Each eliminated/frozen-assignment circuit is optimized on its own
-    // (Sec. IV-C: circuits are executed individually). With one subrun
-    // the weighted sums below reduce exactly to that run's own values:
-    // its weight ratio is 1.0, and 0.0 + x == x for every x an
-    // expectation returns (never -0.0).
+    // (Sec. IV-C: circuits are executed individually) and weighs 1/m of
+    // the merged result. With one subrun the weighted sums below reduce
+    // exactly to that run's own values: its weight is 1.0, and
+    // 0.0 + x == x for every x an expectation returns (never -0.0).
+    const double w = 1.0 / static_cast<double>(subruns.size());
     std::vector<std::vector<double>> theta_star(subruns.size());
     double best_acc = 0.0;
     std::vector<optimize::TracePoint> merged_trace;
@@ -235,16 +231,15 @@ runQaoa(const std::vector<SubRun> &subruns,
             if (poll)
                 poll();
             Timer t;
-            const double v = subrunCost(scratch, subruns[i], cost, theta);
+            const double v = subrunCost(scratch, subruns[i], theta);
             sim_seconds += t.seconds();
             return v;
         };
         const auto res = optimizeMultiStart(objective, opts, poll);
         theta_star[i] = res.best;
-        const double w = subruns[i].weight / weight_total;
         best_acc += w * res.bestValue;
-        out.opt.iterations = std::max(out.opt.iterations, res.iterations);
-        out.opt.evaluations += res.evaluations;
+        out.iterations = std::max(out.iterations, res.iterations);
+        out.evaluations += res.evaluations;
         // Merge traces as the weighted best-so-far (padded). COBYLA
         // numbers its entries 1, 2, ..., so one subrun's trace passes
         // through unchanged.
@@ -259,9 +254,8 @@ runQaoa(const std::vector<SubRun> &subruns,
             merged_trace[k].best += w * v;
         }
     }
-    out.opt.best = theta_star.front();
-    out.opt.bestValue = best_acc;
-    out.opt.trace = std::move(merged_trace);
+    out.bestCost = best_acc;
+    out.trace = std::move(merged_trace);
 
     const double loop_seconds = total_timer.seconds();
     out.simSeconds = sim_seconds;
@@ -306,7 +300,6 @@ runQaoa(const std::vector<SubRun> &subruns,
         if (opts.checkpoint)
             opts.checkpoint();
         const SubRun &run = subruns[i];
-        const double w = run.weight / weight_total;
         // Measured index -> reduced basis state (the compact map of the
         // subspace backend; the identity on a dense state).
         const auto basisOf = [&run](Basis x) {

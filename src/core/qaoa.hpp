@@ -40,8 +40,6 @@ struct SubRun
 {
     /** Data-qubit count of this instance. */
     int numQubits = 0;
-    /** Initial basis state (prepared inside the built circuit). */
-    Basis init = 0;
     /** theta -> circuit builder (circuit includes state preparation). */
     std::function<circuit::Circuit(const std::vector<double> &)> build;
     /**
@@ -52,15 +50,16 @@ struct SubRun
      * Contract: the callee receives a state of the right dimension
      * (2^numQubits, or compactStates->size() for a compact run) with
      * unspecified contents and must establish its own initial state
-     * (every implementation starts with a reset to init).
+     * (every implementation starts with a reset to its initial state).
      */
     std::function<void(sim::StateVector &, const std::vector<double> &)>
         evolve;
     /** Map a measured instance-space state to the full variable space. */
     std::function<Basis(Basis)> lift;
     /**
-     * Optional precomputed cost table over this instance's basis states
-     * (must equal cost(lift(x)) pointwise); avoids per-state callbacks.
+     * The cost this instance is measured against, one value per basis
+     * state of the instance (the objective of lift(x) for state x).
+     * Required unless the run is compact.
      */
     std::shared_ptr<const std::vector<double>> costTable;
     /**
@@ -84,8 +83,6 @@ struct SubRun
      * build() and the noisy path stay on the full register.
      */
     std::shared_ptr<const std::vector<Basis>> compactStates;
-    /** Relative weight in the merged distribution. */
-    double weight = 1.0;
 };
 
 /** Engine configuration. */
@@ -177,40 +174,51 @@ struct EngineOptions
     obs::Trace *trace = nullptr;
 };
 
-/** Engine output. */
-struct EngineResult
+/** Outcome of one solver run on one problem instance. */
+struct SolverOutcome
 {
-    /** Merged normalized distribution over the full variable space. */
+    /** Normalized output distribution over the full variable space. */
     std::map<Basis, double> distribution;
-    optimize::OptResult opt;
-    /** Wall time spent building + transpiling circuits. */
-    double compileSeconds = 0.0;
-    /** Wall time in simulator cost evaluations (quantum stand-in). */
-    double simSeconds = 0.0;
-    /** Wall time in the optimizer outside simulation (classical part). */
-    double classicalSeconds = 0.0;
-    /** Depth of the representative (deepest) circuit before lowering. */
+    /** Optimizer iterations consumed. */
+    int iterations = 0;
+    /** Objective (circuit) evaluations consumed. */
+    int evaluations = 0;
+    /** Best cost reached by the variational loop. */
+    double bestCost = 0.0;
+    /** Best-so-far cost per iteration (Fig. 9a convergence curves). */
+    std::vector<optimize::TracePoint> trace;
+    /** Circuit depth before lowering. */
     int logicalDepth = 0;
-    /** Depth after transpilation to the basic basis. */
+    /** Circuit depth after transpilation to the basic basis. */
     int basisDepth = 0;
-    /** Basic-gate count after transpilation. */
+    /** Gate counts after transpilation. */
     std::size_t basisGateCount = 0;
-    /** Two-qubit basic-gate count after transpilation. */
     std::size_t basisTwoQubitCount = 0;
-    /** Register width including transpiler ancillas. */
+    /** Register width including ancillas. */
     int qubitsUsed = 0;
+    /** Number of circuit instances executed per iteration. */
+    int circuitsPerIteration = 1;
+    /** Compilation wall time (decomposition + lowering). */
+    double compileSeconds = 0.0;
+    /** Simulator wall time (stand-in for quantum execution). */
+    double simSeconds = 0.0;
+    /** Classical optimizer wall time. */
+    double classicalSeconds = 0.0;
 };
 
 /**
- * Run the variational loop.
+ * Run the variational loop: optimize every sub-run on its own, merge
+ * their final distributions with equal weights, and report the
+ * deployment artifacts of the circuits at the optimum.
+ * compileSeconds is the engine's own build-and-transpile time; a
+ * solver adds its compile time to it.
  *
- * @param subruns Circuit instances (at least one).
- * @param cost Diagonal cost on the full variable space (minimized).
+ * @param subruns Circuit instances (at least one), each carrying its
+ *        cost (costTable, or costDistinct/costIndex for a compact run).
  * @param opts Engine configuration.
  */
-EngineResult runQaoa(const std::vector<SubRun> &subruns,
-                     const std::function<double(Basis)> &cost,
-                     const EngineOptions &opts);
+SolverOutcome runQaoa(const std::vector<SubRun> &subruns,
+                      const EngineOptions &opts);
 
 } // namespace chocoq::core
 

@@ -1,52 +1,19 @@
 /**
  * @file
- * Common solver interface shared by Choco-Q and the baseline designs.
+ * Common solver interface shared by Choco-Q and the baseline designs
+ * (their outcome, SolverOutcome, is what core::runQaoa returns).
  */
 
 #ifndef CHOCOQ_CORE_SOLVER_HPP
 #define CHOCOQ_CORE_SOLVER_HPP
 
-#include <map>
 #include <string>
 
-#include "common/bitops.hpp"
 #include "core/qaoa.hpp"
 #include "model/problem.hpp"
 
 namespace chocoq::core
 {
-
-/** Outcome of one solver run on one problem instance. */
-struct SolverOutcome
-{
-    /** Normalized output distribution over the full variable space. */
-    std::map<Basis, double> distribution;
-    /** Optimizer iterations consumed. */
-    int iterations = 0;
-    /** Objective (circuit) evaluations consumed. */
-    int evaluations = 0;
-    /** Best cost reached by the variational loop. */
-    double bestCost = 0.0;
-    /** Best-so-far cost per iteration (Fig. 9a convergence curves). */
-    std::vector<optimize::TracePoint> trace;
-    /** Circuit depth before lowering. */
-    int logicalDepth = 0;
-    /** Circuit depth after transpilation to the basic basis. */
-    int basisDepth = 0;
-    /** Gate counts after transpilation. */
-    std::size_t basisGateCount = 0;
-    std::size_t basisTwoQubitCount = 0;
-    /** Register width including ancillas. */
-    int qubitsUsed = 0;
-    /** Number of circuit instances executed per iteration. */
-    int circuitsPerIteration = 1;
-    /** Compilation wall time (decomposition + lowering). */
-    double compileSeconds = 0.0;
-    /** Simulator wall time (stand-in for quantum execution). */
-    double simSeconds = 0.0;
-    /** Classical optimizer wall time. */
-    double classicalSeconds = 0.0;
-};
 
 /** Abstract constrained-binary-optimization solver. */
 class Solver

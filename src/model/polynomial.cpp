@@ -93,6 +93,15 @@ Polynomial::evaluate(Basis idx) const
     return acc;
 }
 
+std::vector<double>
+Polynomial::tabulate(int num_vars) const
+{
+    std::vector<double> table(std::size_t{1} << num_vars);
+    for (std::size_t i = 0; i < table.size(); ++i)
+        table[i] = evaluate(i);
+    return table;
+}
+
 Polynomial
 Polynomial::operator+(const Polynomial &rhs) const
 {

@@ -61,6 +61,10 @@ class Polynomial
     /** Evaluate on the assignment encoded by @p idx (bit i = x_i). */
     double evaluate(Basis idx) const;
 
+    /** evaluate() on every basis state of @p num_vars variables: the
+     * diagonal of the Hamiltonian, indexed by basis state. */
+    std::vector<double> tabulate(int num_vars) const;
+
     Polynomial operator+(const Polynomial &rhs) const;
     Polynomial operator-(const Polynomial &rhs) const;
     Polynomial operator*(const Polynomial &rhs) const;

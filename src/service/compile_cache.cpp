@@ -95,7 +95,6 @@ CompileCache::get(const model::Problem &p, const core::ChocoQSolver &solver,
     std::promise<std::shared_ptr<const core::ChocoQArtifacts>> promise;
     Future future;
     bool owner = false;
-    std::uint64_t generation = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (Entry *entry = map_.find(key)) {
@@ -103,11 +102,7 @@ CompileCache::get(const model::Problem &p, const core::ChocoQSolver &solver,
             ++hits_;
         } else {
             future = promise.get_future().share();
-            Entry fresh;
-            fresh.future = future;
-            fresh.generation = nextGeneration_++;
-            generation = fresh.generation;
-            map_.insert(key, std::move(fresh));
+            map_.insert(key, Entry{future, /*ready=*/false});
             owner = true;
             ++misses_;
         }
@@ -128,22 +123,16 @@ CompileCache::get(const model::Problem &p, const core::ChocoQSolver &solver,
         promise.set_value(artifacts);
         {
             std::lock_guard<std::mutex> lock(mu_);
-            // Touch only our own insertion: clear() may have dropped it
-            // mid-compile and a later request re-inserted the key with
-            // a fresh in-flight entry that must stay unevictable.
-            Entry *entry = map_.peek(key);
-            if (entry && entry->generation == generation) {
-                entry->ready = true;
-                map_.setBytes(key, artifacts->memoryBytes());
-                // Walk the cold end, skipping in-flight entries: their
-                // waiters hold the future, and eviction would re-run a
-                // compilation already paid for.
-                map_.evictOverBudget(
-                    [](const std::string &, const Entry &e) {
-                        return e.ready;
-                    },
-                    [](const std::string &, const Entry &) {});
-            }
+            // The in-flight entry under the key is ours: eviction skips
+            // entries that are not ready, and only the owner erases one.
+            map_.peek(key)->ready = true;
+            map_.setBytes(key, artifacts->memoryBytes());
+            // Walk the cold end, skipping in-flight entries: their
+            // waiters hold the future, and eviction would re-run a
+            // compilation already paid for.
+            map_.evictOverBudget(
+                [](const std::string &, const Entry &e) { return e.ready; },
+                [](const std::string &, const Entry &) {});
         }
         return artifacts;
     } catch (...) {
@@ -151,9 +140,7 @@ CompileCache::get(const model::Problem &p, const core::ChocoQSolver &solver,
         // fixed) request recompiles, then propagate to every waiter.
         {
             std::lock_guard<std::mutex> lock(mu_);
-            Entry *entry = map_.peek(key);
-            if (entry && entry->generation == generation)
-                map_.erase(key);
+            map_.erase(key);
         }
         promise.set_exception(std::current_exception());
         throw;
@@ -172,15 +159,6 @@ CompileCache::stats() const
     s.bytes = map_.bytes();
     s.maxBytes = opts_.maxBytes;
     return s;
-}
-
-void
-CompileCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    hits_ = 0;
-    misses_ = 0;
 }
 
 } // namespace chocoq::service

@@ -121,8 +121,6 @@ class CompileCache
 
     Stats stats() const;
 
-    void clear();
-
   private:
     using Future =
         std::shared_future<std::shared_ptr<const core::ChocoQArtifacts>>;
@@ -134,13 +132,6 @@ class CompileCache
          * Only ready entries are evictable: in-flight waiters hold the
          * future and eviction would break single-flight. */
         bool ready = false;
-        /**
-         * Insertion identity. An owner finishing a compile may find the
-         * map slot re-populated (clear() ran mid-compile and another
-         * thread re-requested the key); the generation check keeps its
-         * bookkeeping off that newer in-flight entry.
-         */
-        std::uint64_t generation = 0;
     };
 
     CompileCacheOptions opts_;
@@ -150,7 +141,6 @@ class CompileCache
     common::LruMap<std::string, Entry> map_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t nextGeneration_ = 1;
 };
 
 } // namespace chocoq::service

@@ -274,7 +274,7 @@ getBoundedLine(std::istream &in, std::string &line, std::size_t max_bytes,
         read_any = true;
         if (ch == '\n')
             return true;
-        if (max_bytes > 0 && line.size() >= max_bytes) {
+        if (line.size() >= max_bytes) {
             oversized = true;
             line.clear(); // keep only the bound, drop the rest
             // Discard through the newline (or EOF) without buffering.

@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "service/service.hpp"
 
 namespace chocoq::service
@@ -58,8 +59,7 @@ struct StreamLimits
      * Longest accepted request line in bytes (excluding the newline).
      * A longer line is failed with a per-line error response and
      * discarded without buffering more than this many bytes of it.
-     * 0 disables the check (batch fixtures only; the socket path always
-     * enforces a bound).
+     * Must be positive: both front-ends always enforce a bound.
      */
     std::size_t maxLineBytes = 1 << 20;
     /** Resource guards for inline problem specs (see spec/spec.hpp);
@@ -129,10 +129,12 @@ Json statsToJson(const SolveService &service);
 class LineFramer
 {
   public:
-    /** @p maxLineBytes 0 falls back to the 1 MiB socket default. */
+    /** @p maxLineBytes must be positive. */
     explicit LineFramer(std::size_t maxLineBytes = 1 << 20)
-        : maxLine_(maxLineBytes > 0 ? maxLineBytes : (std::size_t{1} << 20))
-    {}
+        : maxLine_(maxLineBytes)
+    {
+        CHOCOQ_ASSERT(maxLine_ > 0, "a line bound must be positive");
+    }
 
     /** One framed line. An oversized line comes back with empty text
      * and oversized set — its bytes are already discarded. */
@@ -196,9 +198,7 @@ struct ServerOptions
      * without bound). 0 = unbounded.
      */
     int maxInflight = 256;
-    /** Line and inline-spec bounds, shared with the batch front-end. A
-     * maxLineBytes of 0 falls back to the 1 MiB default: the socket
-     * path always enforces a bound. */
+    /** Line and inline-spec bounds, shared with the batch front-end. */
     StreamLimits limits;
     /**
      * Close a connection after this long with no bytes received and no

@@ -52,13 +52,10 @@ CyclicQaoaSolver::solve(const model::Problem &p) const
     // happily walks into the infeasible region, which is exactly the
     // leakage Table II reports for this baseline on FLP/GCP.
     auto phase_table =
-        std::make_shared<std::vector<double>>(std::size_t{1} << n);
-    for (std::size_t i = 0; i < phase_table->size(); ++i)
-        (*phase_table)[i] = f->evaluate(i);
+        std::make_shared<const std::vector<double>>(f->tabulate(n));
 
     core::SubRun run;
     run.numQubits = n;
-    run.init = x0;
     run.costTable = phase_table;
     run.build = [n, x0, f, pairs](const std::vector<double> &theta) {
         circuit::Circuit c(n);
@@ -96,25 +93,8 @@ CyclicQaoaSolver::solve(const model::Problem &p) const
         engine.extraStarts = {std::move(wide)};
     }
 
-    const core::EngineResult res = core::runQaoa(
-        {run}, [&](Basis x) { return p.minimizedObjectiveOf(x); },
-        engine);
-
-    core::SolverOutcome out;
-    out.distribution = res.distribution;
-    out.iterations = res.opt.iterations;
-    out.evaluations = res.opt.evaluations;
-    out.bestCost = res.opt.bestValue;
-    out.trace = res.opt.trace;
-    out.logicalDepth = res.logicalDepth;
-    out.basisDepth = res.basisDepth;
-    out.basisGateCount = res.basisGateCount;
-    out.basisTwoQubitCount = res.basisTwoQubitCount;
-    out.qubitsUsed = res.qubitsUsed;
-    out.circuitsPerIteration = 1;
-    out.compileSeconds = plan_seconds + res.compileSeconds;
-    out.simSeconds = res.simSeconds;
-    out.classicalSeconds = res.classicalSeconds;
+    core::SolverOutcome out = core::runQaoa({run}, engine);
+    out.compileSeconds += plan_seconds;
     return out;
 }
 

@@ -20,17 +20,13 @@ HeaSolver::solve(const model::Problem &p) const
     Timer compile_timer;
     const int n = p.numVars();
     const int layers = opts_.layers;
-    const model::Polynomial penalty = p.penaltyPolynomial(opts_.lambda);
-    auto cost_table =
-        std::make_shared<std::vector<double>>(std::size_t{1} << n);
-    for (std::size_t i = 0; i < cost_table->size(); ++i)
-        (*cost_table)[i] = penalty.evaluate(i);
+    auto cost_table = std::make_shared<const std::vector<double>>(
+        p.penaltyPolynomial(opts_.lambda).tabulate(n));
 
     // Parameter layout: block b in [0, layers], qubit q:
     // theta[2*(b*n + q)] = RY angle, theta[2*(b*n + q) + 1] = RZ angle.
     core::SubRun run;
     run.numQubits = n;
-    run.init = 0;
     run.costTable = cost_table;
     run.build = [n, layers](const std::vector<double> &theta) {
         circuit::Circuit c(n);
@@ -80,29 +76,8 @@ HeaSolver::solve(const model::Problem &p) const
             engine.theta0.push_back(rng.uniform(-0.3, 0.3));
     }
 
-    const core::EngineResult res = core::runQaoa(
-        {run},
-        [&](Basis x) {
-            return p.minimizedObjectiveOf(x)
-                   + opts_.lambda * p.violation(x);
-        },
-        engine);
-
-    core::SolverOutcome out;
-    out.distribution = res.distribution;
-    out.iterations = res.opt.iterations;
-    out.evaluations = res.opt.evaluations;
-    out.bestCost = res.opt.bestValue;
-    out.trace = res.opt.trace;
-    out.logicalDepth = res.logicalDepth;
-    out.basisDepth = res.basisDepth;
-    out.basisGateCount = res.basisGateCount;
-    out.basisTwoQubitCount = res.basisTwoQubitCount;
-    out.qubitsUsed = res.qubitsUsed;
-    out.circuitsPerIteration = 1;
-    out.compileSeconds = plan_seconds + res.compileSeconds;
-    out.simSeconds = res.simSeconds;
-    out.classicalSeconds = res.classicalSeconds;
+    core::SolverOutcome out = core::runQaoa({run}, engine);
+    out.compileSeconds += plan_seconds;
     return out;
 }
 

@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/circuits.hpp"
+#include "core/eliminate.hpp"
 
 namespace chocoq::solvers
 {
@@ -29,16 +30,6 @@ hotspotOrder(const model::Polynomial &poly, int n)
     std::stable_sort(order.begin(), order.end(),
                      [&](int a, int b) { return count[a] > count[b]; });
     return order;
-}
-
-/** Precompute poly values over k qubits. */
-std::shared_ptr<std::vector<double>>
-tabulate(const model::Polynomial &f, int k)
-{
-    auto table = std::make_shared<std::vector<double>>(std::size_t{1} << k);
-    for (std::size_t i = 0; i < table->size(); ++i)
-        (*table)[i] = f.evaluate(i);
-    return table;
 }
 
 } // namespace
@@ -72,6 +63,8 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
         }
     }
     const int k = static_cast<int>(kept.size());
+    // Freezing is elimination by another rule: lift like Choco-Q does.
+    const core::EliminationPlan plan{frozen, kept};
 
     std::vector<SubRun> runs;
     for (Basis assign = 0; assign < (Basis{1} << freeze); ++assign) {
@@ -79,11 +72,11 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
         for (int j = 0; j < freeze; ++j)
             sub = sub.substitute(frozen[j], getBit(assign, j));
         auto f = std::make_shared<model::Polynomial>(sub.remapped(new_of));
-        auto table = tabulate(*f, k);
+        auto table =
+            std::make_shared<const std::vector<double>>(f->tabulate(k));
 
         SubRun run;
         run.numQubits = k;
-        run.init = 0;
         run.costTable = table;
         run.build = [k, f](const std::vector<double> &theta) {
             circuit::Circuit c(k);
@@ -114,17 +107,8 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
                     state.apply1q(q, cc, ms, ms, cc);
             }
         };
-        const std::vector<int> kept_copy = kept;
-        const std::vector<int> frozen_copy = frozen;
-        run.lift = [kept_copy, frozen_copy, assign](Basis x) {
-            Basis full = 0;
-            for (std::size_t j = 0; j < kept_copy.size(); ++j)
-                if (getBit(x, static_cast<int>(j)))
-                    full |= Basis{1} << kept_copy[j];
-            for (std::size_t j = 0; j < frozen_copy.size(); ++j)
-                if (getBit(assign, static_cast<int>(j)))
-                    full |= Basis{1} << frozen_copy[j];
-            return full;
+        run.lift = [plan, assign](Basis x) {
+            return core::liftToFull(x, plan, assign);
         };
         runs.push_back(std::move(run));
     }
@@ -161,29 +145,8 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
         }
     }
 
-    const core::EngineResult res = core::runQaoa(
-        runs,
-        [&](Basis x) {
-            double v = p.minimizedObjectiveOf(x);
-            return v + opts_.lambda * p.violation(x);
-        },
-        engine);
-
-    core::SolverOutcome out;
-    out.distribution = res.distribution;
-    out.iterations = res.opt.iterations;
-    out.evaluations = res.opt.evaluations;
-    out.bestCost = res.opt.bestValue;
-    out.trace = res.opt.trace;
-    out.logicalDepth = res.logicalDepth;
-    out.basisDepth = res.basisDepth;
-    out.basisGateCount = res.basisGateCount;
-    out.basisTwoQubitCount = res.basisTwoQubitCount;
-    out.qubitsUsed = res.qubitsUsed;
-    out.circuitsPerIteration = static_cast<int>(runs.size());
-    out.compileSeconds = plan_seconds + res.compileSeconds;
-    out.simSeconds = res.simSeconds;
-    out.classicalSeconds = res.classicalSeconds;
+    core::SolverOutcome out = core::runQaoa(runs, engine);
+    out.compileSeconds += plan_seconds;
     return out;
 }
 

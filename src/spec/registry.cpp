@@ -144,20 +144,4 @@ ProblemRegistry::stats() const
     return s;
 }
 
-void
-ProblemRegistry::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    tombstones_.clear();
-    tombstoneOrder_.clear();
-    inserted_ = 0;
-    reused_ = 0;
-    refHits_ = 0;
-    refMisses_ = 0;
-    refExpired_ = 0;
-    generation_ = 0;
-    refreshes_ = 0;
-}
-
 } // namespace chocoq::spec

@@ -146,8 +146,6 @@ class ProblemRegistry
 
     Stats stats() const;
 
-    void clear();
-
   private:
     using Lru =
         common::LruMap<std::string, std::shared_ptr<const model::Problem>>;

@@ -111,16 +111,16 @@ TEST(ChocoQEndToEnd, EliminationReducesDepth)
     EXPECT_EQ(run1.circuitsPerIteration, 2);
 }
 
-TEST(ChocoQEndToEnd, CompileOnlyReportsBasisAndPlan)
+TEST(ChocoQEndToEnd, CompileReportsBasisAndPlan)
 {
     const auto p = problems::makeCase(problems::Scale::G1, 0);
+    EXPECT_TRUE(core::computeMoveBasis(p).complete);
     const core::ChocoQSolver solver(quickChoco());
-    const auto comp = solver.compileOnly(p);
-    EXPECT_TRUE(comp.basis.complete);
-    EXPECT_EQ(comp.plan.eliminated.size(), 1u);
-    EXPECT_GT(comp.subInstances, 0);
-    EXPECT_FALSE(comp.terms.empty());
-    EXPECT_GT(comp.seconds, 0.0);
+    const auto art = solver.compile(p);
+    EXPECT_EQ(art->plan.eliminated.size(), 1u);
+    ASSERT_FALSE(art->subs.empty());
+    EXPECT_FALSE(art->subs.front().terms->empty());
+    EXPECT_GT(art->seconds, 0.0);
 }
 
 TEST(Baselines, PenaltyRunsAndReportsMetrics)

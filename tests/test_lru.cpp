@@ -171,23 +171,4 @@ TEST(LruMap, EvictableGuardSkipsInPlace)
     EXPECT_EQ(m.evictions(), 2u);
 }
 
-TEST(LruMap, ClearResetsAccounting)
-{
-    Map m(Map::Options{/*maxBytes=*/10, /*minEntries=*/0});
-    m.insert("a", 1, 20);
-    m.insert("b", 2, 20);
-    m.evictOverBudget();
-    EXPECT_GT(m.evictions(), 0u);
-
-    m.clear();
-    EXPECT_TRUE(m.empty());
-    EXPECT_EQ(m.bytes(), 0u);
-    EXPECT_EQ(m.evictions(), 0u);
-    EXPECT_TRUE(m.keys().empty());
-
-    m.insert("a", 5, 3);
-    EXPECT_EQ(*m.peek("a"), 5);
-    EXPECT_EQ(m.bytes(), 3u);
-}
-
 } // namespace

@@ -27,12 +27,24 @@
 
 using namespace chocoq;
 
+namespace
+{
+
+/** A sub-run's cost table, one value per basis state. */
+std::shared_ptr<const std::vector<double>>
+costOf(std::vector<double> values)
+{
+    return std::make_shared<const std::vector<double>>(std::move(values));
+}
+
+} // namespace
+
 TEST(QaoaEngine, SingleSubrunExactDistribution)
 {
     // One-qubit "ansatz": RX rotation; cost favors |1>.
     core::SubRun run;
     run.numQubits = 1;
-    run.init = 0;
+    run.costTable = costOf({1.0, -1.0});
     run.build = [](const std::vector<double> &theta) {
         circuit::Circuit c(1);
         c.rx(0, theta[0]);
@@ -43,17 +55,17 @@ TEST(QaoaEngine, SingleSubrunExactDistribution)
     core::EngineOptions opts;
     opts.theta0 = {0.5};
     opts.opt.maxIterations = 80;
-    const auto res = core::runQaoa(
-        {run}, [](Basis x) { return x == 1 ? -1.0 : 1.0; }, opts);
+    const auto res = core::runQaoa({run}, opts);
     // Optimal RX angle is pi: all mass on |1>.
     EXPECT_GT(res.distribution.at(1), 0.95);
-    EXPECT_LE(res.opt.bestValue, -0.9);
+    EXPECT_LE(res.bestCost, -0.9);
 }
 
 TEST(QaoaEngine, EvolveFastPathMatchesBuild)
 {
     core::SubRun a;
     a.numQubits = 2;
+    a.costTable = costOf({0.0, 1.0, 2.0, 3.0});
     a.build = [](const std::vector<double> &theta) {
         circuit::Circuit c(2);
         c.h(0);
@@ -77,20 +89,19 @@ TEST(QaoaEngine, EvolveFastPathMatchesBuild)
     core::EngineOptions opts;
     opts.theta0 = {0.9};
     opts.opt.maxIterations = 10;
-    const auto cost = [](Basis x) { return static_cast<double>(x); };
-    const auto res_a = core::runQaoa({a}, cost, opts);
-    const auto res_b = core::runQaoa({b}, cost, opts);
-    EXPECT_NEAR(res_a.opt.bestValue, res_b.opt.bestValue, 1e-9);
+    const auto res_a = core::runQaoa({a}, opts);
+    const auto res_b = core::runQaoa({b}, opts);
+    EXPECT_NEAR(res_a.bestCost, res_b.bestCost, 1e-9);
 }
 
-TEST(QaoaEngine, MultipleSubrunsMergeWeighted)
+TEST(QaoaEngine, MultipleSubrunsMergeWithEqualWeights)
 {
-    // Two constant circuits pinned to |0> and |1>, weights 1 and 3.
-    auto make = [](Basis init, double weight) {
+    // Two constant circuits pinned to |0> and |1>: each sub-run weighs
+    // 1/2 of the merged distribution.
+    auto make = [](Basis init) {
         core::SubRun run;
         run.numQubits = 1;
-        run.init = init;
-        run.weight = weight;
+        run.costTable = costOf({0.0, 0.0});
         run.build = [init](const std::vector<double> &) {
             circuit::Circuit c(1);
             core::appendBasisPreparation(c, init);
@@ -102,16 +113,30 @@ TEST(QaoaEngine, MultipleSubrunsMergeWeighted)
     core::EngineOptions opts;
     opts.theta0 = {0.0};
     opts.opt.maxIterations = 2;
-    const auto res = core::runQaoa({make(0, 1.0), make(1, 3.0)},
-                                   [](Basis) { return 0.0; }, opts);
-    EXPECT_NEAR(res.distribution.at(0), 0.25, 1e-9);
-    EXPECT_NEAR(res.distribution.at(1), 0.75, 1e-9);
+    const auto res = core::runQaoa({make(0), make(1)}, opts);
+    EXPECT_EQ(res.distribution.at(0), 0.5);
+    EXPECT_EQ(res.distribution.at(1), 0.5);
+    EXPECT_EQ(res.circuitsPerIteration, 2);
+}
+
+TEST(QaoaEngine, SubrunWithoutACostTableIsRejected)
+{
+    core::SubRun run;
+    run.numQubits = 1;
+    run.build = [](const std::vector<double> &) {
+        return circuit::Circuit(1);
+    };
+    run.lift = [](Basis x) { return x; };
+    core::EngineOptions opts;
+    opts.theta0 = {0.0};
+    EXPECT_THROW((void)core::runQaoa({run}, opts), InternalError);
 }
 
 TEST(QaoaEngine, ShotSamplingApproximatesExact)
 {
     core::SubRun run;
     run.numQubits = 1;
+    run.costTable = costOf({0.0, 0.0});
     run.build = [](const std::vector<double> &) {
         circuit::Circuit c(1);
         c.h(0);
@@ -122,7 +147,7 @@ TEST(QaoaEngine, ShotSamplingApproximatesExact)
     opts.theta0 = {0.0};
     opts.opt.maxIterations = 1;
     opts.shots = 20000;
-    const auto res = core::runQaoa({run}, [](Basis) { return 0.0; }, opts);
+    const auto res = core::runQaoa({run}, opts);
     EXPECT_NEAR(res.distribution.at(0), 0.5, 0.03);
 }
 
@@ -131,6 +156,7 @@ TEST(QaoaEngine, ReportsTranspiledArtifacts)
     const auto terms = core::makeCommuteTerms({{1, -1, 1, 0}});
     core::SubRun run;
     run.numQubits = 4;
+    run.costTable = costOf(std::vector<double>(16, 0.0));
     run.build = [terms](const std::vector<double> &theta) {
         circuit::Circuit c(4);
         core::appendDriverLayer(c, terms, theta[0]);
@@ -140,7 +166,7 @@ TEST(QaoaEngine, ReportsTranspiledArtifacts)
     core::EngineOptions opts;
     opts.theta0 = {0.7};
     opts.opt.maxIterations = 1;
-    const auto res = core::runQaoa({run}, [](Basis) { return 0.0; }, opts);
+    const auto res = core::runQaoa({run}, opts);
     EXPECT_GT(res.basisDepth, res.logicalDepth);
     EXPECT_GT(res.basisGateCount, 0u);
     EXPECT_GE(res.qubitsUsed, 4);
@@ -303,6 +329,7 @@ TEST(QaoaEngine, ExtraStartsFindBetterMinimum)
     // minimum near an extra start.
     core::SubRun run;
     run.numQubits = 1;
+    run.costTable = costOf({1.0, -1.0});
     run.build = [](const std::vector<double> &theta) {
         circuit::Circuit c(1);
         c.rx(0, theta[0]);
@@ -313,14 +340,13 @@ TEST(QaoaEngine, ExtraStartsFindBetterMinimum)
     narrow.theta0 = {0.05};
     narrow.opt.maxIterations = 15;
     narrow.opt.initialStep = 0.05;
-    const auto cost = [](Basis x) { return x == 1 ? -1.0 : 1.0; };
-    const auto res_narrow = core::runQaoa({run}, cost, narrow);
+    const auto res_narrow = core::runQaoa({run}, narrow);
 
     core::EngineOptions multi = narrow;
     multi.extraStarts = {{3.0}};
-    const auto res_multi = core::runQaoa({run}, cost, multi);
-    EXPECT_LE(res_multi.opt.bestValue, res_narrow.opt.bestValue + 1e-9);
-    EXPECT_GT(res_multi.opt.evaluations, res_narrow.opt.evaluations);
+    const auto res_multi = core::runQaoa({run}, multi);
+    EXPECT_LE(res_multi.bestCost, res_narrow.bestCost + 1e-9);
+    EXPECT_GT(res_multi.evaluations, res_narrow.evaluations);
 }
 
 TEST(QaoaEngine, IndependentSubrunsOptimizeSeparately)
@@ -330,6 +356,9 @@ TEST(QaoaEngine, IndependentSubrunsOptimizeSeparately)
     auto make = [](double target) {
         core::SubRun run;
         run.numQubits = 1;
+        // The full-space cost favors |1>, measured through each lift.
+        run.costTable =
+            target > 0 ? costOf({1.0, -1.0}) : costOf({-1.0, 1.0});
         run.build = [](const std::vector<double> &theta) {
             circuit::Circuit c(1);
             c.rx(0, theta[0]);
@@ -345,9 +374,7 @@ TEST(QaoaEngine, IndependentSubrunsOptimizeSeparately)
     core::EngineOptions opts;
     opts.theta0 = {0.4};
     opts.opt.maxIterations = 60;
-    const auto res = core::runQaoa(
-        {make(1.0), make(-1.0)},
-        [](Basis x) { return x == 1 ? -1.0 : 1.0; }, opts);
+    const auto res = core::runQaoa({make(1.0), make(-1.0)}, opts);
     // Both subruns can push all their mass onto full-space |1>.
     EXPECT_GT(res.distribution.at(1), 0.9);
 }
@@ -369,7 +396,6 @@ commuteLayerSubRun()
     const Basis x0 = 0b001;
     core::SubRun run;
     run.numQubits = n;
-    run.init = x0;
     run.costTable = table;
     run.build = [n, x0](const std::vector<double> &) {
         circuit::Circuit c(n); // only the transpiled artifacts use it
@@ -404,16 +430,18 @@ screenedMultiStart()
 }
 
 void
-expectBitwiseSameResult(const core::EngineResult &a,
-                        const core::EngineResult &b)
+expectBitwiseSameResult(const core::SolverOutcome &a,
+                        const core::SolverOutcome &b)
 {
-    ASSERT_EQ(a.opt.best.size(), b.opt.best.size());
-    EXPECT_EQ(0, std::memcmp(a.opt.best.data(), b.opt.best.data(),
-                             a.opt.best.size() * sizeof(double)));
-    EXPECT_EQ(0, std::memcmp(&a.opt.bestValue, &b.opt.bestValue,
-                             sizeof(double)));
-    EXPECT_EQ(a.opt.evaluations, b.opt.evaluations);
-    EXPECT_EQ(a.opt.iterations, b.opt.iterations);
+    ASSERT_EQ(a.trace.size(), b.trace.size());
+    for (std::size_t k = 0; k < a.trace.size(); ++k) {
+        EXPECT_EQ(a.trace[k].iteration, b.trace[k].iteration);
+        EXPECT_EQ(0, std::memcmp(&a.trace[k].best, &b.trace[k].best,
+                                 sizeof(double)));
+    }
+    EXPECT_EQ(0, std::memcmp(&a.bestCost, &b.bestCost, sizeof(double)));
+    EXPECT_EQ(a.evaluations, b.evaluations);
+    EXPECT_EQ(a.iterations, b.iterations);
     ASSERT_EQ(a.distribution.size(), b.distribution.size());
     for (auto it_a = a.distribution.begin(), it_b = b.distribution.begin();
          it_a != a.distribution.end(); ++it_a, ++it_b) {
@@ -426,27 +454,25 @@ expectBitwiseSameResult(const core::EngineResult &a,
 TEST(QaoaEngineMultiStart, CheckpointThatNeverFiresIsBitwiseNoOp)
 {
     const core::SubRun run = commuteLayerSubRun();
-    const auto cost = [&run](Basis x) { return (*run.costTable)[x]; };
     const core::EngineOptions plain = screenedMultiStart();
-    const auto reference = core::runQaoa({run}, cost, plain);
+    const auto reference = core::runQaoa({run}, plain);
 
     core::EngineOptions hooked = plain;
     int calls = 0;
     hooked.checkpoint = [&calls] { ++calls; };
-    expectBitwiseSameResult(reference, core::runQaoa({run}, cost, hooked));
+    expectBitwiseSameResult(reference, core::runQaoa({run}, hooked));
     EXPECT_GT(calls, 0);
 }
 
 TEST(QaoaEngineMultiStart, ThrowingCheckpointPropagates)
 {
     const core::SubRun run = commuteLayerSubRun();
-    const auto cost = [&run](Basis x) { return (*run.costTable)[x]; };
 
     // Count the checkpoints of a whole run, then throw halfway through.
     core::EngineOptions probe = screenedMultiStart();
     int total = 0;
     probe.checkpoint = [&total] { ++total; };
-    (void)core::runQaoa({run}, cost, probe);
+    (void)core::runQaoa({run}, probe);
     ASSERT_GT(total, 2);
 
     core::EngineOptions cancel = probe;
@@ -456,7 +482,7 @@ TEST(QaoaEngineMultiStart, ThrowingCheckpointPropagates)
         if (++calls >= limit)
             throw std::runtime_error("cancelled");
     };
-    EXPECT_THROW((void)core::runQaoa({run}, cost, cancel),
+    EXPECT_THROW((void)core::runQaoa({run}, cancel),
                  std::runtime_error);
     EXPECT_EQ(calls, limit);
 }

@@ -71,10 +71,9 @@ usage(const char *argv0)
            "(default: 256,\n"
         << "                 0 = unbounded); coldest artifacts are "
            "evicted first\n"
-        << "  --max-line-bytes N  longest accepted request line "
-           "(default: 1 MiB;\n"
-        << "                 0 = unbounded in batch mode, 1 MiB on the "
-           "socket)\n"
+        << "  --max-line-bytes N  longest accepted request line, "
+           "1 to 2^40\n"
+        << "                 (default: 1 MiB)\n"
         << "  --max-qubits N      most variables an inline \"problem\" "
            "spec may\n"
         << "                 declare (default: 28, hard ceiling 62)\n"
@@ -350,10 +349,9 @@ main(int argc, char **argv)
             server_options.maxConnections = static_cast<int>(
                 parsedNonNegative(next(), "--max-conns", 1 << 30));
         } else if (arg == "--max-line-bytes") {
-            // Applies to both modes (0 = unbounded batch; the socket
-            // path clamps 0 to its 1 MiB default).
+            // Applies to both modes; every front-end enforces a bound.
             limits.maxLineBytes = static_cast<std::size_t>(
-                parsedNonNegative(next(), "--max-line-bytes", 1ll << 40));
+                parsedNonNegative(next(), "--max-line-bytes", 1ll << 40, 1));
         } else if (arg == "--max-qubits") {
             // Both modes: the spec guards are part of the protocol, not
             // a socket-only defense. 0 would reject every inline
