@@ -55,7 +55,6 @@ main(int argc, char **argv)
             choco_opts.engine.noise = noise;
             choco_opts.engine.shots = cfg.shots;
             choco_opts.engine.trajectories = cfg.trajectories;
-            choco_opts.engine.transpile.nativeCz = dev.nativeCz;
 
             const solvers::PenaltyQaoaSolver penalty(pen_opts);
             const solvers::CyclicQaoaSolver cyclic(cyc_opts);

@@ -64,7 +64,6 @@ main(int argc, char **argv)
             opts.engine.noise = noise;
             opts.engine.shots = cfg.full ? cfg.shots : 512;
             opts.engine.trajectories = cfg.full ? cfg.trajectories : 16;
-            opts.engine.transpile.nativeCz = true;
             const auto r = runCase(core::ChocoQSolver(opts), p, exact);
             row.push_back(fmtPct(r.stats.successRate, 2));
         }

@@ -59,7 +59,6 @@ main(int argc, char **argv)
             opts.engine.noise = noise;
             opts.engine.shots = cfg.shots;
             opts.engine.trajectories = cfg.trajectories;
-            opts.engine.transpile.nativeCz = true;
             const auto r = runCase(core::ChocoQSolver(opts), p, exact);
             depth_avg[c] += r.outcome.basisDepth;
             succ_avg[c] += r.stats.successRate;

@@ -138,8 +138,10 @@ BM_PairRotation(benchmark::State &state)
     const int k = static_cast<int>(state.range(0));
     sim::StateVector sv(kKernelQubits);
     const auto term = spreadTerm(kKernelQubits, k);
+    const double c = std::cos(0.3);
+    const double s = std::sin(0.3);
     for (auto _ : state) {
-        core::applyCommuteExact(sv, term, 0.3);
+        sv.applyPairRotation(term.supportMask, term.vBits, c, s);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
     setAmpCounters(state, std::int64_t{1} << kKernelQubits);
@@ -167,8 +169,10 @@ BM_PairRotationLowSupport(benchmark::State &state)
     const int k = static_cast<int>(state.range(0));
     sim::StateVector sv(kKernelQubits);
     const auto term = lowTerm(kKernelQubits, k);
+    const double c = std::cos(0.3);
+    const double s = std::sin(0.3);
     for (auto _ : state) {
-        core::applyCommuteExact(sv, term, 0.3);
+        sv.applyPairRotation(term.supportMask, term.vBits, c, s);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
     setAmpCounters(state, std::int64_t{1} << kKernelQubits);
@@ -218,18 +222,6 @@ BM_Controlled1q(benchmark::State &state)
 BENCHMARK(BM_Controlled1q);
 
 void
-BM_XY(benchmark::State &state)
-{
-    sim::StateVector sv(kKernelQubits);
-    for (auto _ : state) {
-        sv.applyXY(1, kKernelQubits - 2, 0.6);
-        benchmark::DoNotOptimize(sv.amplitudes().data());
-    }
-    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
-}
-BENCHMARK(BM_XY);
-
-void
 BM_Swap(benchmark::State &state)
 {
     sim::StateVector sv(kKernelQubits);
@@ -276,8 +268,10 @@ BM_PairRotationThreads(benchmark::State &state)
     sim::setSimThreads(static_cast<int>(state.range(0)));
     sim::StateVector sv(kKernelQubits);
     const auto term = spreadTerm(kKernelQubits, 3);
+    const double c = std::cos(0.3);
+    const double s = std::sin(0.3);
     for (auto _ : state) {
-        core::applyCommuteExact(sv, term, 0.3);
+        sv.applyPairRotation(term.supportMask, term.vBits, c, s);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
     sim::setSimThreads(0);
@@ -475,12 +469,9 @@ circuit::Circuit
 fezLoweredAnsatz(benchmark::State &state)
 {
     const core::CompiledSub &cs = layerProbeSub(state);
-    circuit::TranspileOptions lowering;
-    lowering.nativeCz = device::fez().nativeCz;
     return circuit::transpile(core::chocoAnsatz(cs.numQubits, cs.init,
                                                 *cs.objective, *cs.terms,
-                                                {0.4, 0.7}),
-                              lowering);
+                                                {0.4, 0.7}));
 }
 
 /**

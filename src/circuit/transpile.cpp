@@ -131,8 +131,7 @@ emitXy(Circuit &out, int a, int b, double beta)
 }
 
 void
-lowerGate(Circuit &out, AncillaPool &pool, const Gate &g,
-          const TranspileOptions &opts)
+lowerGate(Circuit &out, AncillaPool &pool, const Gate &g)
 {
     switch (g.type) {
       case GateType::H:
@@ -179,13 +178,9 @@ lowerGate(Circuit &out, AncillaPool &pool, const Gate &g,
         out.rz(g.qubits[0], g.param);
         return;
       case GateType::CZ:
-        if (opts.nativeCz) {
-            out.add(g);
-        } else {
-            out.h(g.qubits[1]);
-            out.cx(g.qubits[0], g.qubits[1]);
-            out.h(g.qubits[1]);
-        }
+        out.h(g.qubits[1]);
+        out.cx(g.qubits[0], g.qubits[1]);
+        out.h(g.qubits[1]);
         return;
       case GateType::CP:
         emitCp(out, g.qubits[0], g.qubits[1], g.param);
@@ -225,19 +220,19 @@ lowerGate(Circuit &out, AncillaPool &pool, const Gate &g,
 } // namespace
 
 Circuit
-transpile(const Circuit &input, const TranspileOptions &opts)
+transpile(const Circuit &input)
 {
     Circuit out(input.numData());
     // Pre-extend the register to cover ancillas already present upstream.
     out.reserveAncillas(input.numQubits() - input.numData());
     AncillaPool pool(out);
     for (const auto &g : input.gates())
-        lowerGate(out, pool, g, opts);
+        lowerGate(out, pool, g);
     return out;
 }
 
 bool
-isLowered(const Circuit &c, const TranspileOptions &opts)
+isLowered(const Circuit &c)
 {
     for (const auto &g : c.gates()) {
         switch (g.type) {
@@ -247,10 +242,6 @@ isLowered(const Circuit &c, const TranspileOptions &opts)
           case GateType::CX:
           case GateType::BARRIER:
             continue;
-          case GateType::CZ:
-            if (opts.nativeCz)
-                continue;
-            return false;
           default:
             return false;
         }

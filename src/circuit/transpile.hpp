@@ -18,25 +18,15 @@
 namespace chocoq::circuit
 {
 
-/** Options controlling the lowering pass. */
-struct TranspileOptions
-{
-    /**
-     * Keep CZ as a basis gate (Heron-class devices such as IBM Fez expose
-     * CZ natively). When false, CZ lowers to H-CX-H.
-     */
-    bool nativeCz = false;
-};
-
 /**
  * Lower @p input to the basic basis. Ancilla qubits required by
  * multi-controlled gates are appended to the register; they are returned
  * to |0> after every use and are shared across all gates of the circuit.
  */
-Circuit transpile(const Circuit &input, const TranspileOptions &opts = {});
+Circuit transpile(const Circuit &input);
 
-/** True when the circuit contains only basis gates (H, X, RZ, CX[, CZ]). */
-bool isLowered(const Circuit &c, const TranspileOptions &opts = {});
+/** True when the circuit contains only basis gates (H, X, RZ, CX). */
+bool isLowered(const Circuit &c);
 
 } // namespace chocoq::circuit
 

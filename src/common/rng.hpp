@@ -53,17 +53,6 @@ class Rng
      */
     std::size_t discrete(const std::vector<double> &weights);
 
-    /** Shuffle a vector in place (Fisher-Yates). */
-    template <typename T>
-    void
-    shuffle(std::vector<T> &v)
-    {
-        for (std::size_t i = v.size(); i > 1; --i) {
-            std::size_t j = below(i);
-            std::swap(v[i - 1], v[j]);
-        }
-    }
-
   private:
     std::uint64_t s_[4];
     bool haveSpare_ = false;

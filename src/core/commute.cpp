@@ -86,13 +86,6 @@ denseConstraintOperator(const std::vector<int> &coeffs, int n)
 }
 
 void
-applyCommuteExact(sim::StateVector &state, const CommuteTerm &term,
-                  double beta)
-{
-    state.applyPairRotation(term.supportMask, term.vBits, beta);
-}
-
-void
 applyCommuteLayer(sim::StateVector &state,
                   const std::vector<CommuteTerm> &terms, double beta)
 {

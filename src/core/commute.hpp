@@ -59,16 +59,10 @@ linalg::Matrix denseConstraintOperator(const std::vector<int> &coeffs,
                                        int n);
 
 /**
- * Exact functional evolution exp(-i beta Hc(u)) |state> via the
- * pair-rotation kernel (no circuit, no ancillas).
- */
-void applyCommuteExact(sim::StateVector &state, const CommuteTerm &term,
-                       double beta);
-
-/**
- * Exact evolution of a whole layer prod_u exp(-i beta Hc(u)) sharing one
- * angle: cos/sin are computed once and reused across every term, so each
- * term costs only its own 2^(n-k) pair rotations.
+ * Exact functional evolution of a whole layer prod_u exp(-i beta Hc(u))
+ * sharing one angle, via the pair-rotation kernel (no circuit, no
+ * ancillas): cos/sin are computed once and reused across every term, so
+ * each term costs only its own 2^(n-k) pair rotations.
  */
 void applyCommuteLayer(sim::StateVector &state,
                        const std::vector<CommuteTerm> &terms, double beta);

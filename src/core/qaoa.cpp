@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 
+#include "circuit/transpile.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
@@ -273,7 +274,7 @@ runQaoa(const std::vector<SubRun> &subruns, const EngineOptions &opts)
             opts.checkpoint();
         circuit::Circuit c = subruns[i].build(theta_star[i]);
         out.logicalDepth = std::max(out.logicalDepth, c.depth());
-        circuit::Circuit lowered = circuit::transpile(c, opts.transpile);
+        circuit::Circuit lowered = circuit::transpile(c);
         out.basisDepth = std::max(out.basisDepth, lowered.depth());
         out.basisGateCount =
             std::max(out.basisGateCount, lowered.gateCount());

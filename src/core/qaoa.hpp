@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "circuit/transpile.hpp"
 #include "common/bitops.hpp"
 #include "optimize/optimizer.hpp"
 #include "sim/executor.hpp"
@@ -136,7 +135,6 @@ struct EngineOptions
     sim::NoiseModel noise;
     /** Number of noisy trajectories used when noise is enabled. */
     int trajectories = 128;
-    circuit::TranspileOptions transpile;
     /** Seeds the final shot sampling and the noisy trajectories (the
      * optimizer is deterministic and draws no random numbers). */
     std::uint64_t seed = 7;

@@ -12,7 +12,6 @@ fez()
 {
     DeviceModel d;
     d.name = "Fez";
-    d.nativeCz = true;
     d.err1q = 3e-4;
     d.err2qNative = 0.003; // CZ fidelity 99.7%
     d.czFactor = 1.0;
@@ -29,7 +28,6 @@ osaka()
 {
     DeviceModel d;
     d.name = "Osaka";
-    d.nativeCz = false;
     d.err1q = 5e-4;
     d.err2qNative = 0.007; // ECR fidelity 99.3%
     d.czFactor = 3.0;      // CZ = 3 single-direction ECR

@@ -8,7 +8,8 @@
  * repository replaces cloud hardware with simulation, each device is
  * reduced to the parameters that drive the paper's hardware results:
  * gate error rates (-> noise trajectories), gate/readout/shot timings
- * (-> latency estimates), and the native two-qubit gate.
+ * (-> latency estimates), and how many native two-qubit gates one CZ
+ * costs.
  */
 
 #ifndef CHOCOQ_DEVICE_DEVICE_HPP
@@ -26,8 +27,6 @@ namespace chocoq::device
 struct DeviceModel
 {
     std::string name;
-    /** Native two-qubit basis gate is CZ (Heron) vs ECR (Eagle). */
-    bool nativeCz = false;
     /** Single-qubit gate error probability. */
     double err1q = 0.0;
     /** Native two-qubit gate error probability. */

@@ -37,14 +37,11 @@ constexpr std::array<KernelCost, kKernelCount> kCosts = {{
     /* PairRotation */ {32.0, 6.0},
     /* PairRotationGroup */ {32.0, 6.0},
     /* PhasedPairRotationGroup */ {32.0, 6.0},
-    /* XY */ {32.0, 6.0},
     /* Swap */ {32.0, 0.0},
     /* PhaseTable */ {40.0, 9.0},
     /* PhaseTableCompressed */ {34.0, 6.0},
-    /* ApplyDiagonal */ {32.0, 6.0},
     /* ExpectationTable */ {24.0, 5.0},
     /* ExpectationTableCompressed */ {18.0, 5.0},
-    /* ExpectationDiagonal */ {16.0, 5.0},
     /* SubspaceLayer */ {36.0, 6.0},
     /* ExpectationSubspace */ {18.0, 5.0},
 }};
@@ -58,14 +55,11 @@ constexpr std::array<const char *, kKernelCount> kNames = {{
     "pair_rotation",
     "pair_rotation_group",
     "phased_pair_rotation_group",
-    "xy",
     "swap",
     "phase_table",
     "phase_table_compressed",
-    "apply_diagonal",
     "expectation_table",
     "expectation_table_compressed",
-    "expectation_diagonal",
     "subspace_layer",
     "expectation_subspace",
 }};

@@ -45,14 +45,11 @@ enum class KernelId : int
     PairRotation,
     PairRotationGroup,
     PhasedPairRotationGroup,
-    XY,
     Swap,
     PhaseTable,
     PhaseTableCompressed,
-    ApplyDiagonal,
     ExpectationTable,
     ExpectationTableCompressed,
-    ExpectationDiagonal,
     SubspaceLayer,
     ExpectationSubspace,
     kCount,

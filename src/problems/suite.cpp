@@ -153,14 +153,4 @@ makeCase(Scale s, unsigned index)
     }
 }
 
-std::vector<model::Problem>
-makeCases(Scale s, unsigned count)
-{
-    std::vector<model::Problem> out;
-    out.reserve(count);
-    for (unsigned i = 0; i < count; ++i)
-        out.push_back(makeCase(s, i));
-    return out;
-}
-
 } // namespace chocoq::problems

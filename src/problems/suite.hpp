@@ -54,9 +54,6 @@ int scaleNumConstraints(Scale s);
 /** Generate the @p index-th seeded case of a scale. */
 model::Problem makeCase(Scale s, unsigned index);
 
-/** Generate @p count seeded cases of a scale. */
-std::vector<model::Problem> makeCases(Scale s, unsigned count);
-
 } // namespace chocoq::problems
 
 #endif // CHOCOQ_PROBLEMS_SUITE_HPP

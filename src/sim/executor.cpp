@@ -456,7 +456,12 @@ applyGate(StateVector &state, const Gate &g)
         return;
       }
       case GateType::XY:
-        state.applyXY(g.qubits[0], g.qubits[1], theta);
+        // exp(-i theta (XX + YY)) is the commute term Hc(e_a - e_b) at
+        // 2 theta: it mixes |1_a 0_b> with |0_a 1_b>.
+        CHOCOQ_ASSERT(g.qubits[0] != g.qubits[1], "XY on identical qubits");
+        state.applyPairRotation(maskOf(g.qubits, 0, 2),
+                                Basis{1} << g.qubits[0],
+                                std::cos(2.0 * theta), std::sin(2.0 * theta));
         return;
       case GateType::MCP:
         state.applyPhaseMask(maskOf(g.qubits, 0, g.qubits.size()), theta);

@@ -78,25 +78,6 @@ controlled1q(CVec &amp, Basis control_mask, int q, Cplx m00, Cplx m01,
     }
 }
 
-/** exp(-i beta (XX + YY)) on the {01, 10} block, branch-per-state scan. */
-inline void
-xy(CVec &amp, int a, int b, double beta)
-{
-    const Basis ba = Basis{1} << a;
-    const Basis bb = Basis{1} << b;
-    const Cplx c{std::cos(2.0 * beta), 0.0};
-    const Cplx ms{0.0, -std::sin(2.0 * beta)};
-    for (std::size_t i = 0; i < amp.size(); ++i) {
-        if ((i & ba) == 0 || (i & bb) != 0)
-            continue;
-        const std::size_t j = (i ^ ba) | bb;
-        const Cplx x = amp[i];
-        const Cplx y = amp[j];
-        amp[i] = c * x + ms * y;
-        amp[j] = ms * x + c * y;
-    }
-}
-
 /** Swap of two qubits, branch-per-state scan. */
 inline void
 swapQubits(CVec &amp, int a, int b)

@@ -155,13 +155,6 @@ StateVector::applyParityPhase(Basis mask, Cplx even, Cplx odd)
 }
 
 void
-StateVector::applyPairRotation(Basis support_mask, Basis v_bits, double beta)
-{
-    applyPairRotation(support_mask, v_bits, std::cos(beta),
-                      std::sin(beta));
-}
-
-void
 StateVector::applyPairRotation(Basis support_mask, Basis v_bits, double c,
                                double s)
 {
@@ -314,35 +307,6 @@ StateVector::applySubspaceLayer(const Cplx *phases,
                                   c * b.imag() - s * a.real()};
                     });
     }
-}
-
-void
-StateVector::applyXY(int a, int b, double beta)
-{
-    CHOCOQ_ASSERT(a != b, "XY on identical qubits");
-    if (counters_)
-        counters_->record(obs::KernelId::XY, amp_.size() >> 1);
-    const Basis ba = Basis{1} << a;
-    const Basis bb = Basis{1} << b;
-    const double c = std::cos(2.0 * beta);
-    const double s = std::sin(2.0 * beta);
-    Cplx *amp = amp_.data();
-    // Pairs |..1_a..0_b..> <-> |..0_a..1_b..> mix under the same
-    // [[c, -i s], [-i s, c]] block as the pair rotation: enumerate a=1,
-    // b=0.
-    forEachSubspaceRun(
-        freeMask(ba | bb), ba, [=](Basis base, std::size_t len) {
-            Cplx *__restrict px = amp + base;
-            Cplx *__restrict py = amp + (base ^ (ba | bb));
-            for (std::size_t t = 0; t < len; ++t) {
-                const Cplx x = px[t];
-                const Cplx y = py[t];
-                px[t] = Cplx{c * x.real() + s * y.imag(),
-                             c * x.imag() - s * y.real()};
-                py[t] = Cplx{s * x.imag() + c * y.real(),
-                             c * y.imag() - s * x.real()};
-            }
-        });
 }
 
 void

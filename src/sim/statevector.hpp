@@ -5,10 +5,10 @@
  * This is the execution substrate standing in for the paper's GPU-backed
  * Python simulator. It provides generic gate kernels plus the fast paths
  * that make Choco-Q experiments cheap on a CPU:
- *  - applyPhaseMask / applyDiagonal for objective Hamiltonians,
+ *  - applyPhaseTable / applyPhaseMask for objective Hamiltonians,
  *  - applyPairRotation for exact exp(-i beta Hc(u)) evolution of a commute
- *    Hamiltonian term (the functional-simulation path),
- *  - applyXY for the cyclic-Hamiltonian baseline's mixer blocks,
+ *    Hamiltonian term: Choco-Q's driver and the cyclic baseline's XY
+ *    mixer (XY(a, b, beta) is Hc(e_a - e_b) at 2 beta),
  *  - applyDiagonal1q / applyParityPhase for diagonal gates (RZ, RZZ, ...).
  *
  * Masked kernels enumerate only the 2^(n-k) amplitudes they transform
@@ -29,7 +29,6 @@
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/roofline.hpp"
-#include "sim/parallel.hpp"
 
 namespace chocoq::sim
 {
@@ -192,25 +191,6 @@ class StateVector
     void applyParityPhase(Basis mask, Cplx even, Cplx odd);
 
     /**
-     * Multiply each amplitude by the diagonal factor f(idx).
-     *
-     * When CHOCOQ_THREADS enables multithreading, @p f is invoked
-     * concurrently from OpenMP workers and must be safe to call from
-     * multiple threads (pure functions and reads of immutable captures
-     * are fine; unsynchronized mutation of shared state is not).
-     */
-    template <class F>
-    void
-    applyDiagonal(F &&f)
-    {
-        if (counters_)
-            counters_->record(obs::KernelId::ApplyDiagonal, amp_.size());
-        Cplx *amp = amp_.data();
-        parallelFor(amp_.size(),
-                    [&](std::size_t i) { amp[i] *= f(static_cast<Basis>(i)); });
-    }
-
-    /**
      * Fast diagonal-Hamiltonian phase: amp[i] *= exp(-i gamma table[i]).
      * @param table Precomputed eigenvalues, one per basis state.
      */
@@ -238,25 +218,21 @@ class StateVector
                                    std::vector<Cplx> &phase_scratch);
 
     /**
-     * Exact evolution exp(-i beta Hc(u)) of one commute-Hamiltonian term.
+     * Exact evolution exp(-i beta Hc(u)) of one commute-Hamiltonian term,
+     * with the trigonometry precomputed: @p c = cos(beta),
+     * @p s = sin(beta).
      *
      * @param support_mask Bits where u is non-zero.
      * @param v_bits Pattern (1+u)/2 on the support (bits outside must be 0).
-     * @param beta Evolution angle.
      *
      * For every assignment of the complement qubits, the pair
-     * |v> / |v-bar> rotates by [[cos b, -i sin b], [-i sin b, cos b]];
-     * all other states are untouched (Hc annihilates them).
-     */
-    void applyPairRotation(Basis support_mask, Basis v_bits, double beta);
-
-    /**
-     * Pair rotation with the trigonometry precomputed: the pair mixes
-     * under [[c, -i s], [-i s, c]] with @p c = cos(beta),
-     * @p s = sin(beta). Lets a layer of commute terms sharing one beta
-     * pay for sincos once (see core::applyCommuteLayer), and the
-     * real/imaginary structure halves the multiply count versus generic
-     * complex arithmetic.
+     * |v> / |v-bar> rotates by [[c, -i s], [-i s, c]]; all other states
+     * are untouched (Hc annihilates them). Taking (c, s) lets a layer of
+     * commute terms sharing one beta pay for sincos once (see
+     * core::applyCommuteLayer), and the real/imaginary structure halves
+     * the multiply count versus generic complex arithmetic. The XY gate
+     * exp(-i beta (X_a X_b + Y_a Y_b)) is this kernel on support
+     * {a, b}, v = e_a, at (cos 2 beta, sin 2 beta).
      */
     void applyPairRotation(Basis support_mask, Basis v_bits, double c,
                            double s);
@@ -313,32 +289,8 @@ class StateVector
                             const std::uint32_t *term_offsets,
                             std::size_t term_count, double c, double s);
 
-    /** exp(-i beta (X_a X_b + Y_a Y_b)) on the {01, 10} block. */
-    void applyXY(int a, int b, double beta);
-
     /** Swap amplitudes of qubits a and b. */
     void applySwap(int a, int b);
-
-    /**
-     * <state| diag(f) |state> for a real diagonal observable.
-     *
-     * Same concurrency contract as applyDiagonal: with CHOCOQ_THREADS
-     * > 1, @p f runs concurrently from OpenMP workers and must be
-     * thread-safe.
-     */
-    template <class F>
-    double
-    expectationDiagonal(F &&f) const
-    {
-        if (counters_)
-            counters_->record(obs::KernelId::ExpectationDiagonal,
-                              amp_.size());
-        const Cplx *amp = amp_.data();
-        return parallelReduce(amp_.size(), [&](std::size_t i) {
-            const double p = std::norm(amp[i]);
-            return p > 0.0 ? p * f(static_cast<Basis>(i)) : 0.0;
-        });
-    }
 
     /** Expectation of a precomputed diagonal observable table. */
     double expectationTable(const std::vector<double> &table) const;

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/circuits.hpp"
+#include "core/commute.hpp"
 #include "model/exact.hpp"
 
 namespace chocoq::solvers
@@ -45,6 +46,15 @@ CyclicQaoaSolver::solve(const model::Problem &p) const
     const Basis x0 = *init;
     auto pairs = std::make_shared<std::vector<std::pair<int, int>>>(
         mixerPairs(p));
+    // XY(a, b, beta) is exp(-i 2 beta Hc(u)) for u = e_a - e_b, so the
+    // fast path runs each mixer layer as one commute layer at 2 beta.
+    auto terms = std::make_shared<std::vector<core::CommuteTerm>>();
+    for (const auto &[a, b] : *pairs) {
+        std::vector<int> u(n, 0);
+        u[a] = 1;
+        u[b] = -1;
+        terms->push_back(core::makeCommuteTerm(u));
+    }
     auto f = std::make_shared<model::Polynomial>(p.minimizedObjective());
     // The cyclic design is a hard-constraint method: its optimizer chases
     // the raw objective and trusts the XY mixer to conserve constraints.
@@ -68,14 +78,13 @@ CyclicQaoaSolver::solve(const model::Problem &p) const
         }
         return c;
     };
-    run.evolve = [x0, phase_table, pairs](sim::StateVector &state,
+    run.evolve = [x0, phase_table, terms](sim::StateVector &state,
                                           const std::vector<double> &theta) {
         state.reset(x0);
         const std::size_t layers = theta.size() / 2;
         for (std::size_t l = 0; l < layers; ++l) {
             state.applyPhaseTable(*phase_table, theta[2 * l]);
-            for (const auto &[a, b] : *pairs)
-                state.applyXY(a, b, theta[2 * l + 1]);
+            core::applyCommuteLayer(state, *terms, 2.0 * theta[2 * l + 1]);
         }
     };
     run.lift = [](Basis x) { return x; };

@@ -118,12 +118,15 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
     if (engine.theta0.empty()) {
         double g0 = 0.1, b0 = 0.6;
         if (opts_.warmStart) {
-            // Red-QAOA-style warm start: coarse single-layer grid search.
+            // Red-QAOA-style warm start: coarse single-layer grid search,
+            // polled per grid point so a cancel or deadline stops it.
             double best = 0.0;
             bool first = true;
             sim::StateVector state(k);
             for (double g : {0.05, 0.1, 0.2, 0.4}) {
                 for (double b : {0.2, 0.4, 0.6, 0.9}) {
+                    if (engine.checkpoint)
+                        engine.checkpoint();
                     double acc = 0.0;
                     for (const auto &run : runs) {
                         state.resizeScratch(run.numQubits);

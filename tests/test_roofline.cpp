@@ -71,7 +71,7 @@ makeTables()
  * amplitude count per kernel (dim = 2^6 = 64):
  *   full sweeps ............................ 64
  *   Controlled1q / PhaseMask (2 fixed bits)  16
- *   PairRotation / XY / Swap (pair sweeps) . 32
+ *   PairRotation / Swap (pair sweeps) ...... 32
  *   PairRotationGroup (2 terms) ............ 64
  *   PhasedPairRotationGroup (gather+2 terms) 128
  *   SubspaceLayer (gather + 3 pairs) ........ 70
@@ -97,20 +97,13 @@ runScalarScript(sim::StateVector &sv, const Tables &t)
     sv.applyPairRotationGroup(kSupport, vbits, 2, 0.55, 0.45);
     sv.applyPhasedPairRotationGroup(kSupport, vbits, 2, 0.55, 0.45,
                                     t.phases.data(), t.index.data());
-    sv.applyXY(0, 4, 0.6);
     sv.applySwap(0, 4);
     sv.applyPhaseTable(t.table, 0.4);
     sv.applyPhaseTableCompressed(t.distinct, t.index, 0.4, scratch);
     sv.applySubspaceLayer(t.phases.data(), t.index.data(), pairs,
                           term_offsets, 2, 0.55, 0.45);
-    sv.applyDiagonal([](Basis i) {
-        return Cplx{std::cos(0.01 * static_cast<double>(i)),
-                    std::sin(0.01 * static_cast<double>(i))};
-    });
     double e = sv.expectationTable(t.table);
     e += sv.expectationTableCompressed(t.distinct, t.index);
-    e += sv.expectationDiagonal(
-        [](Basis i) { return static_cast<double>(i & 3); });
     e += sv.expectationSubspace(t.distinct, t.index);
     ASSERT_TRUE(std::isfinite(e));
 }
@@ -125,7 +118,6 @@ expectedScalarAmps(obs::KernelId id)
     case K::PhaseMask:
         return kDim >> 2; // two fixed bits
     case K::PairRotation:
-    case K::XY:
     case K::Swap:
         return kDim >> 1; // pair sweeps touch half the index space
     case K::PairRotationGroup:
@@ -242,14 +234,11 @@ TEST(RooflineModel, CostTableIsPinned)
         {K::PairRotation, 32.0, 6.0},
         {K::PairRotationGroup, 32.0, 6.0},
         {K::PhasedPairRotationGroup, 32.0, 6.0},
-        {K::XY, 32.0, 6.0},
         {K::Swap, 32.0, 0.0},
         {K::PhaseTable, 40.0, 9.0},
         {K::PhaseTableCompressed, 34.0, 6.0},
-        {K::ApplyDiagonal, 32.0, 6.0},
         {K::ExpectationTable, 24.0, 5.0},
         {K::ExpectationTableCompressed, 18.0, 5.0},
-        {K::ExpectationDiagonal, 16.0, 5.0},
         {K::SubspaceLayer, 36.0, 6.0},
         {K::ExpectationSubspace, 18.0, 5.0},
     };

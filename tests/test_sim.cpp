@@ -160,7 +160,7 @@ TEST(StateVector, ControlledAndCompositeGates)
 
 TEST(StateVector, XYAgainstDenseExponential)
 {
-    // exp(-i beta (XX + YY)) built densely vs the applyXY kernel.
+    // exp(-i beta (XX + YY)) built densely vs the XY gate.
     Rng rng(8);
     const double beta = 0.66;
     const Matrix xx = linalg::pauliX().kron(linalg::pauliX());
@@ -169,7 +169,7 @@ TEST(StateVector, XYAgainstDenseExponential)
     const auto psi = randomState(rng, 2);
     StateVector s(2);
     s.amplitudes() = psi;
-    s.applyXY(0, 1, beta);
+    sim::applyGate(s, {GateType::XY, {0, 1}, beta});
     const auto expect = u.apply(psi);
     for (std::size_t i = 0; i < expect.size(); ++i)
         EXPECT_NEAR(std::abs(s.amplitudes()[i] - expect[i]), 0.0, 1e-10);
@@ -179,10 +179,10 @@ TEST(StateVector, XYConservesExcitationNumber)
 {
     StateVector s(2);
     s.reset(0b01);
-    s.applyXY(0, 1, 0.7);
+    sim::applyGate(s, {GateType::XY, {0, 1}, 0.7});
     EXPECT_NEAR(s.prob(0b01) + s.prob(0b10), 1.0, 1e-12);
     s.reset(0b11);
-    s.applyXY(0, 1, 0.7);
+    sim::applyGate(s, {GateType::XY, {0, 1}, 0.7});
     EXPECT_NEAR(s.prob(0b11), 1.0, 1e-12);
 }
 
@@ -194,43 +194,6 @@ TEST(StateVector, PhaseMaskOnlyHitsMatchingStates)
     EXPECT_NEAR(std::abs(s.amplitudes()[3] + 0.5), 0.0, 1e-12);
     for (int i = 0; i < 3; ++i)
         EXPECT_NEAR(std::abs(s.amplitudes()[i] - 0.5), 0.0, 1e-12);
-}
-
-TEST(StateVector, PhaseTableMatchesDiagonal)
-{
-    Rng rng(10);
-    const int n = 4;
-    std::vector<double> table(1 << n);
-    for (auto &v : table)
-        v = rng.uniform(-2, 2);
-    const double gamma = 0.9;
-    const auto psi = randomState(rng, n);
-    StateVector a(n), b(n);
-    a.amplitudes() = psi;
-    b.amplitudes() = psi;
-    a.applyPhaseTable(table, gamma);
-    b.applyDiagonal([&](Basis idx) {
-        const double phi = -gamma * table[idx];
-        return Cplx{std::cos(phi), std::sin(phi)};
-    });
-    for (std::size_t i = 0; i < psi.size(); ++i)
-        EXPECT_NEAR(std::abs(a.amplitudes()[i] - b.amplitudes()[i]), 0.0,
-                    1e-12);
-}
-
-TEST(StateVector, ExpectationTableMatchesCallback)
-{
-    Rng rng(12);
-    const int n = 3;
-    std::vector<double> table(1 << n);
-    for (auto &v : table)
-        v = rng.uniform(-5, 5);
-    StateVector s(n);
-    s.amplitudes() = randomState(rng, n);
-    const double a = s.expectationTable(table);
-    const double b =
-        s.expectationDiagonal([&](Basis idx) { return table[idx]; });
-    EXPECT_NEAR(a, b, 1e-12);
 }
 
 TEST(StateVector, DistributionAndDistinctStates)
@@ -428,16 +391,13 @@ uniformNoise(double p)
 }
 
 /** A circuit the engine actually samples: @p cs's ansatz at fixed
- * angles, lowered for @p dev. */
+ * angles, lowered. */
 Circuit
-loweredAnsatz(const core::CompiledSub &cs, const device::DeviceModel &dev)
+loweredAnsatz(const core::CompiledSub &cs)
 {
-    circuit::TranspileOptions lowering;
-    lowering.nativeCz = dev.nativeCz;
     return circuit::transpile(core::chocoAnsatz(cs.numQubits, cs.init,
                                                 *cs.objective, *cs.terms,
-                                                {0.4, 0.7}),
-                              lowering);
+                                                {0.4, 0.7}));
 }
 
 } // namespace
@@ -492,8 +452,9 @@ TEST(TrackedTrajectory, OtherGateTypesFinishOnTheDenseKernels)
 TEST(TrackedTrajectory, LoweredChocoQCircuitsMatchOracle)
 {
     // The circuits the engine actually samples: each sub-instance's
-    // ansatz at fixed angles, lowered for every device, from |0>, with
-    // a generator carried across trajectories like accumulateNoisy.
+    // ansatz at fixed angles, lowered, under every device's noise, from
+    // |0>, with a generator carried across trajectories like
+    // accumulateNoisy.
     for (const auto scale :
          {problems::Scale::F1, problems::Scale::K1, problems::Scale::G1}) {
         const auto art =
@@ -502,7 +463,7 @@ TEST(TrackedTrajectory, LoweredChocoQCircuitsMatchOracle)
             const auto noise = device::noiseOf(dev);
             Rng draws(11);
             for (const auto &cs : art->subs) {
-                const Circuit c = loweredAnsatz(cs, dev);
+                const Circuit c = loweredAnsatz(cs);
                 for (int t = 0; t < 4; ++t)
                     EXPECT_EQ(trajectoryMismatch(
                                   c, basisState(c.numQubits(), 0), noise,
@@ -606,7 +567,7 @@ TEST(TrackedTrajectory, SharedPrefixSamplerMatchesOracleOnLoweredCircuits)
         for (const auto &dev : device::allDevices()) {
             Rng draws(13);
             for (const auto &cs : art->subs) {
-                const Circuit c = loweredAnsatz(cs, dev);
+                const Circuit c = loweredAnsatz(cs);
                 for (const double readout : {device::noiseOf(dev).readout,
                                              0.0}) {
                     auto noise = device::noiseOf(dev);
@@ -638,7 +599,7 @@ TEST(TrackedTrajectory, SharedPrefixSamplerMatchesOracleOnG1)
         problems::makeCase(problems::Scale::G1, 0));
     for (const auto &dev : device::allDevices()) {
         Rng draws(14);
-        const Circuit c = loweredAnsatz(art->subs.front(), dev);
+        const Circuit c = loweredAnsatz(art->subs.front());
         EXPECT_EQ(sampleMismatch(sampler, c, device::noiseOf(dev), 2, 7,
                                  draws),
                   "")
@@ -731,7 +692,7 @@ TEST(StateVector, PairRotationFullAngleReturnsMinusState)
     // cos(pi) = -1 on the pair block and identity elsewhere.
     StateVector s(2);
     s.reset(0b01);
-    s.applyPairRotation(0b11, 0b01, M_PI);
+    s.applyPairRotation(0b11, 0b01, std::cos(M_PI), std::sin(M_PI));
     EXPECT_NEAR(std::abs(s.amplitudes()[0b01] + 1.0), 0.0, 1e-12);
 }
 
@@ -740,6 +701,7 @@ TEST(StateVector, PairRotationHalfAngleSwaps)
     // beta = pi/2 maps |v> to -i|v-bar>.
     StateVector s(2);
     s.reset(0b01);
-    s.applyPairRotation(0b11, 0b01, M_PI / 2);
+    s.applyPairRotation(0b11, 0b01, std::cos(M_PI / 2),
+                        std::sin(M_PI / 2));
     EXPECT_NEAR(s.prob(0b10), 1.0, 1e-12);
 }

@@ -144,17 +144,19 @@ TEST(Transpile, AncillasAreSharedAcrossGates)
     EXPECT_EQ(anc_one, 3); // k-2 ancillas for k=5
 }
 
-TEST(Transpile, NativeCzOptionKeepsCz)
+TEST(Transpile, CzLowersToHadamardSandwichedCx)
 {
     Circuit c(2);
     c.cz(0, 1);
-    circuit::TranspileOptions opts;
-    opts.nativeCz = true;
-    const Circuit lowered = circuit::transpile(c, opts);
-    ASSERT_EQ(lowered.gateCount(), 1u);
-    EXPECT_EQ(lowered.gates()[0].type, GateType::CZ);
-    EXPECT_TRUE(circuit::isLowered(lowered, opts));
-    EXPECT_FALSE(circuit::isLowered(lowered));
+    EXPECT_FALSE(circuit::isLowered(c));
+    const Circuit lowered = circuit::transpile(c);
+    ASSERT_EQ(lowered.gateCount(), 3u);
+    const GateType want[3] = {GateType::H, GateType::CX, GateType::H};
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(lowered.gates()[i].type, want[i]) << "gate " << i;
+    EXPECT_EQ(lowered.gates()[0].qubits, std::vector<int>{1});
+    EXPECT_EQ(lowered.gates()[1].qubits, (std::vector<int>{0, 1}));
+    EXPECT_TRUE(circuit::isLowered(lowered));
 }
 
 TEST(Transpile, CompositeCircuitEndToEnd)
