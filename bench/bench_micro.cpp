@@ -115,21 +115,6 @@ BM_Diagonal1q(benchmark::State &state)
 }
 BENCHMARK(BM_Diagonal1q)->Arg(14)->Arg(18)->Arg(kKernelQubits);
 
-void
-BM_ParityPhase(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    sim::StateVector sv(n);
-    const Cplx even{std::cos(0.4), -std::sin(0.4)};
-    const Basis mask = (Basis{1} << (n / 2)) | (Basis{1} << (n - 1));
-    for (auto _ : state) {
-        sv.applyParityPhase(mask, even, std::conj(even));
-        benchmark::DoNotOptimize(sv.amplitudes().data());
-    }
-    setAmpCounters(state, std::int64_t{1} << n);
-}
-BENCHMARK(BM_ParityPhase)->Arg(14)->Arg(18)->Arg(kKernelQubits);
-
 // ---- masked kernels: subspace enumeration vs naive full scan ----
 
 void
@@ -220,18 +205,6 @@ BM_Controlled1q(benchmark::State &state)
     setAmpCounters(state, std::int64_t{1} << n);
 }
 BENCHMARK(BM_Controlled1q);
-
-void
-BM_Swap(benchmark::State &state)
-{
-    sim::StateVector sv(kKernelQubits);
-    for (auto _ : state) {
-        sv.applySwap(1, kKernelQubits - 2);
-        benchmark::DoNotOptimize(sv.amplitudes().data());
-    }
-    setAmpCounters(state, std::int64_t{1} << kKernelQubits);
-}
-BENCHMARK(BM_Swap);
 
 void
 BM_PhaseTable(benchmark::State &state)

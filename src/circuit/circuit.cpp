@@ -1,60 +1,11 @@
 #include "circuit/circuit.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/error.hpp"
 
 namespace chocoq::circuit
 {
-
-std::string
-gateName(GateType type)
-{
-    switch (type) {
-      case GateType::H: return "h";
-      case GateType::X: return "x";
-      case GateType::Y: return "y";
-      case GateType::Z: return "z";
-      case GateType::S: return "s";
-      case GateType::Sdg: return "sdg";
-      case GateType::T: return "t";
-      case GateType::Tdg: return "tdg";
-      case GateType::RX: return "rx";
-      case GateType::RY: return "ry";
-      case GateType::RZ: return "rz";
-      case GateType::P: return "p";
-      case GateType::CX: return "cx";
-      case GateType::CZ: return "cz";
-      case GateType::CP: return "cp";
-      case GateType::SWAP: return "swap";
-      case GateType::CCX: return "ccx";
-      case GateType::RZZ: return "rzz";
-      case GateType::XY: return "xy";
-      case GateType::MCP: return "mcp";
-      case GateType::MCX: return "mcx";
-      case GateType::BARRIER: return "barrier";
-    }
-    return "?";
-}
-
-bool
-gateHasParam(GateType type)
-{
-    switch (type) {
-      case GateType::RX:
-      case GateType::RY:
-      case GateType::RZ:
-      case GateType::P:
-      case GateType::CP:
-      case GateType::RZZ:
-      case GateType::XY:
-      case GateType::MCP:
-        return true;
-      default:
-        return false;
-    }
-}
 
 Circuit::Circuit(int num_data) : numData_(num_data), numQubits_(num_data)
 {
@@ -78,15 +29,13 @@ Circuit::reserveAncillas(int count)
 void
 Circuit::add(Gate g)
 {
-    if (g.type != GateType::BARRIER) {
-        CHOCOQ_ASSERT(!g.qubits.empty(), "gate without operands");
-        for (std::size_t i = 0; i < g.qubits.size(); ++i) {
-            const int q = g.qubits[i];
-            CHOCOQ_ASSERT(q >= 0 && q < numQubits_,
-                          "gate operand out of register");
-            for (std::size_t j = i + 1; j < g.qubits.size(); ++j)
-                CHOCOQ_ASSERT(q != g.qubits[j], "duplicate gate operand");
-        }
+    CHOCOQ_ASSERT(!g.qubits.empty(), "gate without operands");
+    for (std::size_t i = 0; i < g.qubits.size(); ++i) {
+        const int q = g.qubits[i];
+        CHOCOQ_ASSERT(q >= 0 && q < numQubits_,
+                      "gate operand out of register");
+        for (std::size_t j = i + 1; j < g.qubits.size(); ++j)
+            CHOCOQ_ASSERT(q != g.qubits[j], "duplicate gate operand");
     }
     gates_.push_back(std::move(g));
 }
@@ -100,22 +49,12 @@ Circuit::append(const Circuit &other)
         gates_.push_back(g);
 }
 
-void
-Circuit::barrier()
-{
-    gates_.push_back({GateType::BARRIER, {}, 0.0});
-}
-
 int
 Circuit::depth() const
 {
     std::vector<int> level(numQubits_, 0);
     int max_level = 0;
     for (const auto &g : gates_) {
-        if (g.type == GateType::BARRIER) {
-            std::fill(level.begin(), level.end(), max_level);
-            continue;
-        }
         int at = 0;
         for (int q : g.qubits)
             at = std::max(at, level[q]);
@@ -128,51 +67,13 @@ Circuit::depth() const
 }
 
 std::size_t
-Circuit::gateCount() const
-{
-    std::size_t n = 0;
-    for (const auto &g : gates_)
-        if (g.type != GateType::BARRIER)
-            ++n;
-    return n;
-}
-
-std::size_t
 Circuit::multiQubitGateCount() const
 {
     std::size_t n = 0;
     for (const auto &g : gates_)
-        if (g.type != GateType::BARRIER && g.qubits.size() >= 2)
+        if (g.qubits.size() >= 2)
             ++n;
     return n;
-}
-
-std::map<std::string, std::size_t>
-Circuit::gateHistogram() const
-{
-    std::map<std::string, std::size_t> hist;
-    for (const auto &g : gates_)
-        if (g.type != GateType::BARRIER)
-            ++hist[gateName(g.type)];
-    return hist;
-}
-
-std::string
-Circuit::str() const
-{
-    std::ostringstream os;
-    os << "circuit(" << numData_ << " data + " << (numQubits_ - numData_)
-       << " ancilla qubits, " << gateCount() << " gates, depth " << depth()
-       << ")\n";
-    for (const auto &g : gates_) {
-        os << "  " << gateName(g.type);
-        for (int q : g.qubits)
-            os << " q" << q;
-        if (gateHasParam(g.type))
-            os << " (" << g.param << ")";
-        os << "\n";
-    }
-    return os.str();
 }
 
 } // namespace chocoq::circuit

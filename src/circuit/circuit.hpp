@@ -7,8 +7,6 @@
 #define CHOCOQ_CIRCUIT_CIRCUIT_HPP
 
 #include <cstddef>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "circuit/gate.hpp"
@@ -39,7 +37,6 @@ class Circuit
     void reserveAncillas(int count);
 
     const std::vector<Gate> &gates() const { return gates_; }
-    std::size_t size() const { return gates_.size(); }
 
     /** Append a gate (validates qubit indices). */
     void add(Gate g);
@@ -51,54 +48,28 @@ class Circuit
     /// @{
     void h(int q) { add({GateType::H, {q}, 0.0}); }
     void x(int q) { add({GateType::X, {q}, 0.0}); }
-    void y(int q) { add({GateType::Y, {q}, 0.0}); }
-    void z(int q) { add({GateType::Z, {q}, 0.0}); }
-    void s(int q) { add({GateType::S, {q}, 0.0}); }
-    void sdg(int q) { add({GateType::Sdg, {q}, 0.0}); }
-    void t(int q) { add({GateType::T, {q}, 0.0}); }
-    void tdg(int q) { add({GateType::Tdg, {q}, 0.0}); }
     void rx(int q, double theta) { add({GateType::RX, {q}, theta}); }
     void ry(int q, double theta) { add({GateType::RY, {q}, theta}); }
     void rz(int q, double theta) { add({GateType::RZ, {q}, theta}); }
-    void p(int q, double phi) { add({GateType::P, {q}, phi}); }
     void cx(int c, int t) { add({GateType::CX, {c, t}, 0.0}); }
-    void cz(int a, int b) { add({GateType::CZ, {a, b}, 0.0}); }
-    void cp(int a, int b, double phi) { add({GateType::CP, {a, b}, phi}); }
-    void swap(int a, int b) { add({GateType::SWAP, {a, b}, 0.0}); }
-    void ccx(int a, int b, int t) { add({GateType::CCX, {a, b, t}, 0.0}); }
-    void rzz(int a, int b, double theta)
-    {
-        add({GateType::RZZ, {a, b}, theta});
-    }
     void xy(int a, int b, double beta) { add({GateType::XY, {a, b}, beta}); }
     void mcp(std::vector<int> qs, double phi)
     {
         add({GateType::MCP, std::move(qs), phi});
     }
-    void mcx(std::vector<int> controls_then_target)
-    {
-        add({GateType::MCX, std::move(controls_then_target), 0.0});
-    }
-    void barrier();
     /// @}
 
     /**
      * ASAP-scheduled circuit depth: each gate occupies all its operand
-     * qubits for one layer; barriers synchronize the whole register.
+     * qubits for one layer.
      */
     int depth() const;
 
-    /** Total non-barrier gate count. */
-    std::size_t gateCount() const;
+    /** Total gate count. */
+    std::size_t gateCount() const { return gates_.size(); }
 
-    /** Count of gates acting on two or more qubits (excludes barriers). */
+    /** Count of gates acting on two or more qubits. */
     std::size_t multiQubitGateCount() const;
-
-    /** Histogram of gate mnemonics. */
-    std::map<std::string, std::size_t> gateHistogram() const;
-
-    /** One-line-per-gate textual dump (debugging / examples). */
-    std::string str() const;
 
   private:
     int numData_ = 0;

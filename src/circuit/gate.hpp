@@ -2,17 +2,17 @@
  * @file
  * Gate-level intermediate representation.
  *
- * The gate set covers the basis gates of the target devices plus the
- * composite gates the Choco-Q compilation flow produces before lowering:
- * multi-controlled phase (the P(beta) of Lemma 2), multi-controlled X,
- * the XY rotation used by the cyclic-Hamiltonian baseline [47], and the
- * two-qubit ZZ rotation used by objective/penalty Hamiltonians.
+ * The gate set is the basis {H, X, RZ, CX} of the target devices plus
+ * the gates the circuit builders emit before lowering: the baselines'
+ * RX and RY rotations, the XY rotation of the cyclic-Hamiltonian
+ * baseline [47], and multi-controlled phase (the P(beta) of Lemma 2,
+ * which on one and two operands is the phase and controlled-phase
+ * gate).
  */
 
 #ifndef CHOCOQ_CIRCUIT_GATE_HPP
 #define CHOCOQ_CIRCUIT_GATE_HPP
 
-#include <string>
 #include <vector>
 
 namespace chocoq::circuit
@@ -21,28 +21,14 @@ namespace chocoq::circuit
 /** All gate kinds understood by the simulator and the transpiler. */
 enum class GateType
 {
-    H,      ///< Hadamard.
-    X,      ///< Pauli X.
-    Y,      ///< Pauli Y.
-    Z,      ///< Pauli Z.
-    S,      ///< sqrt(Z).
-    Sdg,    ///< S dagger.
-    T,      ///< fourth root of Z.
-    Tdg,    ///< T dagger.
-    RX,     ///< exp(-i theta X / 2).
-    RY,     ///< exp(-i theta Y / 2).
-    RZ,     ///< exp(-i theta Z / 2).
-    P,      ///< Phase gate diag(1, e^{i phi}).
-    CX,     ///< Controlled X; qubits = {control, target}.
-    CZ,     ///< Controlled Z; symmetric.
-    CP,     ///< Controlled phase; symmetric.
-    SWAP,   ///< Swap; qubits = {a, b}.
-    CCX,    ///< Toffoli; qubits = {c1, c2, target}.
-    RZZ,    ///< exp(-i theta Z(x)Z / 2); qubits = {a, b}.
-    XY,     ///< exp(-i beta (X(x)X + Y(x)Y)); qubits = {a, b}.
-    MCP,    ///< Multi-controlled phase on all listed qubits (symmetric).
-    MCX,    ///< Multi-controlled X; last listed qubit is the target.
-    BARRIER ///< Scheduling barrier; no unitary action.
+    H,  ///< Hadamard.
+    X,  ///< Pauli X.
+    RX, ///< exp(-i theta X / 2).
+    RY, ///< exp(-i theta Y / 2).
+    RZ, ///< exp(-i theta Z / 2).
+    CX, ///< Controlled X; qubits = {control, target}.
+    XY, ///< exp(-i beta (X(x)X + Y(x)Y)); qubits = {a, b}.
+    MCP ///< Multi-controlled phase on all listed qubits (symmetric).
 };
 
 /** One gate instance. */
@@ -54,12 +40,6 @@ struct Gate
     /** Rotation angle / phase, if the gate is parameterized. */
     double param = 0.0;
 };
-
-/** Short mnemonic, e.g. "cx". */
-std::string gateName(GateType type);
-
-/** True for gate types that carry an angle parameter. */
-bool gateHasParam(GateType type);
 
 } // namespace chocoq::circuit
 

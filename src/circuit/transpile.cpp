@@ -140,26 +140,6 @@ lowerGate(Circuit &out, AncillaPool &pool, const Gate &g)
       case GateType::CX:
         out.add(g);
         return;
-      case GateType::Y:
-        // Y = i X Z: up to global phase, Z then X.
-        out.rz(g.qubits[0], kPi);
-        out.x(g.qubits[0]);
-        return;
-      case GateType::Z:
-        out.rz(g.qubits[0], kPi);
-        return;
-      case GateType::S:
-        out.rz(g.qubits[0], kPi / 2);
-        return;
-      case GateType::Sdg:
-        out.rz(g.qubits[0], -kPi / 2);
-        return;
-      case GateType::T:
-        out.rz(g.qubits[0], kPi / 4);
-        return;
-      case GateType::Tdg:
-        out.rz(g.qubits[0], -kPi / 4);
-        return;
       case GateType::RX:
         // RX = H RZ H.
         out.h(g.qubits[0]);
@@ -174,44 +154,11 @@ lowerGate(Circuit &out, AncillaPool &pool, const Gate &g)
         out.h(g.qubits[0]);
         out.rz(g.qubits[0], kPi / 2);
         return;
-      case GateType::P:
-        out.rz(g.qubits[0], g.param);
-        return;
-      case GateType::CZ:
-        out.h(g.qubits[1]);
-        out.cx(g.qubits[0], g.qubits[1]);
-        out.h(g.qubits[1]);
-        return;
-      case GateType::CP:
-        emitCp(out, g.qubits[0], g.qubits[1], g.param);
-        return;
-      case GateType::SWAP:
-        out.cx(g.qubits[0], g.qubits[1]);
-        out.cx(g.qubits[1], g.qubits[0]);
-        out.cx(g.qubits[0], g.qubits[1]);
-        return;
-      case GateType::CCX:
-        emitCcx(out, g.qubits[0], g.qubits[1], g.qubits[2]);
-        return;
-      case GateType::RZZ:
-        emitRzz(out, g.qubits[0], g.qubits[1], g.param);
-        return;
       case GateType::XY:
         emitXy(out, g.qubits[0], g.qubits[1], g.param);
         return;
       case GateType::MCP:
         emitMcp(out, pool, g.qubits, g.param);
-        return;
-      case GateType::MCX: {
-        // MCX = H(target) . MCP(pi) over all operands . H(target).
-        const int t = g.qubits.back();
-        out.h(t);
-        emitMcp(out, pool, g.qubits, kPi);
-        out.h(t);
-        return;
-      }
-      case GateType::BARRIER:
-        out.barrier();
         return;
     }
     CHOCOQ_ASSERT(false, "unhandled gate in transpile");
@@ -240,7 +187,6 @@ isLowered(const Circuit &c)
           case GateType::X:
           case GateType::RZ:
           case GateType::CX:
-          case GateType::BARRIER:
             continue;
           default:
             return false;

@@ -87,12 +87,7 @@ appendObjectivePhase(circuit::Circuit &c, const model::Polynomial &f,
         const double phi = -gamma * coeff;
         if (phi == 0.0)
             continue;
-        if (vars.size() == 1)
-            c.p(vars[0], phi);
-        else if (vars.size() == 2)
-            c.cp(vars[0], vars[1], phi);
-        else
-            c.mcp(vars, phi);
+        c.mcp(vars, phi);
     }
 }
 

@@ -94,11 +94,17 @@ Polynomial::evaluate(Basis idx) const
 }
 
 std::vector<double>
-Polynomial::tabulate(int num_vars) const
+Polynomial::tabulate(int num_vars, const std::function<void()> &poll) const
 {
+    constexpr std::size_t kPollStride = std::size_t{1} << 16;
     std::vector<double> table(std::size_t{1} << num_vars);
-    for (std::size_t i = 0; i < table.size(); ++i)
-        table[i] = evaluate(i);
+    for (std::size_t start = 0; start < table.size(); start += kPollStride) {
+        if (poll)
+            poll();
+        const std::size_t end = std::min(table.size(), start + kPollStride);
+        for (std::size_t i = start; i < end; ++i)
+            table[i] = evaluate(i);
+    }
     return table;
 }
 

@@ -13,6 +13,7 @@
 #ifndef CHOCOQ_MODEL_POLYNOMIAL_HPP
 #define CHOCOQ_MODEL_POLYNOMIAL_HPP
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -62,8 +63,12 @@ class Polynomial
     double evaluate(Basis idx) const;
 
     /** evaluate() on every basis state of @p num_vars variables: the
-     * diagonal of the Hamiltonian, indexed by basis state. */
-    std::vector<double> tabulate(int num_vars) const;
+     * diagonal of the Hamiltonian, indexed by basis state. @p poll,
+     * when set, is called before every 2^16 states and may throw to
+     * abort. */
+    std::vector<double>
+    tabulate(int num_vars,
+             const std::function<void()> &poll = nullptr) const;
 
     Polynomial operator+(const Polynomial &rhs) const;
     Polynomial operator-(const Polynomial &rhs) const;

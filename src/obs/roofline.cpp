@@ -33,11 +33,9 @@ constexpr std::array<KernelCost, kKernelCount> kCosts = {{
     /* Diagonal1q */ {32.0, 6.0},
     /* Controlled1q */ {32.0, 14.0},
     /* PhaseMask */ {32.0, 6.0},
-    /* ParityPhase */ {32.0, 6.0},
     /* PairRotation */ {32.0, 6.0},
     /* PairRotationGroup */ {32.0, 6.0},
     /* PhasedPairRotationGroup */ {32.0, 6.0},
-    /* Swap */ {32.0, 0.0},
     /* PhaseTable */ {40.0, 9.0},
     /* PhaseTableCompressed */ {34.0, 6.0},
     /* ExpectationTable */ {24.0, 5.0},
@@ -51,11 +49,9 @@ constexpr std::array<const char *, kKernelCount> kNames = {{
     "diagonal1q",
     "controlled1q",
     "phase_mask",
-    "parity_phase",
     "pair_rotation",
     "pair_rotation_group",
     "phased_pair_rotation_group",
-    "swap",
     "phase_table",
     "phase_table_compressed",
     "expectation_table",

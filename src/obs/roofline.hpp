@@ -41,11 +41,9 @@ enum class KernelId : int
     Diagonal1q,
     Controlled1q,
     PhaseMask,
-    ParityPhase,
     PairRotation,
     PairRotationGroup,
     PhasedPairRotationGroup,
-    Swap,
     PhaseTable,
     PhaseTableCompressed,
     ExpectationTable,

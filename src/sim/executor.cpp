@@ -20,11 +20,11 @@ using circuit::GateType;
 constexpr double kInvSqrt2 = 0.70710678118654752440;
 
 Basis
-maskOf(const std::vector<int> &qubits, std::size_t from, std::size_t to)
+maskOf(const std::vector<int> &qubits)
 {
     Basis mask = 0;
-    for (std::size_t i = from; i < to; ++i)
-        mask |= Basis{1} << qubits[i];
+    for (const int q : qubits)
+        mask |= Basis{1} << q;
     return mask;
 }
 
@@ -183,9 +183,9 @@ class TrackedSupport
   private:
     /**
      * Apply @p g on the list if it is one of the lowered gate types
-     * (H, X, RZ, CX, CZ) or a barrier. Any other gate returns false
-     * untouched and hands the rest of the trajectory to the dense
-     * kernels. Arguments match applyGate's calls.
+     * (H, X, RZ, CX). Any other gate returns false untouched and hands
+     * the rest of the trajectory to the dense kernels. Arguments match
+     * applyGate's calls.
      */
     bool
     tryApply(const Gate &g)
@@ -206,11 +206,6 @@ class TrackedSupport
           case GateType::CX:
             pair(Basis{1} << g.qubits[0], g.qubits[1], 0, 1, 1, 0,
                  obs::KernelId::Controlled1q);
-            return true;
-          case GateType::CZ:
-            phaseMask(maskOf(g.qubits, 0, 2), M_PI);
-            return true;
-          case GateType::BARRIER:
             return true;
           default:
             active_ = false;
@@ -268,21 +263,6 @@ class TrackedSupport
         record(obs::KernelId::Diagonal1q, list_.size());
     }
 
-    /** applyPhaseMask on the listed amplitudes. */
-    void
-    phaseMask(Basis mask, double phi)
-    {
-        const Cplx phase{std::cos(phi), std::sin(phi)};
-        Cplx *amp = state_.amplitudes().data();
-        std::size_t hit = 0;
-        for (const Basis i : list_)
-            if ((i & mask) == mask) {
-                amp[i] *= phase;
-                ++hit;
-            }
-        record(obs::KernelId::PhaseMask, hit);
-    }
-
     /**
      * Unlist every index whose amplitude is now exactly zero (an X or
      * a Pauli error moves the support rather than growing it), then
@@ -321,7 +301,7 @@ class TrackedSupport
 /**
  * Refill @p out with the places a Pauli error can strike on @p c, in
  * the order the per-gate loop draws them: each operand of each gate
- * other than a barrier whose error probability is positive.
+ * whose error probability is positive.
  */
 void
 errorSites(const circuit::Circuit &c, const NoiseModel &noise,
@@ -330,8 +310,6 @@ errorSites(const circuit::Circuit &c, const NoiseModel &noise,
     out.clear();
     const auto &gates = c.gates();
     for (std::size_t g = 0; g < gates.size(); ++g) {
-        if (gates[g].type == GateType::BARRIER)
-            continue;
         const double p =
             gates[g].qubits.size() >= 2 ? noise.p2q : noise.p1q;
         if (p <= 0.0)
@@ -391,24 +369,6 @@ applyGate(StateVector &state, const Gate &g)
       case GateType::X:
         state.apply1q(g.qubits[0], 0, 1, 1, 0);
         return;
-      case GateType::Y:
-        state.apply1q(g.qubits[0], 0, Cplx{0, -1}, Cplx{0, 1}, 0);
-        return;
-      case GateType::Z:
-        state.applyDiagonal1q(g.qubits[0], 1, -1);
-        return;
-      case GateType::S:
-        state.applyDiagonal1q(g.qubits[0], 1, Cplx{0, 1});
-        return;
-      case GateType::Sdg:
-        state.applyDiagonal1q(g.qubits[0], 1, Cplx{0, -1});
-        return;
-      case GateType::T:
-        state.applyDiagonal1q(g.qubits[0], 1, Cplx{kInvSqrt2, kInvSqrt2});
-        return;
-      case GateType::Tdg:
-        state.applyDiagonal1q(g.qubits[0], 1, Cplx{kInvSqrt2, -kInvSqrt2});
-        return;
       case GateType::RX: {
         const Cplx c{std::cos(theta / 2), 0.0};
         const Cplx ms{0.0, -std::sin(theta / 2)};
@@ -426,51 +386,20 @@ applyGate(StateVector &state, const Gate &g)
         state.applyDiagonal1q(g.qubits[0], em, std::conj(em));
         return;
       }
-      case GateType::P:
-        state.applyDiagonal1q(g.qubits[0], 1,
-                              Cplx{std::cos(theta), std::sin(theta)});
-        return;
       case GateType::CX:
         state.applyControlled1q(Basis{1} << g.qubits[0], g.qubits[1], 0, 1,
                                 1, 0);
         return;
-      case GateType::CZ:
-        state.applyPhaseMask(maskOf(g.qubits, 0, 2), M_PI);
-        return;
-      case GateType::CP:
-        state.applyPhaseMask(maskOf(g.qubits, 0, 2), theta);
-        return;
-      case GateType::SWAP:
-        state.applySwap(g.qubits[0], g.qubits[1]);
-        return;
-      case GateType::CCX:
-        state.applyControlled1q(maskOf(g.qubits, 0, 2), g.qubits[2], 0, 1, 1,
-                                0);
-        return;
-      case GateType::RZZ: {
-        // Diagonal two-mask kernel: equal bits = even parity of the
-        // two-bit mask -> e^{-i theta/2}, unequal -> e^{+i theta/2}.
-        const Cplx same{std::cos(theta / 2), -std::sin(theta / 2)};
-        state.applyParityPhase(maskOf(g.qubits, 0, 2), same,
-                               std::conj(same));
-        return;
-      }
       case GateType::XY:
         // exp(-i theta (XX + YY)) is the commute term Hc(e_a - e_b) at
         // 2 theta: it mixes |1_a 0_b> with |0_a 1_b>.
         CHOCOQ_ASSERT(g.qubits[0] != g.qubits[1], "XY on identical qubits");
-        state.applyPairRotation(maskOf(g.qubits, 0, 2),
+        state.applyPairRotation(maskOf(g.qubits),
                                 Basis{1} << g.qubits[0],
                                 std::cos(2.0 * theta), std::sin(2.0 * theta));
         return;
       case GateType::MCP:
-        state.applyPhaseMask(maskOf(g.qubits, 0, g.qubits.size()), theta);
-        return;
-      case GateType::MCX:
-        state.applyControlled1q(maskOf(g.qubits, 0, g.qubits.size() - 1),
-                                g.qubits.back(), 0, 1, 1, 0);
-        return;
-      case GateType::BARRIER:
+        state.applyPhaseMask(maskOf(g.qubits), theta);
         return;
     }
     CHOCOQ_ASSERT(false, "unhandled gate in executor");

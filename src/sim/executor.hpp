@@ -63,8 +63,8 @@ void execute(StateVector &state, const circuit::Circuit &c,
  *
  * The trajectory tracks which basis states have a nonzero amplitude and
  * updates only those and their partners, until more than dim/8 of them
- * are nonzero or a gate outside the lowered set {H, X, RZ, CX, CZ}
- * comes up; the rest runs on the dense kernels. Probabilities and the
+ * are nonzero or a gate outside the lowered set {H, X, RZ, CX} comes
+ * up; the rest runs on the dense kernels. Probabilities and the
  * generator stream are bit-identical to naive::executeNoisy, the plain
  * dense loop, at any thread count (docs/simulator.md, "Noise model").
  */

@@ -15,7 +15,6 @@
 
 #include <cmath>
 #include <map>
-#include <utility>
 
 #include "circuit/circuit.hpp"
 #include "common/bitops.hpp"
@@ -78,19 +77,6 @@ controlled1q(CVec &amp, Basis control_mask, int q, Cplx m00, Cplx m01,
     }
 }
 
-/** Swap of two qubits, branch-per-state scan. */
-inline void
-swapQubits(CVec &amp, int a, int b)
-{
-    const Basis ba = Basis{1} << a;
-    const Basis bb = Basis{1} << b;
-    for (std::size_t i = 0; i < amp.size(); ++i) {
-        if ((i & ba) == 0 || (i & bb) != 0)
-            continue;
-        std::swap(amp[i], amp[(i ^ ba) | bb]);
-    }
-}
-
 /**
  * One noisy trajectory over the full register: sim::applyGate per gate,
  * then per operand a Pauli error drawn exactly as sim::executeNoisy
@@ -105,8 +91,6 @@ executeNoisy(StateVector &state, const circuit::Circuit &c,
                   "state narrower than circuit");
     for (const auto &g : c.gates()) {
         applyGate(state, g);
-        if (g.type == circuit::GateType::BARRIER)
-            continue;
         const double p = g.qubits.size() >= 2 ? noise.p2q : noise.p1q;
         if (p <= 0.0)
             continue;

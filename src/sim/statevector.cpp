@@ -143,18 +143,6 @@ StateVector::applyPhaseMask(Basis mask, double phi)
 }
 
 void
-StateVector::applyParityPhase(Basis mask, Cplx even, Cplx odd)
-{
-    if (counters_)
-        counters_->record(obs::KernelId::ParityPhase, amp_.size());
-    Cplx *amp = amp_.data();
-    const Cplx factor[2] = {even, odd};
-    parallelFor(amp_.size(), [=, &factor](std::size_t i) {
-        amp[i] *= factor[popcount(static_cast<Basis>(i) & mask) & 1];
-    });
-}
-
-void
 StateVector::applyPairRotation(Basis support_mask, Basis v_bits, double c,
                                double s)
 {
@@ -307,24 +295,6 @@ StateVector::applySubspaceLayer(const Cplx *phases,
                                   c * b.imag() - s * a.real()};
                     });
     }
-}
-
-void
-StateVector::applySwap(int a, int b)
-{
-    CHOCOQ_ASSERT(a != b, "swap on identical qubits");
-    if (counters_)
-        counters_->record(obs::KernelId::Swap, amp_.size() >> 1);
-    const Basis ba = Basis{1} << a;
-    const Basis bb = Basis{1} << b;
-    Cplx *amp = amp_.data();
-    forEachSubspaceRun(
-        freeMask(ba | bb), ba, [=](Basis base, std::size_t len) {
-            Cplx *__restrict px = amp + base;
-            Cplx *__restrict py = amp + (base ^ (ba | bb));
-            for (std::size_t t = 0; t < len; ++t)
-                std::swap(px[t], py[t]);
-        });
 }
 
 void

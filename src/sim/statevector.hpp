@@ -9,7 +9,7 @@
  *  - applyPairRotation for exact exp(-i beta Hc(u)) evolution of a commute
  *    Hamiltonian term: Choco-Q's driver and the cyclic baseline's XY
  *    mixer (XY(a, b, beta) is Hc(e_a - e_b) at 2 beta),
- *  - applyDiagonal1q / applyParityPhase for diagonal gates (RZ, RZZ, ...).
+ *  - applyDiagonal1q for the RZ gate.
  *
  * Masked kernels enumerate only the 2^(n-k) amplitudes they transform
  * (see sim/subspace.hpp) instead of scanning all 2^n with a filter
@@ -169,7 +169,7 @@ class StateVector
     /** Apply a general single-qubit gate given row-major 2x2 entries. */
     void apply1q(int q, Cplx m00, Cplx m01, Cplx m10, Cplx m11);
 
-    /** Apply the diagonal gate diag(d0, d1) on qubit @p q (Z, S, T, RZ...). */
+    /** Apply the diagonal gate diag(d0, d1) on qubit @p q (RZ). */
     void applyDiagonal1q(int q, Cplx d0, Cplx d1);
 
     /**
@@ -181,14 +181,6 @@ class StateVector
 
     /** Multiply amplitudes of states with (idx & mask) == mask by e^{i phi}. */
     void applyPhaseMask(Basis mask, double phi);
-
-    /**
-     * Two-valued parity diagonal: multiply amp[idx] by @p even when
-     * popcount(idx & mask) is even, by @p odd otherwise. RZZ and any
-     * exp(-i theta Z...Z/2) rotation reduce to this with
-     * even = e^{-i theta/2}, odd = e^{+i theta/2}.
-     */
-    void applyParityPhase(Basis mask, Cplx even, Cplx odd);
 
     /**
      * Fast diagonal-Hamiltonian phase: amp[i] *= exp(-i gamma table[i]).
@@ -288,9 +280,6 @@ class StateVector
                             const std::uint32_t *pairs,
                             const std::uint32_t *term_offsets,
                             std::size_t term_count, double c, double s);
-
-    /** Swap amplitudes of qubits a and b. */
-    void applySwap(int a, int b);
 
     /** Expectation of a precomputed diagonal observable table. */
     double expectationTable(const std::vector<double> &table) const;

@@ -2,8 +2,8 @@
  * @file
  * Subspace enumeration for masked state-vector kernels.
  *
- * A masked kernel (commute pair rotation, phase mask, swap, controlled
- * gate) transforms only the basis states whose bits agree
+ * A masked kernel (commute pair rotation, phase mask, controlled gate)
+ * transforms only the basis states whose bits agree
  * with a fixed pattern on some support; the remaining "free" qubits are
  * spectators. Instead of scanning all 2^n indices and filtering with a
  * branch, these helpers enumerate exactly the 2^(n-k) matching indices:

@@ -61,8 +61,8 @@ CyclicQaoaSolver::solve(const model::Problem &p) const
     // On rows it cannot encode, that trust is misplaced — the optimizer
     // happily walks into the infeasible region, which is exactly the
     // leakage Table II reports for this baseline on FLP/GCP.
-    auto phase_table =
-        std::make_shared<const std::vector<double>>(f->tabulate(n));
+    auto phase_table = std::make_shared<const std::vector<double>>(
+        f->tabulate(n, opts_.engine.checkpoint));
 
     core::SubRun run;
     run.numQubits = n;

@@ -21,7 +21,8 @@ HeaSolver::solve(const model::Problem &p) const
     const int n = p.numVars();
     const int layers = opts_.layers;
     auto cost_table = std::make_shared<const std::vector<double>>(
-        p.penaltyPolynomial(opts_.lambda).tabulate(n));
+        p.penaltyPolynomial(opts_.lambda)
+            .tabulate(n, opts_.engine.checkpoint));
 
     // Parameter layout: block b in [0, layers], qubit q:
     // theta[2*(b*n + q)] = RY angle, theta[2*(b*n + q) + 1] = RZ angle.

@@ -72,8 +72,8 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
         for (int j = 0; j < freeze; ++j)
             sub = sub.substitute(frozen[j], getBit(assign, j));
         auto f = std::make_shared<model::Polynomial>(sub.remapped(new_of));
-        auto table =
-            std::make_shared<const std::vector<double>>(f->tabulate(k));
+        auto table = std::make_shared<const std::vector<double>>(
+            f->tabulate(k, opts_.engine.checkpoint));
 
         SubRun run;
         run.numQubits = k;

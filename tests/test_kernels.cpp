@@ -238,7 +238,7 @@ TEST_P(Kernels, Controlled1qMatchesNaive)
     }
 }
 
-TEST_P(Kernels, XYGateAndSwapMatchNaive)
+TEST_P(Kernels, XYGateMatchesNaive)
 {
     // The XY gate runs on the pair-rotation kernel: XY(a, b, beta) is
     // the commute term Hc(e_a - e_b) at 2 beta.
@@ -258,11 +258,6 @@ TEST_P(Kernels, XYGateAndSwapMatchNaive)
         sim::naive::pairRotation(ref, (Basis{1} << a) | (Basis{1} << b),
                                  Basis{1} << a, 2.0 * beta);
         expectSameState(sv.amplitudes(), ref);
-
-        loadState(sv, ref);
-        sv.applySwap(a, b);
-        sim::naive::swapQubits(ref, a, b);
-        expectSameState(sv.amplitudes(), ref);
     }
 }
 
@@ -281,26 +276,6 @@ TEST_P(Kernels, Diagonal1qMatchesApply1q)
         fast.applyDiagonal1q(q, d0, d1);
         ref.apply1q(q, d0, 0, 0, d1);
         expectSameState(fast.amplitudes(), ref.amplitudes());
-    }
-}
-
-TEST_P(Kernels, ParityPhaseMatchesScalarLoop)
-{
-    Rng rng(41);
-    for (int trial = 0; trial < 20; ++trial) {
-        const int n = rng.intIn(2, 12);
-        const auto [mask, v] = randomSupport(rng, n, rng.intIn(1, n));
-        (void)v;
-        const double theta = rng.uniform(-3.2, 3.2);
-        const Cplx even{std::cos(theta / 2), -std::sin(theta / 2)};
-        const Cplx odd = std::conj(even);
-        CVec psi = randomState(rng, n);
-        StateVector fast(n);
-        loadState(fast, psi);
-        fast.applyParityPhase(mask, even, odd);
-        for (std::size_t i = 0; i < psi.size(); ++i)
-            psi[i] *= popcount(static_cast<Basis>(i) & mask) & 1 ? odd : even;
-        expectSameState(fast.amplitudes(), psi);
     }
 }
 

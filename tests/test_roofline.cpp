@@ -71,7 +71,7 @@ makeTables()
  * amplitude count per kernel (dim = 2^6 = 64):
  *   full sweeps ............................ 64
  *   Controlled1q / PhaseMask (2 fixed bits)  16
- *   PairRotation / Swap (pair sweeps) ...... 32
+ *   PairRotation (pair sweep) .............. 32
  *   PairRotationGroup (2 terms) ............ 64
  *   PhasedPairRotationGroup (gather+2 terms) 128
  *   SubspaceLayer (gather + 3 pairs) ........ 70
@@ -92,12 +92,10 @@ runScalarScript(sim::StateVector &sv, const Tables &t)
     sv.applyDiagonal1q(1, d0, d1);
     sv.applyControlled1q(kMask2, 4, 0.0, 1.0, 1.0, 0.0);
     sv.applyPhaseMask(kMask2, 0.4);
-    sv.applyParityPhase(kMask2, d0, d1);
     sv.applyPairRotation(kSupport, kVBitsA, 0.55, 0.45);
     sv.applyPairRotationGroup(kSupport, vbits, 2, 0.55, 0.45);
     sv.applyPhasedPairRotationGroup(kSupport, vbits, 2, 0.55, 0.45,
                                     t.phases.data(), t.index.data());
-    sv.applySwap(0, 4);
     sv.applyPhaseTable(t.table, 0.4);
     sv.applyPhaseTableCompressed(t.distinct, t.index, 0.4, scratch);
     sv.applySubspaceLayer(t.phases.data(), t.index.data(), pairs,
@@ -118,8 +116,7 @@ expectedScalarAmps(obs::KernelId id)
     case K::PhaseMask:
         return kDim >> 2; // two fixed bits
     case K::PairRotation:
-    case K::Swap:
-        return kDim >> 1; // pair sweeps touch half the index space
+        return kDim >> 1; // a pair sweep touches half the index space
     case K::PairRotationGroup:
         return 2 * (kDim >> 1); // two terms per group sweep
     case K::PhasedPairRotationGroup:
@@ -193,19 +190,19 @@ TEST(RooflineSink, ResetMergeAndSummary)
     EXPECT_TRUE(a.empty());
     a.record(obs::KernelId::Apply1q, 64);
     a.record(obs::KernelId::Apply1q, 64);
-    b.record(obs::KernelId::Swap, 32);
+    b.record(obs::KernelId::PhaseMask, 32);
     EXPECT_FALSE(a.empty());
 
     a.merge(b);
     EXPECT_EQ(a.tally(obs::KernelId::Apply1q).calls, 2u);
     EXPECT_EQ(a.tally(obs::KernelId::Apply1q).amps, 128u);
-    EXPECT_EQ(a.tally(obs::KernelId::Swap).calls, 1u);
+    EXPECT_EQ(a.tally(obs::KernelId::PhaseMask).calls, 1u);
     EXPECT_EQ(a.totalCalls(), 3u);
     EXPECT_EQ(a.totalAmps(), 160u);
 
     const std::string s = a.summary();
     EXPECT_NE(s.find("apply1q=2:128"), std::string::npos) << s;
-    EXPECT_NE(s.find("swap=1:32"), std::string::npos) << s;
+    EXPECT_NE(s.find("phase_mask=1:32"), std::string::npos) << s;
 
     a.reset();
     EXPECT_TRUE(a.empty());
@@ -230,11 +227,9 @@ TEST(RooflineModel, CostTableIsPinned)
         {K::Diagonal1q, 32.0, 6.0},
         {K::Controlled1q, 32.0, 14.0},
         {K::PhaseMask, 32.0, 6.0},
-        {K::ParityPhase, 32.0, 6.0},
         {K::PairRotation, 32.0, 6.0},
         {K::PairRotationGroup, 32.0, 6.0},
         {K::PhasedPairRotationGroup, 32.0, 6.0},
-        {K::Swap, 32.0, 0.0},
         {K::PhaseTable, 40.0, 9.0},
         {K::PhaseTableCompressed, 34.0, 6.0},
         {K::ExpectationTable, 24.0, 5.0},

@@ -1,8 +1,9 @@
 /**
  * @file
  * Solver-level unit tests: the shared QAOA engine, the penalty baseline's
- * freezing/warm-start machinery, cyclic mixer construction, the Trotter
- * comparator, and the device/latency models.
+ * freezing/warm-start machinery, cyclic mixer construction, each
+ * baseline's fast path against its own circuit and its cancellation
+ * polls, the Trotter comparator, and the device/latency models.
  */
 
 #include <gtest/gtest.h>
@@ -22,9 +23,10 @@
 #include "model/exact.hpp"
 #include "obs/roofline.hpp"
 #include "problems/suite.hpp"
-#include "solvers/cyclic.hpp"
-#include "solvers/penalty.hpp"
 #include "sim/executor.hpp"
+#include "solvers/cyclic.hpp"
+#include "solvers/hea.hpp"
+#include "solvers/penalty.hpp"
 #include "sim/unitary.hpp"
 #include "solvers/trotter.hpp"
 
@@ -38,6 +40,58 @@ std::shared_ptr<const std::vector<double>>
 costOf(std::vector<double> values)
 {
     return std::make_shared<const std::vector<double>>(std::move(values));
+}
+
+/** Pin a solve to @p theta0: one iteration with a 1e-9 step keeps the
+ * solve's optimum within ~1e-9 of it. */
+void
+pinParameters(core::EngineOptions &engine, std::vector<double> theta0)
+{
+    engine.opt.maxIterations = 1;
+    engine.opt.initialStep = 1e-9;
+    engine.theta0 = std::move(theta0);
+}
+
+/** Expect a solve's @p dist to equal @p c's distribution, run one gate
+ * at a time from |0>, within 1e-6 on every state either one holds. */
+void
+expectDistributionOfCircuit(const std::map<Basis, double> &dist,
+                            const circuit::Circuit &c,
+                            const std::string &label)
+{
+    sim::StateVector state(c.numQubits());
+    sim::execute(state, c);
+    const auto gate = state.distribution();
+    const auto probOf = [](const std::map<Basis, double> &d, Basis x) {
+        const auto it = d.find(x);
+        return it == d.end() ? 0.0 : it->second;
+    };
+    for (const auto &[x, prob] : dist)
+        EXPECT_NEAR(prob, probOf(gate, x), 1e-6) << label << " " << x;
+    for (const auto &[x, prob] : gate)
+        EXPECT_NEAR(prob, probOf(dist, x), 1e-6) << label << " " << x;
+}
+
+struct FirstKernelRan
+{
+};
+
+/** Solve @p p with a checkpoint that counts its polls until the job's
+ * first kernel has run and throws at the next one; returns the count. */
+template <class Solver, class Options>
+int
+pollsBeforeFirstKernel(Options opts, const model::Problem &p)
+{
+    obs::KernelCounterSink sink;
+    opts.engine.kernelCounters = &sink;
+    int polls = 0;
+    opts.engine.checkpoint = [&] {
+        if (!sink.empty())
+            throw FirstKernelRan{};
+        ++polls;
+    };
+    EXPECT_THROW(Solver(opts).solve(p), FirstKernelRan);
+    return polls;
 }
 
 } // namespace
@@ -72,7 +126,7 @@ TEST(QaoaEngine, EvolveFastPathMatchesBuild)
     a.build = [](const std::vector<double> &theta) {
         circuit::Circuit c(2);
         c.h(0);
-        c.cp(0, 1, theta[0]);
+        c.mcp({0, 1}, theta[0]);
         c.rx(1, theta[0]);
         return c;
     };
@@ -228,16 +282,37 @@ TEST(Penalty, WarmStartPollsTheCheckpoint)
     const auto p = problems::makeCase(problems::Scale::K1, 0);
     solvers::PenaltyOptions opts;
     opts.layers = 2;
-    opts.engine.opt.maxIterations = 1;
-    obs::KernelCounterSink sink;
-    opts.engine.kernelCounters = &sink;
-    int before_first_kernel = 0;
-    opts.engine.checkpoint = [&] {
-        if (sink.empty())
-            ++before_first_kernel;
-    };
-    solvers::PenaltyQaoaSolver(opts).solve(p);
-    EXPECT_GE(before_first_kernel, 16);
+    EXPECT_GE(pollsBeforeFirstKernel<solvers::PenaltyQaoaSolver>(opts, p),
+              16);
+}
+
+TEST(Penalty, FastPathMatchesItsCircuit)
+{
+    // The fast path runs each layer as the penalty's phase table and
+    // RX(2 beta) kernels; the circuit runs one MCP gate per monomial
+    // and RX gates. For the same parameters both must give the same
+    // distribution.
+    for (const auto scale : {problems::Scale::K1, problems::Scale::F1}) {
+        const auto p = problems::makeCase(scale, 0);
+        const int n = p.numVars();
+        solvers::PenaltyOptions opts;
+        opts.layers = 2;
+        opts.freeze = 0;
+        pinParameters(opts.engine, {0.37, 0.81, 0.22, 0.64});
+        const auto run = solvers::PenaltyQaoaSolver(opts).solve(p);
+
+        const auto f = p.penaltyPolynomial(opts.lambda);
+        const auto &theta = opts.engine.theta0;
+        circuit::Circuit c(n);
+        for (int q = 0; q < n; ++q)
+            c.h(q);
+        for (std::size_t l = 0; l < 2; ++l) {
+            core::appendObjectivePhase(c, f, theta[2 * l]);
+            for (int q = 0; q < n; ++q)
+                c.rx(q, 2.0 * theta[2 * l + 1]);
+        }
+        expectDistributionOfCircuit(run.distribution, c, p.name());
+    }
 }
 
 TEST(Cyclic, FastPathMatchesItsCircuit)
@@ -249,11 +324,7 @@ TEST(Cyclic, FastPathMatchesItsCircuit)
         const auto p = problems::makeCase(scale, 0);
         solvers::CyclicOptions opts;
         opts.layers = 2;
-        // Pin the parameters: one iteration with a 1e-9 step keeps the
-        // solve's optimum within ~1e-9 of theta0.
-        opts.engine.opt.maxIterations = 1;
-        opts.engine.opt.initialStep = 1e-9;
-        opts.engine.theta0 = {0.37, 0.81, 0.22, 0.64};
+        pinParameters(opts.engine, {0.37, 0.81, 0.22, 0.64});
         const auto run = solvers::CyclicQaoaSolver(opts).solve(p);
 
         // The same circuit at theta0, executed one gate at a time.
@@ -267,19 +338,7 @@ TEST(Cyclic, FastPathMatchesItsCircuit)
             for (const auto &[a, b] : solvers::CyclicQaoaSolver::mixerPairs(p))
                 c.xy(a, b, opts.engine.theta0[2 * l + 1]);
         }
-        sim::StateVector state(c.numQubits());
-        sim::execute(state, c);
-        const auto gate = state.distribution();
-
-        const auto probOf = [](const std::map<Basis, double> &dist, Basis x) {
-            const auto it = dist.find(x);
-            return it == dist.end() ? 0.0 : it->second;
-        };
-        for (const auto &[x, prob] : run.distribution)
-            EXPECT_NEAR(prob, probOf(gate, x), 1e-6) << p.name() << " " << x;
-        for (const auto &[x, prob] : gate)
-            EXPECT_NEAR(prob, probOf(run.distribution, x), 1e-6)
-                << p.name() << " " << x;
+        expectDistributionOfCircuit(run.distribution, c, p.name());
     }
 }
 
@@ -304,6 +363,59 @@ TEST(Cyclic, InfeasibleProblemThrows)
     p.addEquality({1, 1}, 5);
     solvers::CyclicQaoaSolver solver;
     EXPECT_THROW(solver.solve(p), FatalError);
+}
+
+TEST(Hea, FastPathMatchesItsCircuit)
+{
+    // The fast path runs the RY, RZ and CX kernels directly; the
+    // circuit runs the same rotations and CX chains as gates.
+    for (const auto scale : {problems::Scale::K1, problems::Scale::F1}) {
+        const auto p = problems::makeCase(scale, 0);
+        const int n = p.numVars();
+        solvers::HeaOptions opts;
+        opts.layers = 2;
+        std::vector<double> theta0(2 * n * (opts.layers + 1));
+        for (std::size_t i = 0; i < theta0.size(); ++i)
+            theta0[i] = 0.3 + 0.1 * static_cast<double>(i % 7);
+        pinParameters(opts.engine, std::move(theta0));
+        const auto run = solvers::HeaSolver(opts).solve(p);
+
+        const auto &theta = opts.engine.theta0;
+        circuit::Circuit c(n);
+        const auto rotations = [&](int block) {
+            for (int q = 0; q < n; ++q) {
+                c.ry(q, theta[2 * (block * n + q)]);
+                c.rz(q, theta[2 * (block * n + q) + 1]);
+            }
+        };
+        rotations(0);
+        for (int b = 1; b <= opts.layers; ++b) {
+            for (int q = 0; q + 1 < n; ++q)
+                c.cx(q, q + 1);
+            rotations(b);
+        }
+        expectDistributionOfCircuit(run.distribution, c, p.name());
+    }
+}
+
+TEST(Baselines, TabulationPollsTheCheckpoint)
+{
+    // Each baseline tabulates its 2^n cost table before the engine's
+    // first kernel, so a cancel or deadline reaches the tabulation only
+    // through polls of its own: one per 2^16 states, 4 on K3's 2^18
+    // (penalty freezes one variable: two tables of 2^17). The engine's
+    // first objective evaluation adds 1 and penalty's warm-start grid
+    // 16.
+    const auto p = problems::makeCase(problems::Scale::K3, 0);
+    EXPECT_GT(pollsBeforeFirstKernel<solvers::HeaSolver>(
+                  solvers::HeaOptions{}, p),
+              1);
+    EXPECT_GT(pollsBeforeFirstKernel<solvers::CyclicQaoaSolver>(
+                  solvers::CyclicOptions{}, p),
+              1);
+    EXPECT_GT(pollsBeforeFirstKernel<solvers::PenaltyQaoaSolver>(
+                  solvers::PenaltyOptions{}, p),
+              17);
 }
 
 TEST(Trotter, SmallDriverSucceedsAndScales)
